@@ -5,7 +5,8 @@ check fails, 2 on usage or parameter errors.  All big integers are printed
 as decimal strings; JSON output round-trips losslessly.
 
 The environment variable KLM_MAX_N (default 12) caps the ground-set size for
-recurrence-oracle computations, which are exponential in n by design.
+recurrence-oracle computations, which are exponential in n by design.  It
+must be an integer from 0 to 16, the largest ground set a matroid may have.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from .closedforms import (
     kl_poly_rho,
     valid_rhos,
 )
-from .errors import KlmatroidsError
+from .errors import InvalidParameters, KlmatroidsError
 from .exactarith import IntPoly
 from .identities import (
     IdentityReport,
     run_identity_sweeps,
     sweep_gf_truncation,
 )
-from .matroid import kl_poly
+from .matroid import MAX_GROUND, kl_poly
 from .tableaux import (
     count_skyt_rho_direct,
     enumerate_skyt,
@@ -49,10 +50,15 @@ EXIT_USAGE = 2
 
 def oracle_cap() -> int:
     raw = os.environ.get("KLM_MAX_N", "")
-    try:
-        return int(raw) if raw else DEFAULT_ORACLE_CAP
-    except ValueError:
+    if not raw:
         return DEFAULT_ORACLE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise InvalidParameters(f"KLM_MAX_N must be an integer, got {raw!r}") from None
+    if not 0 <= cap <= MAX_GROUND:
+        raise InvalidParameters(f"KLM_MAX_N must be between 0 and {MAX_GROUND}, got {cap}")
+    return cap
 
 
 def _fail_usage(message: str) -> int:
@@ -232,6 +238,8 @@ def _print_reports(reports: list[IdentityReport], fmt: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 0:
+        return _fail_usage(f"--jobs must be 0 (all cores) or more, got {args.jobs}")
     jobs = args.jobs if args.jobs else verification.default_jobs()
     max_n = args.max_n
     if max_n > oracle_cap():

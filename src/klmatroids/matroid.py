@@ -1,16 +1,22 @@
 """Matroids over explicit basis systems, given as bitmasks on {1..n}.
 
 Element e of the ground set corresponds to bit e - 1.  A matroid is stored
-as its full list of bases; rank, closure, the lattice of flats with Mobius
-values, minors, the characteristic polynomial, and the Kazhdan-Lusztig
-polynomial are all computed from that list directly.  This favours
-simplicity and independence from any closed-form shortcut: these routines
-serve as the oracle that the formula layer is checked against.
+as its full list of bases together with the rank of every subset.  The rank
+table comes from a dynamic programme over subsets: the given bases and their
+subsets are the independent sets, and a dependent set has the largest rank of
+its one-smaller subsets, so r(S) = max |S & B| over the bases.  A family of
+equal-size sets is a basis system exactly when that table is submodular, and
+construction checks this locally at every subset; the pairwise exchange
+search runs only to name a witness for a family that fails.  Closure, the
+lattice of flats with Mobius values, minors, the characteristic polynomial,
+and the Kazhdan-Lusztig polynomial are all computed from the table directly.
+This favours simplicity and independence from any closed-form shortcut:
+these routines serve as the oracle that the formula layer is checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from typing import Collection, Iterable
 
@@ -18,6 +24,7 @@ from .errors import (
     EmptyBases,
     ExchangeAxiomViolation,
     HasLoops,
+    InvalidParameters,
     MixedCardinality,
     NotAFlat,
 )
@@ -25,7 +32,7 @@ from .exactarith import IntPoly
 
 GroundSubset = int  # bitmask over {1..n}
 
-_FLATS_MAX_GROUND = 16  # the 2**n closure sweep is intentional; keep it sane
+MAX_GROUND = 16  # every matroid holds a 2**n rank table; keep it sane
 
 
 def mask_from(elements: Iterable[int], n: int) -> GroundSubset:
@@ -60,20 +67,22 @@ def _iter_bits(mask: int):
 
 
 class Matroid:
-    """Immutable matroid with an explicit, validated basis list.
+    """Immutable matroid with an explicit, validated basis list and rank table.
 
     Use :func:`matroid_from_bases` to construct one; the constructor itself
-    assumes masks that already passed validation.
+    assumes masks and a rank table that already passed validation.
     """
 
     __slots__ = ("n", "bases", "rank", "_basis_set", "_rank_table", "_lattice")
 
-    def __init__(self, n: int, base_masks: tuple[GroundSubset, ...]):
+    def __init__(
+        self, n: int, base_masks: tuple[GroundSubset, ...], rank_table: tuple[int, ...]
+    ):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bases", base_masks)
         object.__setattr__(self, "rank", base_masks[0].bit_count() if base_masks else 0)
         object.__setattr__(self, "_basis_set", frozenset(base_masks))
-        object.__setattr__(self, "_rank_table", None)
+        object.__setattr__(self, "_rank_table", rank_table)
         object.__setattr__(self, "_lattice", None)
 
     def __setattr__(self, name, value):
@@ -99,27 +108,10 @@ class Matroid:
 
     def rank_table(self) -> tuple[int, ...]:
         """rank of every subset, indexed by bitmask (2**n entries)."""
-        if self._rank_table is None:
-            if self.n > _FLATS_MAX_GROUND:
-                raise ValueError(
-                    f"ground set of size {self.n} exceeds the {_FLATS_MAX_GROUND} element "
-                    "limit for exhaustive subset sweeps"
-                )
-            table = [0] * (1 << self.n)
-            for s in range(1 << self.n):
-                best = 0
-                for b in self.bases:
-                    inter = (s & b).bit_count()
-                    if inter > best:
-                        best = inter
-                table[s] = best
-            object.__setattr__(self, "_rank_table", tuple(table))
         return self._rank_table
 
     def rank_of(self, mask: GroundSubset) -> int:
-        if self._rank_table is not None:
-            return self._rank_table[mask]
-        return max((mask & b).bit_count() for b in self.bases)
+        return self._rank_table[mask]
 
     def closure_of(self, mask: GroundSubset) -> GroundSubset:
         table = self.rank_table()
@@ -137,15 +129,98 @@ class Matroid:
         return self._lattice
 
 
+def _dp_rank_table(n: int, masks: Collection[GroundSubset]) -> list[int]:
+    """r(S) = max |S & B| over the given sets B, for every S, in O(2**n * n).
+
+    S is independent when it lies inside some B; a dependent S has the
+    largest rank of its one-smaller subsets.
+    """
+    size = 1 << n
+    top = max((b.bit_count() for b in masks), default=0)
+    independent = bytearray(size)
+    for b in masks:
+        independent[b] = 1
+    # descending, so every superset has passed its mark down before S is read
+    for s in range(size - 1, 0, -1):
+        if independent[s]:
+            rest = s
+            while rest:
+                low = rest & -rest
+                independent[s ^ low] = 1
+                rest ^= low
+    table = [0] * size
+    for s in range(1, size):
+        count = s.bit_count()
+        if independent[s]:
+            table[s] = count
+            continue
+        # a dependent set has rank below its size, and no rank exceeds top
+        bound = count - 1 if count <= top else top
+        best = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            r = table[s ^ low]
+            if r > best:
+                best = r
+                if r == bound:
+                    break
+            rest ^= low
+        table[s] = best
+    return table
+
+
+def _is_submodular(n: int, table: list[int]) -> bool:
+    """Local submodularity: every set has the rank of its closure.
+
+    For a monotone rank that rises by at most one per element this is
+    equivalent to submodularity, i.e. to the rank axioms.
+    """
+    bits = [1 << e for e in range(n)]
+    top = table[-1]
+    for s, r in enumerate(table):
+        if r == top:
+            continue  # the closure is the whole ground set, of rank top
+        closed = s
+        for bit in bits:
+            if table[s | bit] == r:
+                closed |= bit
+        if table[closed] != r:
+            return False
+    return True
+
+
+def _exchange_witness(
+    ordered: tuple[GroundSubset, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """First (basis, other, element) in pairwise order that admits no exchange."""
+    basis_set = frozenset(ordered)
+    for b1 in ordered:
+        for b2 in ordered:
+            if b1 == b2:
+                continue
+            candidates = b2 & ~b1
+            for bit in _iter_bits(b1 & ~b2):
+                stripped = b1 ^ bit
+                if not any(stripped | c in basis_set for c in _iter_bits(candidates)):
+                    return elements_of(b1), elements_of(b2), bit.bit_length()
+    return None
+
+
 def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) -> Matroid:
     """Validate a basis system and build the matroid.
 
     Bases may be given as collections of elements in 1..n or as bitmasks.
-    Raises EmptyBases, MixedCardinality, or ExchangeAxiomViolation (with a
-    witnessing pair and element) when the family is not a basis system.
+    Raises InvalidParameters when n exceeds MAX_GROUND, and EmptyBases,
+    MixedCardinality, or ExchangeAxiomViolation (with a witnessing pair and
+    element) when the family is not a basis system.
     """
     if n < 0:
         raise ValueError(f"ground set size must be non-negative, got {n}")
+    if n > MAX_GROUND:
+        raise InvalidParameters(
+            f"ground set of size {n} exceeds the {MAX_GROUND} element limit for matroids"
+        )
     masks: set[GroundSubset] = set()
     for b in bases:
         if isinstance(b, int):
@@ -160,20 +235,16 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
     if len(sizes) > 1:
         raise MixedCardinality(f"bases of different sizes: {sorted(sizes)}")
     ordered = tuple(sorted(masks))
-    basis_set = frozenset(ordered)
-    for b1 in ordered:
-        for b2 in ordered:
-            if b1 == b2:
-                continue
-            candidates = b2 & ~b1
-            for bit in _iter_bits(b1 & ~b2):
-                stripped = b1 ^ bit
-                if not any(stripped | c in basis_set for c in _iter_bits(candidates)):
-                    element = bit.bit_length()
-                    raise ExchangeAxiomViolation(
-                        elements_of(b1), elements_of(b2), element
-                    )
-    return Matroid(n, ordered)
+    table = _dp_rank_table(n, ordered)
+    if not _is_submodular(n, table):
+        witness = _exchange_witness(ordered)
+        if witness is None:
+            raise RuntimeError(
+                "internal error: the rank table is not submodular, yet every pair "
+                "of bases satisfies the exchange axiom"
+            )
+        raise ExchangeAxiomViolation(*witness)
+    return Matroid(n, ordered, tuple(table))
 
 
 def uniform_matroid(m: int, d: int) -> Matroid:
@@ -209,6 +280,10 @@ class FlatLattice:
     flats: tuple[GroundSubset, ...]
     ranks: tuple[int, ...]
     mobius: tuple[int, ...]
+    _index: dict[GroundSubset, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {f: k for k, f in enumerate(self.flats)})
 
     @property
     def bottom(self) -> GroundSubset:
@@ -219,10 +294,9 @@ class FlatLattice:
         return self.flats[-1]
 
     def index_of(self, flat: GroundSubset) -> int:
-        # flats are sorted by (bit_count, value); bisect is unnecessary at these sizes
         try:
-            return self.flats.index(flat)
-        except ValueError:
+            return self._index[flat]
+        except KeyError:
             raise NotAFlat(f"{set(elements_of(flat))} is not a flat") from None
 
     def rank_of(self, flat: GroundSubset) -> int:
@@ -232,7 +306,7 @@ class FlatLattice:
         return self.mobius[self.index_of(flat)]
 
     def contains(self, mask: GroundSubset) -> bool:
-        return mask in set(self.flats)
+        return mask in self._index
 
 
 def _build_lattice(matroid: Matroid) -> FlatLattice:

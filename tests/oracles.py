@@ -2,8 +2,9 @@
 
 These deliberately avoid the formulas and data paths of the package: Pascal
 recursion instead of factorials, backtracking placement instead of hook
-lengths, subset search instead of basis intersections.  Expected values in
-the tests are frozen from these oracles.
+lengths, subset search instead of basis intersections, pairwise set exchange
+instead of rank tables.  Expected values in the tests are frozen from these
+oracles.
 """
 
 from fractions import Fraction
@@ -79,6 +80,30 @@ def brute_rank(n: int, bases: list[frozenset[int]], subset: frozenset[int]) -> i
             if any(cset <= b for b in bases):
                 return size
     return 0
+
+
+def exchange_axiom_holds(bases: list[frozenset[int]]) -> bool:
+    """The basis-exchange axiom, checked pairwise on plain sets: for all
+    members B1, B2 of the family and every x in B1 - B2, some y in B2 - B1
+    must put B1 - x + y in the family."""
+    family = set(bases)
+    return all(
+        any((b1 - {x}) | {y} in family for y in b2 - b1)
+        for b1 in bases
+        for b2 in bases
+        for x in b1 - b2
+    )
+
+
+def is_exchange_violation(
+    bases: list[frozenset[int]], basis: frozenset[int], other: frozenset[int], element: int
+) -> bool:
+    """Whether removing ``element`` from ``basis`` admits no replacement from
+    ``other`` that lands back in the family."""
+    family = set(bases)
+    if basis not in family or other not in family or element not in basis - other:
+        return False
+    return not any((basis - {element}) | {y} in family for y in other - basis)
 
 
 def termwise_integral(poly_coeffs: dict[int, int], lower: int, upper: int) -> Fraction:

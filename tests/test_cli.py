@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from klmatroids.cli import main
 
 
@@ -180,6 +182,34 @@ class TestVerify:
     def test_max_n_capped(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "theorem1", "--max-n", "99")
         assert code == 2 and "KLM_MAX_N" in err
+
+    def test_negative_jobs_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "theorem1", "--max-n", "4", "--jobs", "-3"
+        )
+        assert code == 2 and "--jobs" in err and out == ""
+
+
+class TestOracleCapSetting:
+    @pytest.mark.parametrize("raw", ["abc", "7.5", "-1", "17", "99"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeff", "--m", "2", "--d", "2", "--i", "0", "--method", "oracle"),
+            ("klpoly", "--m", "2", "--d", "2", "--method", "all"),
+            ("verify", "--suite", "theorem1", "--max-n", "4", "--jobs", "1"),
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, capsys, monkeypatch, raw, argv):
+        monkeypatch.setenv("KLM_MAX_N", raw)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and "KLM_MAX_N" in err and out == ""
+
+    @pytest.mark.parametrize("raw", ["0", "16"])
+    def test_range_ends_accepted(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("KLM_MAX_N", raw)
+        code, out, _ = run_cli(capsys, "klpoly", "--m", "1", "--d", "3", "--method", "all")
+        assert code == 0 and "1 + 2t" in out
 
 
 class TestTable:

@@ -2,11 +2,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from klmatroids import matroid as matroid_module
 from klmatroids.errors import (
     EmptyBases,
     ExchangeAxiomViolation,
     HasLoops,
+    InvalidParameters,
+    KlmatroidsError,
     MixedCardinality,
     NotAFlat,
 )
@@ -27,7 +32,7 @@ from klmatroids.matroid import (
     uniform_matroid,
 )
 
-from oracles import brute_rank
+from oracles import brute_rank, exchange_axiom_holds, is_exchange_violation
 
 U12 = matroid_from_bases(3, [{1, 2}, {1, 3}, {2, 3}])
 U12_MINUS = matroid_from_bases(3, [{1, 3}, {2, 3}])
@@ -59,6 +64,22 @@ class TestConstruction:
         err = info.value
         assert set(err.basis) in ({1, 2}, {3, 4})
         assert err.element in err.basis
+        # the first failing (basis, other, element) in sorted-mask order
+        assert (err.basis, err.other, err.element) == ((1, 2), (3, 4), 1)
+
+    def test_ground_set_cap_checked_before_any_subset_work(self):
+        assert matroid_from_bases(16, [{16}]).rank == 1
+        # 2**40 subsets would never finish: the cap must fire first
+        for n in (17, 40):
+            with pytest.raises(InvalidParameters) as info:
+                matroid_from_bases(n, [{1}])
+            assert isinstance(info.value, KlmatroidsError)
+            assert "16" in str(info.value)
+
+    def test_missing_witness_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(matroid_module, "_exchange_witness", lambda ordered: None)
+        with pytest.raises(RuntimeError):
+            matroid_from_bases(4, [{1, 2}, {3, 4}])
 
     def test_overlapping_removal_is_rejected(self):
         # dropping {1,2} and {2,3} from all pairs of [4] breaks the axiom:
@@ -104,6 +125,66 @@ class TestConstruction:
                 matroid_from_bases(n, remaining)
 
 
+def _d_subsets(n: int, d: int) -> list[frozenset[int]]:
+    return [frozenset(c) for c in combinations(range(1, n + 1), d)]
+
+
+def _max_intersections(n: int, family: list[frozenset[int]]) -> list[int]:
+    return [
+        max(len(frozenset(elements_of(s)) & b) for b in family) for s in range(1 << n)
+    ]
+
+
+def _check_against_pairwise(n: int, family: list[frozenset[int]]) -> None:
+    """matroid_from_bases accepts exactly when the pairwise oracle does, any
+    witness it raises is a real violation, and an accepted matroid's rank
+    table is r(S) = max |S & B|."""
+    try:
+        m = matroid_from_bases(n, family)
+    except ExchangeAxiomViolation as err:
+        assert not exchange_axiom_holds(family)
+        assert is_exchange_violation(
+            family, frozenset(err.basis), frozenset(err.other), err.element
+        )
+    else:
+        assert exchange_axiom_holds(family)
+        assert list(m.rank_table()) == _max_intersections(n, family)
+
+
+class TestValidatorEquivalence:
+    def test_every_family_up_to_five_elements(self):
+        checked = 0
+        for n in range(6):
+            for d in range(n + 1):
+                pool = _d_subsets(n, d)
+                for pick in range(1, 1 << len(pool)):
+                    family = [b for k, b in enumerate(pool) if pick >> k & 1]
+                    _check_against_pairwise(n, family)
+                    checked += 1
+        assert checked == 2229
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_families_up_to_eight_elements(self, data):
+        n = data.draw(st.integers(0, 8), label="n")
+        d = data.draw(st.integers(0, n), label="d")
+        pool = _d_subsets(n, d)
+        # sparse draws are mostly rejected; all-but-a-few draws are often matroids
+        chosen = data.draw(
+            st.sets(st.sampled_from(pool), min_size=1, max_size=12)
+            | st.sets(st.sampled_from(pool), max_size=4).map(
+                lambda dropped: set(pool) - dropped
+            ),
+            label="family",
+        )
+        family = sorted(chosen, key=sorted)
+        if not family:
+            return
+        table = matroid_module._dp_rank_table(n, [mask_from(b, n) for b in family])
+        assert table == _max_intersections(n, family)
+        _check_against_pairwise(n, family)
+
+
 class TestRankClosure:
     def test_rank_examples(self):
         assert rank(U12, {1, 2, 3}) == 2
@@ -145,6 +226,23 @@ class TestFlats:
             set(), {3}, {1, 2}, {1, 2, 3},
         ]
         assert lat.mobius == (1, -1, -1, 1)
+
+    def test_lookups_by_flat(self):
+        lat = flats(U12_MINUS)
+        for k, f in enumerate(lat.flats):
+            assert lat.index_of(f) == k and lat.contains(f)
+            assert lat.rank_of(f) == lat.ranks[k] and lat.mobius_of(f) == lat.mobius[k]
+        not_flat = mask_from({1}, 3)
+        assert not lat.contains(not_flat)
+        for lookup in (lat.index_of, lat.rank_of, lat.mobius_of):
+            with pytest.raises(NotAFlat):
+                lookup(not_flat)
+
+    def test_lookup_index_is_not_part_of_the_value(self):
+        lat = flats(U12)
+        again = type(lat)(lat.n, lat.flats, lat.ranks, lat.mobius)
+        assert again == lat and hash(again) == hash(lat)
+        assert "_index" not in repr(lat)
 
     def test_rank_zero_collapses(self):
         lat = flats(RANK0)
