@@ -35,6 +35,7 @@ from .identities import (
 )
 from .matroid import MAX_GROUND, kl_poly
 from .tableaux import (
+    MAX_FILLINGS,
     count_skyt_rho_direct,
     enumerate_skyt,
     satisfies_removed_family_conditions,
@@ -206,10 +207,7 @@ def cmd_enumerate(args) -> int:
         n = args.a + 2 * args.i + args.b - 2
         largest = set(range(n - (args.a - 2) + 1, n + 1))
         fillings = [
-            f
-            for f in fillings
-            if f.value_at(0, 0) == 1
-            and set(f.columns[0][2:]) == largest
+            f for f in fillings if f.entries[0] == 1 and set(f.entries[2 : args.a]) == largest
         ]
     elif family == "rho":
         fillings = [
@@ -329,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     klpoly.add_argument("--format", choices=["text", "json"], default="text")
     klpoly.set_defaults(func=cmd_klpoly)
 
-    enum = sub.add_parser("enumerate", help="stream the legal fillings of a shape")
+    enum = sub.add_parser(
+        "enumerate",
+        help="list the legal fillings of a shape in column-major lexicographic order, "
+        f"then their count (at most {MAX_FILLINGS} fillings)",
+    )
     enum.add_argument("--a", type=int, required=True)
     enum.add_argument("--i", type=int, required=True)
     enum.add_argument("--b", type=int, required=True)

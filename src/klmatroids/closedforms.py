@@ -25,7 +25,14 @@ from .matroid import (
     matroid_from_bases,
     uniform_matroid,
 )
-from .tableaux import count_overline_skyt, count_skyt
+from .tableaux import count_overline_skyt, count_skyt, validate_family_params
+
+
+def family_label(m: int, d: int, rho: int) -> str:
+    """U(m,d) for the uniform matroid, U(m,d;rho) when rho bases are removed."""
+    if rho == 0:
+        return f"U({m},{d})"
+    return f"U({m},{d};{rho})"
 
 
 @dataclass(frozen=True)
@@ -43,30 +50,14 @@ class RhoUniformParams:
     rho: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InvalidParameters(f"m must be at least 1, got {self.m}")
-        if self.d < 0 or self.rho < 0:
-            raise InvalidParameters(
-                f"d and rho must be non-negative (d={self.d}, rho={self.rho})"
-            )
-        if self.rho >= 1 and self.d == 1:
-            raise InvalidParameters(
-                "removing bases of size 1 creates loops; d must be 0 or >= 2"
-            )
-        if self.rho >= 1 and self.d >= 2 and self.d * self.rho > self.m + self.d:
-            raise InvalidParameters(
-                f"{self.rho} disjoint bases of size {self.d} do not fit in "
-                f"{self.m + self.d} elements"
-            )
+        validate_family_params(self.m, self.d, self.rho)
 
     @property
     def n(self) -> int:
         return self.m + self.d
 
     def label(self) -> str:
-        if self.rho == 0:
-            return f"U({self.m},{self.d})"
-        return f"U({self.m},{self.d};{self.rho})"
+        return family_label(self.m, self.d, self.rho)
 
 
 def params_are_valid(m: int, d: int, rho: int) -> bool:
@@ -223,9 +214,7 @@ class MinorClass:
     rho: int = 0
 
     def label(self) -> str:
-        if self.rho == 0:
-            return f"U({self.m},{self.d})"
-        return f"U({self.m},{self.d};{self.rho})"
+        return family_label(self.m, self.d, self.rho)
 
     def build(self) -> Matroid:
         if self.rho == 0:

@@ -9,6 +9,14 @@ Cell coordinates: rows increase downward and the shared strip occupies rows
 occupy rows 0..1, and column i runs from row -(b - 2) at its top down to
 row 1.  A legal filling places 1..(a + 2i + b - 2) bijectively so that every
 row increases rightward and every column increases downward.
+
+A Filling stores its entries as one flat column-major tuple: column 0 top to
+bottom, then each middle column, then column i.  What the enumeration and
+the legality test need to know about a shape is worked out once per shape
+(``_layout``): where each column starts, the bitmask of the cells above and
+to the left of each cell, and the index pairs whose entries must increase.
+The half-turn rotation needs no table, since in column-major order it is the
+reversal of the entries.
 """
 
 from __future__ import annotations
@@ -16,10 +24,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InvalidParameters, InvalidShape
 from .exactarith import binomial, factorial, parity_sign
+
+MAX_FILLINGS = 10**6
+"""Enumeration refuses a shape with more legal fillings than this: it holds
+every filling in memory, and the count grows factorially with the shape."""
+
+MAX_CELLS = 64
+"""Enumeration also refuses a shape with more cells than this.  Thin shapes
+such as (a, 1, 2) stay under MAX_FILLINGS with a thousand cells, and their
+fillings would hold a billion entries between them."""
 
 
 @dataclass(frozen=True)
@@ -51,44 +68,75 @@ class SkewShape:
             return range(0, 2)
         raise InvalidShape(f"column {c} outside 0..{self.i}")
 
-    def cells(self) -> list[tuple[int, int]]:
-        return [(r, c) for c in range(self.i + 1) for r in self.column_rows(c)]
 
-    def contains(self, r: int, c: int) -> bool:
-        return 0 <= c <= self.i and r in self.column_rows(c)
+class _Layout(NamedTuple):
+    shape: SkewShape
+    starts: tuple[int, ...]  # column c is entries[starts[c]:starts[c + 1]]
+    need: tuple[int, ...]  # bitmask of the cells above and left of each cell
+    pairs: tuple[tuple[int, int], ...]  # (smaller, larger) entry indices
+    values: tuple[int, ...]  # 1..n, the sorted entries of a bijective filling
+
+
+@lru_cache(maxsize=1024)
+def _layout(a: int, i: int, b: int) -> _Layout:
+    shape = SkewShape(a, i, b)
+    starts = [0]
+    index = {}
+    for c in range(i + 1):
+        for r in shape.column_rows(c):
+            index[(r, c)] = len(index)
+        starts.append(len(index))
+    pairs = []
+    need = [0] * len(index)
+    for (r, c), k in index.items():
+        for before in ((r - 1, c), (r, c - 1)):
+            if before in index:
+                pairs.append((index[before], k))
+                need[k] |= 1 << index[before]
+    return _Layout(shape, tuple(starts), tuple(need), tuple(pairs), tuple(range(1, len(index) + 1)))
+
+
+def _layout_of(shape: SkewShape) -> _Layout:
+    return _layout(shape.a, shape.i, shape.b)
 
 
 @dataclass(frozen=True)
 class Filling:
-    """A bijective assignment of 1..n to the cells of a SkewShape.
+    """An assignment of integers to the cells of a SkewShape; see is_legal.
 
-    ``columns[c]`` lists column c's entries top to bottom.
+    ``entries`` lists the values column by column, each column top to bottom.
+    The constructor does not check it against the shape; ``from_columns`` is
+    the validated constructor.
     """
 
     shape: SkewShape
-    columns: tuple[tuple[int, ...], ...]
+    entries: tuple[int, ...]
+
+    def __hash__(self) -> int:
+        # Equal fillings have equal entries; the shape only splits rare ties.
+        return hash(self.entries)
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column c's entries top to bottom, for each column c."""
+        starts = _layout_of(self.shape).starts
+        return tuple(self.entries[lo:hi] for lo, hi in zip(starts, starts[1:]))
 
     def value_at(self, r: int, c: int) -> int:
         rows = self.shape.column_rows(c)
         if r not in rows:
             raise InvalidShape(f"cell ({r}, {c}) not in shape {self.shape}")
-        return self.columns[c][r - rows.start]
-
-    def entries_column_major(self) -> tuple[int, ...]:
-        return tuple(v for col in self.columns for v in col)
+        return self.entries[_layout_of(self.shape).starts[c] + r - rows.start]
 
     def is_legal(self) -> bool:
-        shape = self.shape
-        n = shape.cell_count
-        if sorted(self.entries_column_major()) != list(range(1, n + 1)):
+        """The entries are 1..n once each and increase down every column and
+        rightward along rows 0 and 1."""
+        layout = _layout_of(self.shape)
+        entries = self.entries
+        if tuple(sorted(entries)) != layout.values:
             return False
-        for c in range(shape.i + 1):
-            col = self.columns[c]
-            if any(col[k] >= col[k + 1] for k in range(len(col) - 1)):
-                return False
-        for r in (0, 1):
-            row = [self.value_at(r, c) for c in range(shape.i + 1)]
-            if any(row[k] >= row[k + 1] for k in range(len(row) - 1)):
+        for lo, hi in layout.pairs:
+            if entries[lo] >= entries[hi]:
                 return False
         return True
 
@@ -111,67 +159,75 @@ class Filling:
             len(cols[c]) != len(shape.column_rows(c)) for c in range(i + 1)
         ):
             raise InvalidShape("column lengths do not match the shape")
-        return cls(shape, cols)
+        return cls(shape, tuple(v for col in cols for v in col))
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Filling":
         return cls.from_columns(payload["a"], payload["i"], payload["b"], payload["columns"])
 
 
-def _iter_fillings(shape: SkewShape) -> Iterator[dict[tuple[int, int], int]]:
-    """Backtracking linear-extension enumeration.
+def _legal_entries(layout: _Layout) -> list[tuple[int, ...]]:
+    """The entries of every legal filling, in no particular order.
 
-    Entries are placed in increasing order 1..n; each goes into any empty
-    cell whose upper and left neighbours (within the shape) are filled, which
-    prunes illegal prefixes automatically.
+    Places 1, 2, ..., n in turn, each into any empty cell whose cells above
+    and to the left are filled, so every prefix stays legal.  Which cells are
+    open depends only on the set of filled cells; each such set's open cells
+    are listed once.  The recursion is as deep as the shape has cells, at
+    most MAX_CELLS, well inside the interpreter's recursion limit.
     """
-    cells = shape.cells()
-    prereqs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (r, c) in cells:
-        need = []
-        if shape.contains(r - 1, c):
-            need.append((r - 1, c))
-        if shape.contains(r, c - 1):
-            need.append((r, c - 1))
-        prereqs[(r, c)] = need
-    n = shape.cell_count
-    placed: dict[tuple[int, int], int] = {}
+    need = layout.need
+    n = len(need)
+    values = [0] * n
+    out: list[tuple[int, ...]] = []
+    open_after: dict[int, list[tuple[int, int]]] = {}
 
-    def extend(value: int) -> Iterator[dict[tuple[int, int], int]]:
-        if value > n:
-            yield dict(placed)
-            return
-        for cell in cells:
-            if cell in placed:
-                continue
-            if all(p in placed for p in prereqs[cell]):
-                placed[cell] = value
-                yield from extend(value + 1)
-                del placed[cell]
+    def list_open(filled: int) -> list[tuple[int, int]]:
+        cells = [
+            (k, filled | 1 << k)
+            for k in range(n)
+            if not filled >> k & 1 and filled & need[k] == need[k]
+        ]
+        open_after[filled] = cells
+        return cells
 
-    yield from extend(1)
+    def place(value: int, filled: int) -> None:
+        for k, after in open_after.get(filled) or list_open(filled):
+            values[k] = value
+            if value == n:
+                out.append(tuple(values))
+            else:
+                place(value + 1, after)
 
-
-def _filling_from_cells(shape: SkewShape, assignment: dict[tuple[int, int], int]) -> Filling:
-    columns = tuple(
-        tuple(assignment[(r, c)] for r in shape.column_rows(c)) for c in range(shape.i + 1)
-    )
-    return Filling(shape, columns)
+    place(1, 0)
+    return out
 
 
 @lru_cache(maxsize=512)
 def _enumerate_cached(a: int, i: int, b: int) -> tuple[Filling, ...]:
-    shape = SkewShape(a, i, b)
-    fillings = [_filling_from_cells(shape, assignment) for assignment in _iter_fillings(shape)]
-    fillings.sort(key=Filling.entries_column_major)
-    return tuple(fillings)
+    # Both caps are checked before any work that grows with the shape.
+    cells = a + 2 * i + b - 2
+    if cells > MAX_CELLS:
+        raise InvalidParameters(
+            f"shape ({a}, {i}, {b}) has {cells} cells; enumeration is capped at {MAX_CELLS}"
+        )
+    count = count_skyt(a, i, b)
+    if count > MAX_FILLINGS:
+        raise InvalidParameters(
+            f"shape ({a}, {i}, {b}) has {count} fillings; enumeration is capped at {MAX_FILLINGS}"
+        )
+    layout = _layout(a, i, b)
+    entries = _legal_entries(layout)
+    entries.sort()
+    shape = layout.shape
+    return tuple(Filling(shape, e) for e in entries)
 
 
 def enumerate_skyt(a: int, i: int, b: int) -> list[Filling]:
     """All legal fillings of shape (a, i, b) in column-major lexicographic order.
 
     Requires i >= 1; returns the empty list when a or b is below 2 (there is
-    nothing fillable then).
+    nothing fillable then).  Raises InvalidParameters, before any enumeration
+    work, for a shape with more than MAX_FILLINGS fillings or MAX_CELLS cells.
     """
     if i < 1:
         raise InvalidShape("enumeration needs i >= 1; the i = 0 cases are count-level conventions")
@@ -235,17 +291,16 @@ def involution_rotate(f: Filling) -> Filling:
     """Rotate the shape half a turn and replace every entry v by n + 1 - v.
 
     Sends legal fillings of (a, i, b) to legal fillings of (b, i, a); applying
-    it twice gives back the original filling.
+    it twice gives back the original filling.  Cell (r, c) of the rotated
+    shape comes from cell (1 - r, i - c), so column c of the image is column
+    i - c reversed, and the column-major entries come out in reverse order.
     """
     shape = f.shape
-    n = shape.cell_count
-    new_shape = SkewShape(shape.b, shape.i, shape.a)
-    # Cell (r, c) of the rotated shape came from cell (1 - r, i - c).
-    columns = tuple(
-        tuple(n + 1 - f.value_at(1 - r, shape.i - c) for r in new_shape.column_rows(c))
-        for c in range(shape.i + 1)
+    entries = f.entries
+    top = len(entries) + 1
+    return Filling(
+        _layout(shape.b, shape.i, shape.a).shape, tuple(top - v for v in reversed(entries))
     )
-    return Filling(new_shape, columns)
 
 
 @lru_cache(maxsize=None)
@@ -271,8 +326,13 @@ def count_overline_skyt(i: int, b: int) -> int:
     return count_skyt(2, i, b) - count_skyt(2, i, b - 1)
 
 
-def _validate_family_params(m: int, d: int, rho: int) -> None:
-    # Mirrors the removed-basis family validity rules (see closedforms).
+def validate_family_params(m: int, d: int, rho: int) -> None:
+    """Raise InvalidParameters unless U(m, d; rho) is a valid family member.
+
+    Valid means m >= 1, d >= 0, rho >= 0, and for rho >= 1 either d = 0
+    (removal is a no-op) or d >= 2 with rho * d <= m + d: removing size-1
+    bases creates loops, and the rho removed bases must be pairwise disjoint.
+    """
     if m < 1:
         raise InvalidParameters(f"m must be at least 1, got {m}")
     if d < 0 or rho < 0:
@@ -281,7 +341,7 @@ def _validate_family_params(m: int, d: int, rho: int) -> None:
         raise InvalidParameters("removing bases of size 1 creates loops; d must be 0 or >= 2")
     if rho >= 1 and d >= 2 and d * rho > m + d:
         raise InvalidParameters(
-            f"not enough room for {rho} disjoint bases of size {d} among {m + d} elements"
+            f"{rho} disjoint bases of size {d} do not fit in {m + d} elements"
         )
 
 
@@ -292,12 +352,13 @@ def satisfies_removed_family_conditions(f: Filling, d: int, rho: int) -> bool:
     right column exceeds d + rho, or the left column has a third cell and its
     entry is at most d.
     """
-    shape = f.shape
-    if f.value_at(-(shape.b - 2), shape.i) == 1:
+    entries = f.entries
+    # The right column is the last b entries; the left column starts at 0.
+    if entries[-f.shape.b] == 1:
         return True
-    if f.value_at(1, shape.i) > d + rho:
+    if entries[-1] > d + rho:
         return True
-    if shape.a >= 3 and f.value_at(2, 0) < d + 1:
+    if f.shape.a >= 3 and entries[2] < d + 1:
         return True
     return False
 
@@ -309,7 +370,7 @@ def count_skyt_rho_direct(m: int, d: int, i: int, rho: int) -> int:
     count_skyt(m+1, i, d-2i+1) - rho * count_overline_skyt(i, d-2i+1).
     Returns 1 for i = 0 by convention, 0 for i outside the coefficient range.
     """
-    _validate_family_params(m, d, rho)
+    validate_family_params(m, d, rho)
     if i < 0:
         return 0
     if i == 0:
@@ -340,11 +401,9 @@ def iota_action(j: int, f: Filling, m: int) -> Filling:
     if not 0 <= j <= m - 1:
         raise IndexOutOfRange(f"index {j} outside 0..{m - 1}")
     shape = f.shape
-    n = shape.cell_count
+    entries = f.entries
+    n = len(entries)
     tail = tuple(v for v in range(n, n + m) if v != n + j)
-    new_shape = SkewShape(m + 1, shape.i, shape.b)
-    columns = list(f.columns)
-    columns[0] = columns[0] + tail
-    right = columns[shape.i]
-    columns[shape.i] = right[:-1] + (n + j,)
-    return Filling(new_shape, tuple(columns))
+    # The left column is entries[:2]; the bottom-right cell is the last entry.
+    lifted = entries[:2] + tail + entries[2:-1] + (n + j,)
+    return Filling(_layout(m + 1, shape.i, shape.b).shape, lifted)

@@ -113,3 +113,74 @@ def termwise_integral(poly_coeffs: dict[int, int], lower: int, upper: int) -> Fr
         prim = Fraction(coeff, power + 1)
         total += prim * (upper ** (power + 1) - lower ** (power + 1))
     return total
+
+
+# -- skew fillings on cell coordinates -------------------------------------------
+#
+# The shape (a, i, b) in (row, column) coordinates: column 0 holds rows
+# 0..a-1, middle columns rows 0..1, column i rows -(b-2)..1.  Fillings are
+# dicts keyed by cell or tuples of columns, never the package's flat layout.
+
+
+def skew_column_rows(a: int, i: int, b: int) -> list[range]:
+    return [range(0, a)] + [range(0, 2)] * (i - 1) + [range(-(b - 2), 2)]
+
+
+def skew_fillings(a: int, i: int, b: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every legal filling of (a, i, b) as a tuple of columns, sorted by the
+    column-major entry sequence.
+
+    Backtracking over a dict keyed by (r, c): values 1..n are placed in turn,
+    each into any empty cell whose upper and left neighbours are filled.
+    """
+    rows = skew_column_rows(a, i, b)
+    cells = [(r, c) for c in range(i + 1) for r in rows[c]]
+    inside = set(cells)
+    prereqs = {
+        (r, c): [p for p in ((r - 1, c), (r, c - 1)) if p in inside] for (r, c) in cells
+    }
+    placed: dict[tuple[int, int], int] = {}
+    found = []
+
+    def extend(value: int) -> None:
+        if value > len(cells):
+            found.append(tuple(tuple(placed[(r, c)] for r in rows[c]) for c in range(i + 1)))
+            return
+        for cell in cells:
+            if cell not in placed and all(p in placed for p in prereqs[cell]):
+                placed[cell] = value
+                extend(value + 1)
+                del placed[cell]
+
+    extend(1)
+    return sorted(found, key=lambda cols: [v for col in cols for v in col])
+
+
+def skew_value(a: int, i: int, b: int, columns, r: int, c: int) -> int:
+    rows = skew_column_rows(a, i, b)[c]
+    return columns[c][r - rows.start]
+
+
+def skew_rotate(a: int, i: int, b: int, columns) -> tuple[tuple[int, ...], ...]:
+    """The half-turn of a filling of (a, i, b): cell (r, c) of (b, i, a) takes
+    n + 1 minus the entry at cell (1 - r, i - c)."""
+    n = a + 2 * i + b - 2
+    return tuple(
+        tuple(n + 1 - skew_value(a, i, b, columns, 1 - r, i - c) for r in rows)
+        for c, rows in enumerate(skew_column_rows(b, i, a))
+    )
+
+
+def skew_is_legal(a: int, i: int, b: int, columns) -> bool:
+    """Entries are 1..n once each, columns increase downward and rows 0 and 1
+    increase rightward."""
+    n = a + 2 * i + b - 2
+    if sorted(v for col in columns for v in col) != list(range(1, n + 1)):
+        return False
+    if any(col[k] >= col[k + 1] for col in columns for k in range(len(col) - 1)):
+        return False
+    for r in (0, 1):
+        row = [skew_value(a, i, b, columns, r, c) for c in range(i + 1)]
+        if any(row[k] >= row[k + 1] for k in range(len(row) - 1)):
+            return False
+    return True

@@ -28,6 +28,7 @@ from klmatroids.matroid import (
     mask_from,
     uniform_matroid,
 )
+from klmatroids.tableaux import count_skyt_rho_direct
 
 
 class TestParams:
@@ -45,6 +46,26 @@ class TestParams:
     def test_invalid(self, m, d, rho):
         with pytest.raises(InvalidParameters):
             RhoUniformParams(m, d, rho)
+
+    def test_both_entry_points_reject_the_same_points(self):
+        # RhoUniformParams and the direct filtered count share one validator.
+        rejected = 0
+        for m in range(-1, 5):
+            for d in range(-1, 7):
+                for rho in range(-1, 5):
+                    try:
+                        RhoUniformParams(m, d, rho)
+                    except InvalidParameters:
+                        with pytest.raises(InvalidParameters):
+                            count_skyt_rho_direct(m, d, 0, rho)
+                        rejected += 1
+                    else:
+                        assert count_skyt_rho_direct(m, d, 0, rho) == 1
+        assert 0 < rejected < 6 * 8 * 6
+
+    def test_labels(self):
+        assert RhoUniformParams(2, 3).label() == MinorClass(2, 3).label() == "U(2,3)"
+        assert RhoUniformParams(2, 3, 1).label() == MinorClass(2, 3, 1).label() == "U(2,3;1)"
 
     def test_valid_rhos(self):
         assert valid_rhos(3, 1) == [0]

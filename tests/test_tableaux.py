@@ -1,9 +1,18 @@
 import json
+import os
+import pickle
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import klmatroids
 from klmatroids.errors import IndexOutOfRange, InvalidParameters, InvalidShape
 from klmatroids.tableaux import (
+    MAX_CELLS,
+    MAX_FILLINGS,
     Filling,
     SkewShape,
     count_overline_skyt,
@@ -15,8 +24,17 @@ from klmatroids.tableaux import (
     iota_action,
     satisfies_removed_family_conditions,
 )
+from klmatroids.verification import shape_grid
 
-from oracles import brute_syt_count, catalan
+from oracles import (
+    brute_syt_count,
+    catalan,
+    skew_column_rows,
+    skew_fillings,
+    skew_is_legal,
+    skew_rotate,
+    skew_value,
+)
 
 # Named fillings reused across tests: a legal filling of shape (4, 3, 3),
 # its half-turn image in (3, 3, 4), and the restricted-family pair linking
@@ -58,7 +76,7 @@ class TestEnumeration:
 
     def test_lexicographic_order(self):
         fillings = enumerate_skyt(3, 2, 3)
-        keys = [f.entries_column_major() for f in fillings]
+        keys = [f.entries for f in fillings]
         assert keys == sorted(keys)
 
     def test_contains_figure_element(self):
@@ -269,3 +287,134 @@ def test_filling_json_roundtrip():
         "columns": [[2, 3, 10, 11], [4, 6], [5, 8], [1, 7, 9]],
     }
     assert Filling.from_json_dict(payload) == FILLING_433
+
+
+# Shapes of the counting and symmetry sweeps small enough for the
+# cell-coordinate oracles.
+ORACLE_SHAPES = [
+    (a, i, b) for (a, i, b) in shape_grid() if a >= 2 and b >= 2 and a + 2 * i + b - 2 <= 12
+]
+
+
+def _swapped(columns, p, q):
+    """columns with the entries at column-major positions p and q exchanged."""
+    flat = [v for col in columns for v in col]
+    flat[p], flat[q] = flat[q], flat[p]
+    out, start = [], 0
+    for col in columns:
+        out.append(tuple(flat[start : start + len(col)]))
+        start += len(col)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("a,i,b", ORACLE_SHAPES)
+def test_flat_layout_matches_cell_coordinate_oracles(a, i, b):
+    fillings = enumerate_skyt(a, i, b)
+    assert [f.columns for f in fillings] == skew_fillings(a, i, b)
+    first = fillings[0]
+    for c, rows in enumerate(skew_column_rows(a, i, b)):
+        for r in rows:
+            assert first.value_at(r, c) == skew_value(a, i, b, first.columns, r, c)
+    n = a + 2 * i + b - 2
+    for t, f in enumerate(fillings):
+        cols = f.columns
+        assert involution_rotate(f).columns == skew_rotate(a, i, b, cols)
+        assert f.is_legal() and skew_is_legal(a, i, b, cols)
+        # Neighbouring positions, then the cells holding two consecutive
+        # values: swaps that break legality and swaps that may keep it.
+        k = t % (n - 1)
+        at = f.entries.index
+        for p, q in ((k, k + 1), (at(k + 1), at(k + 2))):
+            bad = _swapped(cols, p, q)
+            assert Filling.from_columns(a, i, b, bad).is_legal() == skew_is_legal(a, i, b, bad)
+
+
+class TestFillingContract:
+    def test_columns_round_trip(self):
+        assert FILLING_433.columns == ((2, 3, 10, 11), (4, 6), (5, 8), (1, 7, 9))
+        assert FILLING_433.entries == (2, 3, 10, 11, 4, 6, 5, 8, 1, 7, 9)
+        for f in enumerate_skyt(3, 2, 4):
+            assert Filling.from_columns(3, 2, 4, f.columns) == f
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [[1, 2], [3, 4], [5, 6]],  # one column too many
+            [[1, 2, 3], [4]],  # right column too short
+            [[1], [2, 3, 4]],  # left column too short
+            [[1, 3], [2, 4, 5]],  # right column too long
+        ],
+    )
+    def test_from_columns_rejects_bad_lengths(self, columns):
+        with pytest.raises(InvalidShape):
+            Filling.from_columns(2, 1, 2, columns)
+
+    def test_from_columns_rejects_bad_shapes(self):
+        with pytest.raises(InvalidShape):
+            Filling.from_columns(1, 1, 2, [[1], [2, 3]])
+
+    def test_routes_give_equal_fillings(self):
+        entries = FILLING_433.entries
+        routes = [
+            FILLING_433,
+            next(f for f in enumerate_skyt(4, 3, 3) if f.entries == entries),
+            involution_rotate(ROTATED_334),
+            Filling.from_json_dict(json.loads(FILLING_433.to_json())),
+            pickle.loads(pickle.dumps(FILLING_433)),
+            Filling(SkewShape(4, 3, 3), entries),
+        ]
+        for f in routes:
+            assert f == FILLING_433 and hash(f) == hash(FILLING_433)
+        assert Filling(SkewShape(3, 3, 4), entries) != FILLING_433
+
+    def test_json_and_pickle_round_trip(self):
+        fillings = enumerate_skyt(3, 2, 3)
+        assert pickle.loads(pickle.dumps(fillings)) == fillings
+        for f in fillings:
+            assert Filling.from_json_dict(json.loads(f.to_json())) == f
+
+    def test_non_bijective_entries_are_illegal(self):
+        assert not Filling.from_columns(2, 1, 2, [[1, 2], [2, 4]]).is_legal()
+        assert not Filling.from_columns(2, 1, 2, [[1, 2], [3, 5]]).is_legal()
+
+    def test_columns_are_read_only(self):
+        with pytest.raises(AttributeError):
+            FILLING_433.columns = ()
+
+
+class TestEnumerationCap:
+    # Shapes just above the cap, so that a missing check would still end.
+    def test_shape_above_the_cap_refused(self):
+        assert count_skyt(7, 2, 9) == 1006587 > MAX_FILLINGS
+        with pytest.raises(InvalidParameters, match="fillings"):
+            enumerate_skyt(7, 2, 9)
+
+    def test_direct_count_shares_the_cap(self):
+        m, d, i = 4, 12, 4  # shape (5, 4, 5)
+        assert count_skyt(m + 1, i, d - 2 * i + 1) == 1112930 > MAX_FILLINGS
+        with pytest.raises(InvalidParameters, match="fillings"):
+            count_skyt_rho_direct(m, d, i, 0)
+
+    def test_cell_cap(self):
+        # (a, 1, 2) has a(a + 1)/2 - 1 fillings: few, but each as long as the shape.
+        a = MAX_CELLS - 2
+        assert len(enumerate_skyt(a, 1, 2)) == count_skyt(a, 1, 2) == a * (a + 1) // 2 - 1
+        with pytest.raises(InvalidParameters, match="cells"):
+            enumerate_skyt(a + 1, 1, 2)
+
+    def test_cli_exits_2_at_once(self):
+        # 3.4e15 fillings; the address-space limit stops a missing cap early.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "klmatroids.cli", "enumerate", "--a", "12", "--i", "6", "--b", "12"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(klmatroids.__file__).parents[1])},
+            preexec_fn=limit_memory,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "capped at" in done.stderr and "Traceback" not in done.stderr
