@@ -115,11 +115,23 @@ def _methods_for(method: str, params: RhoUniformParams, exhaustive_allowed: bool
     return methods
 
 
+def _report_routes(args, query: dict, values: dict, elapsed_ms: float) -> int:
+    """Print the one route's value, or each route then whether they agree."""
+    agreed = len(set(values.values())) == 1
+    if args.format == "json":
+        result = values if len(values) > 1 else next(iter(values.values()))
+        print(_envelope(query, result, args.method, elapsed_ms))
+    elif len(values) == 1:
+        print(next(iter(values.values())))
+    else:
+        for method, value in values.items():
+            print(f"{method}: {value}")
+        print("OK" if agreed else "FAIL: methods disagree")
+    return EXIT_OK if agreed else EXIT_INCONSISTENT
+
+
 def cmd_coeff(args) -> int:
-    try:
-        params = RhoUniformParams(args.m, args.d, args.rho)
-    except KlmatroidsError as exc:
-        return _fail_usage(str(exc))
+    params = RhoUniformParams(args.m, args.d, args.rho)
     if args.method == "closed-form" and params.rho != 0:
         return _fail_usage("the closed-form method applies to rho = 0 only")
     # both the recurrence and filtered enumeration are exponential in m + d
@@ -135,26 +147,12 @@ def cmd_coeff(args) -> int:
     for method in methods:
         values[method] = _coeff_by_method(method, params, args.i)
     elapsed = (time.perf_counter() - start) * 1000
-    agreed = len(set(values.values())) == 1
     query = {"m": args.m, "d": args.d, "i": args.i, "rho": args.rho}
-    if args.format == "json":
-        result = values if len(values) > 1 else next(iter(values.values()))
-        print(_envelope(query, result, args.method, elapsed))
-    else:
-        if len(values) == 1:
-            print(next(iter(values.values())))
-        else:
-            for method, value in values.items():
-                print(f"{method}: {value}")
-            print("OK" if agreed else "FAIL: methods disagree")
-    return EXIT_OK if agreed else EXIT_INCONSISTENT
+    return _report_routes(args, query, values, elapsed)
 
 
 def cmd_klpoly(args) -> int:
-    try:
-        params = RhoUniformParams(args.m, args.d, args.rho)
-    except KlmatroidsError as exc:
-        return _fail_usage(str(exc))
+    params = RhoUniformParams(args.m, args.d, args.rho)
     oracle_allowed = params.n <= oracle_cap()
     if args.method == "oracle" and not oracle_allowed:
         return _fail_usage(
@@ -167,23 +165,8 @@ def cmd_klpoly(args) -> int:
     if args.method == "oracle" or (args.method == "all" and oracle_allowed):
         polys["oracle"] = kl_poly(build_rho_uniform(params))
     elapsed = (time.perf_counter() - start) * 1000
-    agreed = len(set(polys.values())) == 1
     query = {"m": args.m, "d": args.d, "rho": args.rho}
-    if args.format == "json":
-        result = (
-            {name: poly for name, poly in polys.items()}
-            if len(polys) > 1
-            else next(iter(polys.values()))
-        )
-        print(_envelope(query, result, args.method, elapsed))
-    else:
-        if len(polys) == 1:
-            print(str(next(iter(polys.values()))))
-        else:
-            for name, poly in polys.items():
-                print(f"{name}: {poly}")
-            print("OK" if agreed else "FAIL: methods disagree")
-    return EXIT_OK if agreed else EXIT_INCONSISTENT
+    return _report_routes(args, query, polys, elapsed)
 
 
 def cmd_enumerate(args) -> int:
@@ -199,10 +182,7 @@ def cmd_enumerate(args) -> int:
             return _fail_usage(
                 f"shape (a={args.a}, i={args.i}, b={args.b}) carries d={derived}, not {d}"
             )
-    try:
-        fillings = enumerate_skyt(args.a, args.i, args.b)
-    except KlmatroidsError as exc:
-        return _fail_usage(str(exc))
+    fillings = enumerate_skyt(args.a, args.i, args.b)
     if family == "overline":
         n = args.a + 2 * args.i + args.b - 2
         largest = set(range(n - (args.a - 2) + 1, n + 1))

@@ -60,14 +60,6 @@ class RhoUniformParams:
         return family_label(self.m, self.d, self.rho)
 
 
-def params_are_valid(m: int, d: int, rho: int) -> bool:
-    try:
-        RhoUniformParams(m, d, rho)
-    except InvalidParameters:
-        return False
-    return True
-
-
 def valid_rhos(m: int, d: int) -> list[int]:
     """All rho values admissible for the given (m, d), one per distinct matroid.
 
@@ -242,7 +234,7 @@ def classify_minor(
         flat = mask_from(flat, p.n)
     matroid = build_rho_uniform(p)
     lattice = matroid.lattice()
-    if flat not in set(lattice.flats):
+    if not lattice.contains(flat):
         raise NotAFlat(f"{set(elements_of(flat))} is not a flat of {p.label()}")
     full = ground_mask(p.n)
     blocks = removed_block_masks(p)

@@ -110,16 +110,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by t**k."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
-    def truncate_below(self, bound: int) -> "IntPoly":
-        """Keep only the terms of degree < bound."""
-        return IntPoly(self.coeffs[:max(bound, 0)])
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

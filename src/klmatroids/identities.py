@@ -84,7 +84,7 @@ def check_syt_dual(m: int, k: int, d: int, p: int) -> bool:
     return lhs == rhs
 
 
-def check_barskyt_dual(k: int, d: int, p: int, mshift: int = 0) -> bool:
+def check_barskyt_dual(k: int, d: int, p: int) -> bool:
     """Dual counting identity for the top-left-entry-1 family, k >= 1.
 
     count_syt(2, k, d-2k-p-1)
@@ -92,13 +92,10 @@ def check_barskyt_dual(k: int, d: int, p: int, mshift: int = 0) -> bool:
 
     The binomial top is d - p: the restricted family lives entirely on d + 1
     values, so no m enters.  A positive shift in the top breaks the identity
-    (shift 2 at k=1, d=5, p=1 gives 9 against 5), so ``mshift`` is accepted
-    only to widen sweep grids and does not change the verdict.
+    (shift 2 at k=1, d=5, p=1 gives 9 against 5).
     """
     if k < 1:
         raise InvalidParameters("the restricted family needs k >= 1")
-    if mshift < 0:
-        raise InvalidParameters("mshift must be non-negative")
     if d - 2 * k - p - 1 < 0:
         raise InvalidParameters("need d - 2k - p - 1 >= 0")
     lhs = count_syt(2, k, d - 2 * k - p - 1)
@@ -329,17 +326,12 @@ def sweep_syt_dual(m_max: int = 4, d_max: int = 8) -> IdentityReport:
     return report
 
 
-def sweep_barskyt_dual(d_max: int = 8, mshift_max: int = 3) -> IdentityReport:
-    report = IdentityReport(
-        "barskyt-dual", f"d<={d_max}, k>=1, all valid p, mshift<={mshift_max}"
-    )
+def sweep_barskyt_dual(d_max: int = 8) -> IdentityReport:
+    report = IdentityReport("barskyt-dual", f"d<={d_max}, k>=1, all valid p")
     for d in range(3, d_max + 1):
         for k in range(1, (d - 1) // 2 + 1):
             for p in range(d - 2 * k):
-                for mshift in range(mshift_max + 1):
-                    report.record(
-                        (k, d, p, mshift), check_barskyt_dual(k, d, p, mshift)
-                    )
+                report.record((k, d, p), check_barskyt_dual(k, d, p))
     return report
 
 

@@ -33,6 +33,8 @@ from .exactarith import IntPoly
 GroundSubset = int  # bitmask over {1..n}
 
 MAX_GROUND = 16  # every matroid holds a 2**n rank table; keep it sane
+# the isomorphism search tries up to n! permutations, so it stops far earlier
+ISOMORPHISM_MAX_GROUND = 9
 
 
 def mask_from(elements: Iterable[int], n: int) -> GroundSubset:
@@ -395,7 +397,8 @@ def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matro
 # the isomorphism claims it is used to verify.  Plain dicts are fine under the
 # GIL; a concurrent duplicate insert just recomputes the same immutable value.
 _CHAR_CACHE: dict[tuple[int, tuple[int, ...]], IntPoly] = {}
-_KL_CACHE: dict[tuple[int, tuple[int, ...]], IntPoly] = {}
+# (P, right-hand side of the recurrence that P was solved from)
+_KL_CACHE: dict[tuple[int, tuple[int, ...]], tuple[IntPoly, IntPoly]] = {}
 
 
 def char_poly(matroid: Matroid) -> IntPoly:
@@ -428,17 +431,31 @@ def kl_poly(matroid: Matroid) -> IntPoly:
     char_poly(localization at F) * kl_poly(contraction at F).  Since the
     reversal only produces terms of degree > rank/2, P is recovered by
     negating the low-degree part of that sum.  Memoized on the exact
-    (n, bases) representation.
+    (n, bases) representation, together with the sum itself.
     """
+    return _kl_solve(matroid)[0]
+
+
+def kl_recurrence_rhs(matroid: Matroid) -> IntPoly:
+    """The sum over nonempty flats that :func:`kl_poly` solved P from.
+
+    Its terms of degree above rank/2 are never read by the solver, so
+    comparing the whole sum with t^rank P(1/t) - P(t) is a real check.
+    The rank-0 sum is empty.
+    """
+    return _kl_solve(matroid)[1]
+
+
+def _kl_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
     key = matroid.key()
     cached = _KL_CACHE.get(key)
     if cached is not None:
         return cached
     d = matroid.rank
     if d == 0:
-        poly = IntPoly([1])
-        _KL_CACHE[key] = poly
-        return poly
+        solved = (IntPoly([1]), IntPoly())
+        _KL_CACHE[key] = solved
+        return solved
     if matroid.closure_of(0) != 0:
         raise HasLoops("the recurrence is implemented for loopless matroids only")
     lat = matroid.lattice()
@@ -449,9 +466,9 @@ def kl_poly(matroid: Matroid) -> IntPoly:
         local = localization(matroid, flat)
         contracted = contraction(matroid, flat)
         total = total + char_poly(local) * kl_poly(contracted)
-    poly = IntPoly(-total.coeff(j) for j in range((d + 1) // 2))
-    _KL_CACHE[key] = poly
-    return poly
+    solved = (IntPoly(-total.coeff(j) for j in range((d + 1) // 2)), total)
+    _KL_CACHE[key] = solved
+    return solved
 
 
 def clear_caches() -> None:
@@ -471,19 +488,19 @@ def _degree_profile(matroid: Matroid) -> dict[int, list[int]]:
     return groups
 
 
-def is_isomorphic(m1: Matroid, m2: Matroid, *, max_ground: int = 9) -> bool:
+def is_isomorphic(m1: Matroid, m2: Matroid) -> bool:
     """Brute-force isomorphism test by ground-set permutation.
 
     Permutations are restricted to matching element-degree classes, which is
     pure pruning: any isomorphism must preserve the number of bases through
-    each element.  Refuses ground sets larger than ``max_ground``.
+    each element.  Refuses ground sets larger than ISOMORPHISM_MAX_GROUND.
     """
     if m1.n != m2.n or m1.rank != m2.rank or len(m1.bases) != len(m2.bases):
         return False
     if m1.bases == m2.bases:
         return True
-    if m1.n > max_ground:
-        raise ValueError(f"isomorphism search limited to {max_ground} elements")
+    if m1.n > ISOMORPHISM_MAX_GROUND:
+        raise ValueError(f"isomorphism search limited to {ISOMORPHISM_MAX_GROUND} elements")
     groups1 = _degree_profile(m1)
     groups2 = _degree_profile(m2)
     if sorted((deg, len(es)) for deg, es in groups1.items()) != sorted(

@@ -33,6 +33,7 @@ from .matroid import (
     contraction,
     is_isomorphic,
     kl_poly,
+    kl_recurrence_rhs,
     localization,
     matroid_from_bases,
 )
@@ -83,18 +84,13 @@ def kl_defining_equation_holds(matroid) -> bool:
 
     This exercises the full equation, not just the low-degree part that the
     solver extracts: t^rank P(1/t) - P(t) must equal the sum over nonempty
-    flats of char_poly(localization) * kl_poly(contraction) exactly.
+    flats of char_poly(localization) * kl_poly(contraction) exactly.  The
+    sum is the one the solver memoized, so no minor is built again.
     """
     p = kl_poly(matroid)
     if matroid.rank == 0:
         return p == IntPoly([1])
-    lattice = matroid.lattice()
-    rhs = IntPoly()
-    for flat in lattice.flats:
-        if flat == 0:
-            continue
-        rhs = rhs + char_poly(localization(matroid, flat)) * kl_poly(contraction(matroid, flat))
-    return poly_reverse(p, matroid.rank) - p == rhs
+    return poly_reverse(p, matroid.rank) - p == kl_recurrence_rhs(matroid)
 
 
 def _theorem1_point(p: RhoUniformParams) -> bool:

@@ -1,0 +1,79 @@
+import pytest
+
+from klmatroids import matroid as matroid_module
+from klmatroids import verification
+from klmatroids.closedforms import RhoUniformParams, build_rho_uniform
+from klmatroids.exactarith import IntPoly
+from klmatroids.identities import IdentityReport
+from klmatroids.matroid import clear_caches, kl_poly, uniform_matroid
+from klmatroids.verification import kl_defining_equation_holds
+
+
+@pytest.fixture
+def fresh_caches():
+    clear_caches()
+    yield
+    clear_caches()
+
+
+class TestDefiningEquation:
+    @pytest.mark.parametrize(
+        "matroid",
+        [uniform_matroid(2, 4), build_rho_uniform(RhoUniformParams(2, 4, 1))],
+    )
+    def test_check_builds_no_minor(self, monkeypatch, fresh_caches, matroid):
+        kl_poly(matroid)
+        built = []
+        for name in ("localization", "contraction"):
+            original = getattr(matroid_module, name)
+
+            def counted(*args, _original=original, _name=name):
+                built.append(_name)
+                return _original(*args)
+
+            for module in (matroid_module, verification):
+                monkeypatch.setattr(module, name, counted)
+        assert kl_defining_equation_holds(matroid)
+        assert built == []
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_one_wrong_minor_fails(self, monkeypatch, fresh_caches, degree):
+        # U(1, 3) is its own localization at the top flat; a wrong term of
+        # degree 0 changes P, one of degree 3 lies where the solver never reads
+        matroid = uniform_matroid(1, 3)
+        original = matroid_module.char_poly
+        bump = IntPoly([0] * degree + [1])
+
+        def off_by_one(m):
+            poly = original(m)
+            return poly + bump if m == matroid else poly
+
+        monkeypatch.setattr(matroid_module, "char_poly", off_by_one)
+        assert not kl_defining_equation_holds(matroid)
+
+
+class TestProcessFanOut:
+    @staticmethod
+    def _outcome(report: IdentityReport):
+        return report.name, report.grid, report.points, report.failures
+
+    def test_theorem1_matches_serial(self):
+        serial = verification.sweep_theorem1(6, jobs=1)
+        fanned = verification.sweep_theorem1(6, jobs=2)
+        assert serial.passed and serial.points == 36
+        assert self._outcome(fanned) == self._outcome(serial)
+
+    def test_symmetry_matches_serial(self):
+        grid = dict(a_max=3, b_max=3, i_max=2, cell_max=8)
+        serial = verification.sweep_symmetry(**grid, jobs=1)
+        fanned = verification.sweep_symmetry(**grid, jobs=2)
+        assert serial.passed and serial.points > 8
+        assert self._outcome(fanned) == self._outcome(serial)
+
+    def test_failures_keep_grid_order(self):
+        # several chunks per worker, failures spread across all of them
+        points = [str(k) if k % 3 else f"x{k}" for k in range(40)]
+        serial = verification._run_points(IdentityReport("t", "g"), points, str.isdigit, 1)
+        fanned = verification._run_points(IdentityReport("t", "g"), points, str.isdigit, 2)
+        assert serial.failures == [f"x{k}" for k in range(0, 40, 3)]
+        assert self._outcome(fanned) == self._outcome(serial)
