@@ -10,7 +10,6 @@ rho * d <= m + d elements of room.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -133,8 +132,9 @@ def coeff_uniform_klum(m: int, d: int, i: int) -> int:
         (1 / (b + i - 1)) * C(b + 2i + a - 2, i)
             * sum over h of C(b + i + h - 1, h + i + 1) * C(i - 1 + h, h)
 
-    computed in exact rationals; the division must come out integral, and a
-    non-integer result raises (it would mean an implementation bug).
+    computed in exact integers; the division must come out integral, and a
+    non-zero remainder raises NonIntegerResult (it would mean an
+    implementation bug).
     """
     if m < 1 or d < 0:
         raise InvalidParameters(f"need m >= 1 and d >= 0 (got m={m}, d={d})")
@@ -148,12 +148,13 @@ def coeff_uniform_klum(m: int, d: int, i: int) -> int:
         binomial(b + i + h - 1, h + i + 1) * binomial(i - 1 + h, h)
         for h in range(a - 1)
     )
-    value = Fraction(binomial(b + 2 * i + a - 2, i) * inner, b + i - 1)
-    if value.denominator != 1:
+    numerator = binomial(b + 2 * i + a - 2, i) * inner
+    value, rem = divmod(numerator, b + i - 1)
+    if rem:
         raise NonIntegerResult(
-            f"closed form for (m={m}, d={d}, i={i}) gave non-integer {value}"
+            f"closed form for (m={m}, d={d}, i={i}) gave non-integer {numerator}/{b + i - 1}"
         )
-    return int(value)
+    return value
 
 
 def coeff_rho(m: int, d: int, i: int, rho: int) -> int:
@@ -163,7 +164,7 @@ def coeff_rho(m: int, d: int, i: int, rho: int) -> int:
     non-negative, and equal to the direct filtered count.  Out-of-range i
     gives 0.
     """
-    RhoUniformParams(m, d, rho)
+    validate_family_params(m, d, rho)
     if i < 0 or not _in_coefficient_range(d, i):
         return 0
     b = d - 2 * i + 1

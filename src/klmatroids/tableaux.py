@@ -17,6 +17,11 @@ the legality test need to know about a shape is worked out once per shape
 to the left of each cell, and the index pairs whose entries must increase.
 The half-turn rotation needs no table, since in column-major order it is the
 reversal of the entries.
+
+Counts need no enumeration.  ``count_skyt`` is an inclusion-exclusion over
+straight-shape counts ``count_syt``, and the hooks of those straight shapes
+group into a few factorials, so each ``count_syt`` is one quotient of
+factorials rather than a loop over the cells.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InvalidParameters, InvalidShape
-from .exactarith import binomial, factorial, parity_sign
+from .exactarith import binomial, parity_sign
 
 MAX_FILLINGS = 10**6
 """Enumeration refuses a shape with more legal fillings than this: it holds
@@ -238,31 +244,44 @@ def enumerate_skyt(a: int, i: int, b: int) -> list[Filling]:
     return list(_enumerate_cached(a, i, b))
 
 
-def _syt_rows(a: int, i: int, k: int) -> list[int]:
-    """Row lengths of the straight diagram: column 0 of height a, i columns of
-    height 2, k columns of height 1 hanging off the top row."""
+def count_syt(a: int, i: int, k: int) -> int:
+    """Number of standard fillings of the straight shape with a column of
+    height a, then i columns of height 2, then k columns of height 1.
+
+    For a >= 2 the rows are [1 + i + k, 1 + i, 1, ..., 1] with a - 2 trailing
+    ones, n = a + 2i + k cells in all; for a = 1 and i = 0 the shape is one
+    row of 1 + k cells, filled one way.  Any other (a, i, k) is not a
+    partition and raises InvalidShape.
+
+    The hook-length formula (Frame, Robinson and Thrall) divides n! by the
+    product of all hooks, and on this shape the hooks group row by row:
+
+    - row 0: the corner cell has hook a + i + k; the tops of the i height-2
+      columns have hooks i + k + 1 down to k + 2, whose product is
+      (i + k + 1)! / (k + 1)!; the k cells of the tail have hooks k down
+      to 1, whose product is k!;
+    - row 1: the first cell has hook a + i - 1, the other i cells i down
+      to 1, whose product is i!;
+    - rows 2 to a - 1: one cell each, with hooks a - 2 down to 1, whose
+      product is (a - 2)!.
+
+    Since k! / (k + 1)! = 1 / (k + 1), the count is
+
+        n! (k + 1) / ((a + i + k) (a + i - 1) (i + k + 1)! i! (a - 2)!).
+    """
     if k < 0 or i < 0:
         raise InvalidShape(f"negative partition parameter (i={i}, k={k})")
-    if a >= 2:
-        return [1 + i + k, 1 + i] + [1] * (a - 2)
     if a == 1 and i == 0:
-        return [1 + k]
-    raise InvalidShape(f"not a partition: a={a}, i={i}, k={k}")
-
-
-def count_syt(a: int, i: int, k: int) -> int:
-    """Number of standard fillings of the straight shape, by the hook-length formula."""
-    rows = _syt_rows(a, i, k)
-    n = sum(rows)
-    hook_product = 1
-    for r, length in enumerate(rows):
-        for c in range(length):
-            arm = length - c - 1
-            leg = sum(1 for rr in range(r + 1, len(rows)) if rows[rr] > c)
-            hook_product *= arm + leg + 1
-    count, rem = divmod(factorial(n), hook_product)
+        return 1
+    if a < 2:
+        raise InvalidShape(f"not a partition: a={a}, i={i}, k={k}")
+    n = a + 2 * i + k
+    hook_product = (
+        (a + i + k) * (a + i - 1) * factorial(i + k + 1) * factorial(i) * factorial(a - 2)
+    )
+    count, rem = divmod(factorial(n) * (k + 1), hook_product)
     if rem:
-        raise AssertionError(f"hook product {hook_product} does not divide {n}!")
+        raise AssertionError(f"hook product {hook_product} does not divide {n}! (k + 1)")
     return count
 
 

@@ -1,15 +1,18 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the formulas and data paths of the package: Pascal
-recursion instead of factorials, backtracking placement instead of hook
-lengths, subset search instead of basis intersections, pairwise set exchange
-instead of rank tables.  Expected values in the tests are frozen from these
-oracles.
+recursion instead of factorials, backtracking placement or hooks taken cell
+by cell instead of grouped hook products, subset search instead of basis
+intersections, pairwise set exchange instead of rank tables.  Expected
+values in the tests are frozen from these oracles.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
+
+from klmatroids.errors import InvalidShape
 
 
 @lru_cache(maxsize=None)
@@ -47,6 +50,35 @@ def brute_syt_count(rows: tuple[int, ...]) -> int:
         return total
 
     return count(1)
+
+
+def straight_rows(a: int, i: int, k: int) -> tuple[int, ...]:
+    """Row lengths of the diagram whose columns have heights a, then 2 (i
+    times), then 1 (k times).
+
+    Raises InvalidShape unless the column heights are positive and weakly
+    decreasing, which is when the diagram is a partition.
+    """
+    heights = [a] + [2] * i + [1] * k
+    if i < 0 or k < 0 or min(heights) < 1 or heights != sorted(heights, reverse=True):
+        raise InvalidShape(f"columns of heights {a}, 2 x {i}, 1 x {k} are not a partition")
+    return tuple(sum(1 for h in heights if h > r) for r in range(a))
+
+
+def hook_length_count(rows: tuple[int, ...]) -> int:
+    """Standard fillings of a partition, by the hook-length formula taken
+    cell by cell: n! over the product of every cell's arm + leg + 1."""
+    n = sum(rows)
+    hook_product = 1
+    for r, length in enumerate(rows):
+        for c in range(length):
+            arm = length - c - 1
+            leg = sum(1 for rr in range(r + 1, len(rows)) if rows[rr] > c)
+            hook_product *= arm + leg + 1
+    count, rem = divmod(factorial(n), hook_product)
+    if rem:
+        raise AssertionError(f"hook product {hook_product} does not divide {n}!")
+    return count
 
 
 def geometric_2var_coeff(p: int, q: int) -> int:

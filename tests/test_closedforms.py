@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from klmatroids import closedforms
 from klmatroids.closedforms import (
     MinorClass,
     RhoUniformParams,
@@ -14,7 +17,7 @@ from klmatroids.closedforms import (
     removed_blocks,
     valid_rhos,
 )
-from klmatroids.errors import InvalidParameters, NotAFlat
+from klmatroids.errors import InvalidParameters, NonIntegerResult, NotAFlat
 from klmatroids.exactarith import IntPoly
 from klmatroids.matroid import (
     char_poly,
@@ -48,19 +51,24 @@ class TestParams:
             RhoUniformParams(m, d, rho)
 
     def test_both_entry_points_reject_the_same_points(self):
-        # RhoUniformParams and the direct filtered count share one validator.
+        # RhoUniformParams, the direct filtered count and coeff_rho share one
+        # validator, so they reject the same points with the same message.
         rejected = 0
         for m in range(-1, 5):
             for d in range(-1, 7):
                 for rho in range(-1, 5):
                     try:
                         RhoUniformParams(m, d, rho)
-                    except InvalidParameters:
-                        with pytest.raises(InvalidParameters):
+                    except InvalidParameters as exc:
+                        message = re.escape(str(exc))
+                        with pytest.raises(InvalidParameters, match=message):
                             count_skyt_rho_direct(m, d, 0, rho)
+                        with pytest.raises(InvalidParameters, match=message):
+                            coeff_rho(m, d, 0, rho)
                         rejected += 1
                     else:
                         assert count_skyt_rho_direct(m, d, 0, rho) == 1
+                        assert coeff_rho(m, d, 0, rho) == 1
         assert 0 < rejected < 6 * 8 * 6
 
     def test_labels(self):
@@ -123,8 +131,26 @@ class TestUniformCoefficients:
         with pytest.raises(InvalidParameters):
             coeff_uniform_klum(0, 3, 1)
 
-    @pytest.mark.parametrize("m", range(1, 5))
-    @pytest.mark.parametrize("d", range(1, 8))
+    def test_klum_non_integer_division_raises(self, monkeypatch):
+        # With every binomial 1, (m, d, i) = (1, 3, 1) divides 1 by b + i - 1 = 2.
+        monkeypatch.setattr(closedforms, "binomial", lambda n, k: 1)
+        with pytest.raises(NonIntegerResult, match=r"m=1, d=3, i=1\).* 1/2$"):
+            coeff_uniform_klum(1, 3, 1)
+
+    def test_klum_reads_no_tableau_count(self, monkeypatch):
+        # The closed form is the route the tableau counts are checked against.
+        expected = coeff_uniform_tableau(4, 9, 3)
+
+        def refuse(*args):
+            raise AssertionError("coeff_uniform_klum called a tableau count")
+
+        for name in ("count_skyt", "count_overline_skyt"):
+            monkeypatch.setattr(closedforms, name, refuse)
+        assert coeff_uniform_klum(4, 9, 3) == expected
+
+    # The m, d <= 30 triangle of `klm table`.
+    @pytest.mark.parametrize("m", range(1, 31))
+    @pytest.mark.parametrize("d", range(1, 31))
     def test_two_formulas_agree(self, m, d):
         for i in range((d - 1) // 2 + 1):
             assert coeff_uniform_tableau(m, d, i) == coeff_uniform_klum(m, d, i)

@@ -29,11 +29,13 @@ from klmatroids.verification import shape_grid
 from oracles import (
     brute_syt_count,
     catalan,
+    hook_length_count,
     skew_column_rows,
     skew_fillings,
     skew_is_legal,
     skew_rotate,
     skew_value,
+    straight_rows,
 )
 
 # Named fillings reused across tests: a legal filling of shape (4, 3, 3),
@@ -117,6 +119,20 @@ class TestCountSyt:
         if sum(rows) > 13:
             return
         assert count_syt(a, i, k) == brute_syt_count(tuple(rows))
+
+    @pytest.mark.parametrize("a", range(0, 33))
+    def test_matches_cell_by_cell_hooks(self, a):
+        # a <= 32, i <= 16, k <= 31 holds every call that the m, d <= 30
+        # triangle makes; a = 0 and i, k = -1 add invalid points.
+        for i in range(-1, 17):
+            for k in range(-1, 32):
+                try:
+                    rows = straight_rows(a, i, k)
+                except InvalidShape:
+                    with pytest.raises(InvalidShape):
+                        count_syt(a, i, k)
+                else:
+                    assert count_syt(a, i, k) == hook_length_count(rows)
 
 
 class TestCountSkyt:
