@@ -4,9 +4,12 @@ Exit codes: 0 on success, 1 when a verification or cross-method consistency
 check fails, 2 on usage or parameter errors.  All big integers are printed
 as decimal strings; JSON output round-trips losslessly.
 
-The environment variable KLM_MAX_N (default 12) caps the ground-set size for
-recurrence-oracle computations, which are exponential in n by design.  It
-must be an integer from 0 to 16, the largest ground set a matroid may have.
+The ``oracle`` method is the Z-polynomial solver over the lattice of flats
+(``klm verify`` cross-checks it against the defining recurrence).  The
+environment variable KLM_MAX_N (default 12) caps the ground-set size for the
+oracle and for filtered enumeration, which are exponential in n by design.
+It must be an integer from 0 to 16, the largest ground set a matroid may
+have.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ def cmd_coeff(args) -> int:
     params = RhoUniformParams(args.m, args.d, args.rho)
     if args.method == "closed-form" and params.rho != 0:
         return _fail_usage("the closed-form method applies to rho = 0 only")
-    # both the recurrence and filtered enumeration are exponential in m + d
+    # both the oracle and filtered enumeration are exponential in m + d
     exhaustive_allowed = params.n <= oracle_cap()
     if args.method in ("oracle", "direct") and not exhaustive_allowed:
         return _fail_usage(
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["tableau", "direct", "closed-form", "oracle", "all"],
         default="tableau",
         help="tableau: counting formula; direct: filtered enumeration; "
-        "closed-form: older uniform-only formula; oracle: defining recurrence",
+        "closed-form: older uniform-only formula; oracle: Z-polynomial solver",
     )
     coeff.add_argument("--format", choices=["text", "json"], default="text")
     coeff.set_defaults(func=cmd_coeff)

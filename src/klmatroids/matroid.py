@@ -8,10 +8,20 @@ its one-smaller subsets, so r(S) = max |S & B| over the bases.  A family of
 equal-size sets is a basis system exactly when that table is submodular, and
 construction checks this locally at every subset; the pairwise exchange
 search runs only to name a witness for a family that fails.  Closure, the
-lattice of flats with Mobius values, minors, the characteristic polynomial,
-and the Kazhdan-Lusztig polynomial are all computed from the table directly.
-This favours simplicity and independence from any closed-form shortcut:
-these routines serve as the oracle that the formula layer is checked against.
+lattice of flats, minors and the characteristic polynomial (Whitney's sum
+over all subsets) are computed from the table directly; the lattice's
+Mobius values are computed only when first read.
+
+The Kazhdan-Lusztig polynomial has two independent routes, each serving as
+the oracle that the other and the formula layer are checked against:
+
+* :func:`kl_poly` solves for P on every upper interval of the lattice of
+  flats at once, by the palindromicity of the Z-polynomial.  It needs only
+  the flats and their ranks: no minor and no characteristic polynomial.
+* :func:`kl_poly_recurrence` solves the defining recurrence, building and
+  validating a localization and a contraction at every flat.
+
+Neither route reads the other's results, nor any closed form.
 """
 
 from __future__ import annotations
@@ -270,22 +280,39 @@ def closure(matroid: Matroid, subset: Collection[int] | GroundSubset) -> GroundS
     return matroid.closure_of(mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FlatLattice:
     """Closure-closed subsets ordered by inclusion, with ranks and Mobius values.
 
     ``flats`` is sorted by (cardinality, mask); ``mobius[k]`` is the Mobius
-    value from the bottom flat to ``flats[k]``.
+    value from the bottom flat to ``flats[k]``.  The Mobius values cost
+    O(#flats^2), so unless they are given they are computed on first read.
     """
 
     n: int
     flats: tuple[GroundSubset, ...]
     ranks: tuple[int, ...]
-    mobius: tuple[int, ...]
-    _index: dict[GroundSubset, int] = field(init=False, repr=False, compare=False)
+    _mobius: tuple[int, ...] | None = field(repr=False, compare=False)
+    _index: dict[GroundSubset, int] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {f: k for k, f in enumerate(self.flats)})
+    def __init__(
+        self,
+        n: int,
+        flats: tuple[GroundSubset, ...],
+        ranks: tuple[int, ...],
+        mobius: tuple[int, ...] | None = None,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "flats", flats)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "_mobius", mobius)
+        object.__setattr__(self, "_index", {f: k for k, f in enumerate(flats)})
+
+    @property
+    def mobius(self) -> tuple[int, ...]:
+        if self._mobius is None:
+            object.__setattr__(self, "_mobius", _mobius_values(self.flats))
+        return self._mobius
 
     @property
     def bottom(self) -> GroundSubset:
@@ -313,11 +340,13 @@ class FlatLattice:
 
 def _build_lattice(matroid: Matroid) -> FlatLattice:
     table = matroid.rank_table()
-    seen: set[GroundSubset] = set()
-    for s in range(1 << matroid.n):
-        seen.add(matroid.closure_of(s))
+    seen = {matroid.closure_of(s) for s in range(1 << matroid.n)}
     flats = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
-    ranks = tuple(table[f] for f in flats)
+    return FlatLattice(matroid.n, flats, tuple(table[f] for f in flats))
+
+
+def _mobius_values(flats: tuple[GroundSubset, ...]) -> tuple[int, ...]:
+    """mu(bottom, F) for every flat, by the recursive sum over lower flats."""
     mobius = [0] * len(flats)
     for idx, f in enumerate(flats):
         if idx == 0:
@@ -329,7 +358,7 @@ def _build_lattice(matroid: Matroid) -> FlatLattice:
             if g & f == g:
                 acc += mobius[jdx]
         mobius[idx] = -acc
-    return FlatLattice(matroid.n, flats, ranks, tuple(mobius))
+    return tuple(mobius)
 
 
 def flats(matroid: Matroid) -> FlatLattice:
@@ -397,12 +426,16 @@ def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matro
 # the isomorphism claims it is used to verify.  Plain dicts are fine under the
 # GIL; a concurrent duplicate insert just recomputes the same immutable value.
 _CHAR_CACHE: dict[tuple[int, tuple[int, ...]], IntPoly] = {}
-# (P, right-hand side of the recurrence that P was solved from)
-_KL_CACHE: dict[tuple[int, tuple[int, ...]], tuple[IntPoly, IntPoly]] = {}
+# P from the Z-polynomial solver
+_KL_CACHE: dict[tuple[int, tuple[int, ...]], IntPoly] = {}
+# (P, right-hand side of the recurrence that P was solved from); kept apart
+# from _KL_CACHE so that the two routes never read each other's results
+_RECURRENCE_CACHE: dict[tuple[int, tuple[int, ...]], tuple[IntPoly, IntPoly]] = {}
 
 
 def char_poly(matroid: Matroid) -> IntPoly:
-    """Characteristic polynomial: Mobius-weighted sum of t^(rank M - rank F) over flats.
+    """Characteristic polynomial by Whitney's sum of (-1)^|S| t^(rank M - rank S)
+    over all subsets S of the ground set: one pass over the rank table.
 
     Only defined for loopless matroids; a loop would silently zero out the
     standard identities, so it is treated as misuse and raises HasLoops.
@@ -413,48 +446,112 @@ def char_poly(matroid: Matroid) -> IntPoly:
         return cached
     if matroid.n > 0 and matroid.closure_of(0) != 0:
         raise HasLoops(f"loops {set(elements_of(matroid.closure_of(0)))} present")
-    lat = matroid.lattice()
     d = matroid.rank
     coeffs = [0] * (d + 1)
-    for flat, r, mu in zip(lat.flats, lat.ranks, lat.mobius):
-        coeffs[d - r] += mu
+    for s, r in enumerate(matroid.rank_table()):
+        coeffs[d - r] += -1 if s.bit_count() & 1 else 1
     poly = IntPoly(coeffs)
     _CHAR_CACHE[key] = poly
     return poly
 
 
 def kl_poly(matroid: Matroid) -> IntPoly:
+    """Kazhdan-Lusztig polynomial, from the palindromicity of the Z-polynomial.
+
+    Z_M(t) = sum over flats F of t^(rank F) P_{M/F}(t) is palindromic of
+    degree rank M, and P_M is the unique polynomial of degree < rank/2 that
+    makes it so (Proudfoot, Xu and Young, "The Z-polynomial of a matroid").
+    Applied to every upper interval [F, top] of the lattice of flats, from the
+    top down, this gives P_{M/F} for every flat F from the flats and their
+    ranks alone.  Memoized on the exact (n, bases) representation.  Rank 0
+    gives 1, loops or not; a loop in positive rank raises HasLoops.
+    """
+    key = matroid.key()
+    cached = _KL_CACHE.get(key)
+    if cached is None:
+        cached = _KL_CACHE[key] = _z_solve(matroid)
+    return cached
+
+
+def _z_solve(matroid: Matroid) -> IntPoly:
+    """P_{M/F}[j] = R_F[e - j] - R_F[j] for j < e/2, where e = rank M - rank F
+    and R_F(t) = sum over flats G above F of t^(rank G - rank F) P_{M/G}(t)."""
+    top = matroid.rank
+    if top == 0:
+        return IntPoly([1])
+    if matroid.closure_of(0) != 0:
+        raise HasLoops("the Z-polynomial solver is implemented for loopless matroids only")
+    lattice = matroid.lattice()
+    # position p is lattice index count - 1 - p: the top flat comes first, and
+    # every flat above another sits at a smaller position
+    count = len(lattice.flats)
+    order = lattice.flats[::-1]
+    ranks = lattice.ranks[::-1]
+    ground = ground_mask(matroid.n)
+    # bitset over positions of the flats strictly above each flat
+    above = [0] * count
+    # t^(rank G) P_{M/G}(t) of each flat G, as (degree, coefficient) pairs
+    terms: list[tuple[tuple[int, int], ...]] = [((top, 1),)] + [()] * (count - 1)
+    coeffs = [1]
+    for p in range(1, count):
+        flat = order[p]
+        upset = 0
+        rest = ground & ~flat
+        while rest:
+            # the covers cl(F + x) split the elements outside F between them
+            cover = matroid.closure_of(flat | (rest & -rest))
+            rest &= ~cover
+            q = count - 1 - lattice.index_of(cover)
+            upset |= above[q] | (1 << q)
+        above[p] = upset
+        sums = [0] * (top + 1)  # R_F, by the absolute degree rank F + j
+        bits = bin(upset)
+        last = len(bits) - 1
+        k = bits.find("1", 2)
+        while k >= 0:
+            for degree, c in terms[last - k]:
+                sums[degree] += c
+            k = bits.find("1", k + 1)
+        r = ranks[p]
+        coeffs = [sums[top - j] - sums[r + j] for j in range((top - r + 1) // 2)]
+        terms[p] = tuple((r + j, c) for j, c in enumerate(coeffs) if c)
+    # the last position holds the bottom flat, the empty set
+    return IntPoly(coeffs)
+
+
+def kl_poly_recurrence(matroid: Matroid) -> IntPoly:
     """Kazhdan-Lusztig polynomial, straight from the defining recurrence.
 
     The unique polynomial P with deg P < rank/2, constant value 1 in rank 0,
     and t^rank P(1/t) - P(t) equal to the sum over nonempty flats F of
-    char_poly(localization at F) * kl_poly(contraction at F).  Since the
-    reversal only produces terms of degree > rank/2, P is recovered by
-    negating the low-degree part of that sum.  Memoized on the exact
-    (n, bases) representation, together with the sum itself.
+    char_poly(localization at F) * kl_poly_recurrence(contraction at F).
+    Since the reversal only produces terms of degree > rank/2, P is
+    recovered by negating the low-degree part of that sum.  Memoized on the
+    exact (n, bases) representation, together with the sum itself, in a memo
+    of its own: this route never reads the results of :func:`kl_poly`.
     """
-    return _kl_solve(matroid)[0]
+    return _recurrence_solve(matroid)[0]
 
 
 def kl_recurrence_rhs(matroid: Matroid) -> IntPoly:
-    """The sum over nonempty flats that :func:`kl_poly` solved P from.
+    """The sum over nonempty flats that :func:`kl_poly_recurrence` solved P from.
 
     Its terms of degree above rank/2 are never read by the solver, so
     comparing the whole sum with t^rank P(1/t) - P(t) is a real check.
     The rank-0 sum is empty.
     """
-    return _kl_solve(matroid)[1]
+    return _recurrence_solve(matroid)[1]
 
 
-def _kl_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
+def _recurrence_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
     key = matroid.key()
-    cached = _KL_CACHE.get(key)
+    cached = _RECURRENCE_CACHE.get(key)
     if cached is not None:
         return cached
     d = matroid.rank
     if d == 0:
         solved = (IntPoly([1]), IntPoly())
-        _KL_CACHE[key] = solved
+        _RECURRENCE_CACHE[key] = solved
         return solved
     if matroid.closure_of(0) != 0:
         raise HasLoops("the recurrence is implemented for loopless matroids only")
@@ -465,15 +562,16 @@ def _kl_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
             continue
         local = localization(matroid, flat)
         contracted = contraction(matroid, flat)
-        total = total + char_poly(local) * kl_poly(contracted)
+        total = total + char_poly(local) * kl_poly_recurrence(contracted)
     solved = (IntPoly(-total.coeff(j) for j in range((d + 1) // 2)), total)
-    _KL_CACHE[key] = solved
+    _RECURRENCE_CACHE[key] = solved
     return solved
 
 
 def clear_caches() -> None:
     _CHAR_CACHE.clear()
     _KL_CACHE.clear()
+    _RECURRENCE_CACHE.clear()
 
 
 def _degree_profile(matroid: Matroid) -> dict[int, list[int]]:

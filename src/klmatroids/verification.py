@@ -1,10 +1,11 @@
-"""Cross-checks between the formula layer and the brute-force matroid oracle.
+"""Cross-checks between the formula layer and the brute-force matroid oracles.
 
 Every sweep compares two or three logically independent routes to the same
-value (closed form vs. filtered enumeration vs. the defining recurrence) and
-reports exact agreement.  Heavy sweeps accept a ``jobs`` argument; grid
-points are independent pure computations, so they parallelize freely and
-results are aggregated in deterministic grid order.
+value (closed form vs. filtered enumeration vs. the Z-polynomial solver,
+which the defining recurrence checks in turn) and reports exact agreement.
+Heavy sweeps accept a ``jobs`` argument; grid points are independent pure
+computations, so they parallelize freely and results are aggregated in
+deterministic grid order.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .matroid import (
     contraction,
     is_isomorphic,
     kl_poly,
+    kl_poly_recurrence,
     kl_recurrence_rhs,
     localization,
     matroid_from_bases,
@@ -80,14 +82,19 @@ def family_grid(total_max: int, min_d: int = 1) -> list[RhoUniformParams]:
 
 
 def kl_defining_equation_holds(matroid) -> bool:
-    """Substitute the computed polynomial back into the functional equation.
+    """Compare the two oracle routes, then substitute the result back into
+    the functional equation.
 
-    This exercises the full equation, not just the low-degree part that the
-    solver extracts: t^rank P(1/t) - P(t) must equal the sum over nonempty
-    flats of char_poly(localization) * kl_poly(contraction) exactly.  The
-    sum is the one the solver memoized, so no minor is built again.
+    The Z-polynomial solver and the defining recurrence must give the same
+    polynomial P.  Then the full equation is checked, not just the
+    low-degree part that the recurrence solver extracts: t^rank P(1/t) - P(t)
+    must equal the sum over nonempty flats of char_poly(localization) *
+    kl_poly_recurrence(contraction) exactly.  The sum is the one the
+    recurrence memoized, so no minor is built again.
     """
-    p = kl_poly(matroid)
+    p = kl_poly_recurrence(matroid)
+    if kl_poly(matroid) != p:
+        return False
     if matroid.rank == 0:
         return p == IntPoly([1])
     return poly_reverse(p, matroid.rank) - p == kl_recurrence_rhs(matroid)
@@ -110,7 +117,7 @@ def _theorem1_point(p: RhoUniformParams) -> bool:
 
 
 def sweep_theorem1(total_max: int = 9, jobs: int = 1) -> IdentityReport:
-    """Counting formula == filtered enumeration == recurrence, every coefficient."""
+    """Counting formula == filtered enumeration == Z solver == recurrence, every coefficient."""
     report = IdentityReport("theorem1", f"valid (m, d, rho), m+d<={total_max}")
     return _run_points(report, family_grid(total_max, min_d=0), _theorem1_point, jobs)
 
@@ -127,7 +134,7 @@ def _theorem2_point(p: RhoUniformParams) -> bool:
 
 
 def sweep_theorem2(total_max: int = 9, jobs: int = 1) -> IdentityReport:
-    """For the plain uniform family: tableau count == older closed form == recurrence."""
+    """For the plain uniform family: tableau count == older closed form == Z solver."""
     report = IdentityReport("theorem2", f"uniform (m, d), m+d<={total_max}")
     points = [p for p in family_grid(total_max) if p.rho == 0]
     return _run_points(report, points, _theorem2_point, jobs)
@@ -214,7 +221,7 @@ def _charpoly_point(p: RhoUniformParams) -> bool:
 
 
 def sweep_charpoly(total_max: int = 10, jobs: int = 1) -> IdentityReport:
-    """Closed-form characteristic polynomial == Mobius oracle, and vanishing at 1."""
+    """Closed-form characteristic polynomial == Whitney subset sum, and vanishing at 1."""
     report = IdentityReport("charpoly", f"valid (m, d, rho), d>=1, m+d<={total_max}")
     return _run_points(report, family_grid(total_max), _charpoly_point, jobs)
 

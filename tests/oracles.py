@@ -3,8 +3,9 @@
 These deliberately avoid the formulas and data paths of the package: Pascal
 recursion instead of factorials, backtracking placement or hooks taken cell
 by cell instead of grouped hook products, subset search instead of basis
-intersections, pairwise set exchange instead of rank tables.  Expected
-values in the tests are frozen from these oracles.
+intersections, pairwise set exchange instead of rank tables, Mobius values
+instead of Whitney's subset sum.  Expected values in the tests are frozen
+from these oracles.
 """
 
 from fractions import Fraction
@@ -136,6 +137,15 @@ def is_exchange_violation(
     if basis not in family or other not in family or element not in basis - other:
         return False
     return not any((basis - {element}) | {y} in family for y in other - basis)
+
+
+def mobius_char_coeffs(lattice, rank: int) -> list[int]:
+    """Characteristic polynomial as the Mobius-weighted sum over the flats,
+    sum of mu(bottom, F) t^(rank - rank F), low degree first."""
+    coeffs = [0] * (rank + 1)
+    for r, mu in zip(lattice.ranks, lattice.mobius):
+        coeffs[rank - r] += mu
+    return coeffs
 
 
 def termwise_integral(poly_coeffs: dict[int, int], lower: int, upper: int) -> Fraction:

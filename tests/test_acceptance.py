@@ -23,8 +23,9 @@ def _report_ok(name, report):
 
 
 def test_removed_family_coefficients_three_ways():
-    # counting formula == filtered enumeration == recurrence oracle,
-    # for every valid (m, d, rho) with m + d <= 9 and every coefficient
+    # counting formula == filtered enumeration == Z-polynomial oracle, which
+    # must equal the defining recurrence, for every valid (m, d, rho) with
+    # m + d <= 9 and every coefficient
     _report_ok("removed-family coefficient agreement", verification.sweep_theorem1(9))
 
 

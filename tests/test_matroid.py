@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klmatroids import closedforms, tableaux
 from klmatroids import matroid as matroid_module
+from klmatroids.closedforms import RhoUniformParams, build_rho_uniform
 from klmatroids.errors import (
     EmptyBases,
     ExchangeAxiomViolation,
@@ -18,6 +20,7 @@ from klmatroids.errors import (
 from klmatroids.exactarith import IntPoly, poly_reverse
 from klmatroids.matroid import (
     char_poly,
+    clear_caches,
     closure,
     contraction,
     elements_of,
@@ -25,14 +28,17 @@ from klmatroids.matroid import (
     ground_mask,
     is_isomorphic,
     kl_poly,
+    kl_poly_recurrence,
     localization,
     mask_from,
     matroid_from_bases,
     rank,
     uniform_matroid,
 )
+from klmatroids.tableaux import count_overline_skyt, count_skyt
+from klmatroids.verification import family_grid
 
-from oracles import brute_rank, exchange_axiom_holds, is_exchange_violation
+from oracles import brute_rank, exchange_axiom_holds, is_exchange_violation, mobius_char_coeffs
 
 U12 = matroid_from_bases(3, [{1, 2}, {1, 3}, {2, 3}])
 U12_MINUS = matroid_from_bases(3, [{1, 3}, {2, 3}])
@@ -129,6 +135,26 @@ def _d_subsets(n: int, d: int) -> list[frozenset[int]]:
     return [frozenset(c) for c in combinations(range(1, n + 1), d)]
 
 
+def _every_family(n_max: int):
+    """(n, family) for every nonempty family of equal-size subsets of [n], n <= n_max."""
+    for n in range(n_max + 1):
+        for d in range(n + 1):
+            pool = _d_subsets(n, d)
+            for pick in range(1, 1 << len(pool)):
+                yield n, [b for k, b in enumerate(pool) if pick >> k & 1]
+
+
+def _every_loopless_matroid(n_max: int):
+    """Every basis system of the exhaustive family with no loop, n <= n_max."""
+    for n, family in _every_family(n_max):
+        try:
+            m = matroid_from_bases(n, family)
+        except ExchangeAxiomViolation:
+            continue
+        if m.closure_of(0) == 0:
+            yield m
+
+
 def _max_intersections(n: int, family: list[frozenset[int]]) -> list[int]:
     return [
         max(len(frozenset(elements_of(s)) & b) for b in family) for s in range(1 << n)
@@ -154,13 +180,9 @@ def _check_against_pairwise(n: int, family: list[frozenset[int]]) -> None:
 class TestValidatorEquivalence:
     def test_every_family_up_to_five_elements(self):
         checked = 0
-        for n in range(6):
-            for d in range(n + 1):
-                pool = _d_subsets(n, d)
-                for pick in range(1, 1 << len(pool)):
-                    family = [b for k, b in enumerate(pool) if pick >> k & 1]
-                    _check_against_pairwise(n, family)
-                    checked += 1
+        for n, family in _every_family(5):
+            _check_against_pairwise(n, family)
+            checked += 1
         assert checked == 2229
 
     @settings(max_examples=300, deadline=None)
@@ -296,6 +318,13 @@ class TestCharPoly:
     def test_vanishes_at_one(self, m, d):
         assert char_poly(uniform_matroid(m, d))(1) == 0
 
+    def test_whitney_sum_matches_mobius_sum(self):
+        grid = [build_rho_uniform(p) for p in family_grid(10)]
+        exhaustive = list(_every_loopless_matroid(5))
+        assert len(grid) == 108 and len(exhaustive) == 222
+        for m in grid + exhaustive:
+            assert char_poly(m) == IntPoly(mobius_char_coeffs(m.lattice(), m.rank))
+
 
 class TestKlPoly:
     def test_base_cases(self):
@@ -308,6 +337,11 @@ class TestKlPoly:
     def test_loops_refused(self):
         with pytest.raises(HasLoops):
             kl_poly(matroid_from_bases(4, [{1, 2}, {1, 3}]))
+        with pytest.raises(HasLoops):
+            kl_poly_recurrence(matroid_from_bases(4, [{1, 2}, {1, 3}]))
+
+    def test_rank_zero_allows_loops(self):
+        assert kl_poly(RANK0) == kl_poly_recurrence(RANK0) == IntPoly([1])
 
     @pytest.mark.parametrize(
         "matroid",
@@ -334,6 +368,103 @@ class TestKlPoly:
                 continue
             rhs = rhs + char_poly(localization(matroid, f)) * kl_poly(contraction(matroid, f))
         assert poly_reverse(p, d) - p == rhs
+
+
+@pytest.fixture
+def fresh_caches():
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def _sparse_paving(rng: random.Random, n: int, d: int, k: int) -> list[frozenset[int]]:
+    """Up to k random d-subsets of [n] that pairwise meet in at most d - 2 elements."""
+    kept: list[frozenset[int]] = []
+    for _ in range(40):
+        if len(kept) == k:
+            break
+        cand = frozenset(rng.sample(range(1, n + 1), d))
+        if all(len(cand & other) <= d - 2 for other in kept):
+            kept.append(cand)
+    return kept
+
+
+def _lnr_coeffs(n: int, d: int, k: int) -> list[int]:
+    """KL coefficients of a rank-d sparse paving matroid on n elements with k
+    circuit-hyperplanes, by the Lee-Nasr-Radcliffe tableau count."""
+    return [1] + [
+        count_skyt(n - d + 1, i, d - 2 * i + 1) - k * count_overline_skyt(i, d - 2 * i + 1)
+        for i in range(1, (d - 1) // 2 + 1)
+    ]
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise _Refused("an oracle route called outside itself")
+
+
+class _UnreadableMemo(dict):
+    def get(self, *args):
+        raise _Refused("the Z memo was read")
+
+    __getitem__ = __contains__ = get
+
+
+# small matroids of several kinds, for the independence checks
+ROUTE_SAMPLES = [
+    uniform_matroid(2, 4),
+    build_rho_uniform(RhoUniformParams(3, 4, 1)),
+    build_rho_uniform(RhoUniformParams(2, 5, 1)),
+    matroid_from_bases(
+        6, [set(c) for c in combinations(range(1, 7), 4) if set(c) not in ({1, 2, 3, 4}, {1, 2, 5, 6})]
+    ),
+]
+
+
+class TestOracleRoutes:
+    def test_agree_on_every_small_basis_system(self):
+        matroids = list(_every_loopless_matroid(5))
+        assert len(matroids) == 222
+        for m in matroids:
+            assert kl_poly(m) == kl_poly_recurrence(m)
+
+    def test_agree_with_lnr_on_random_sparse_paving(self):
+        # ranks above 6 are left out at n = 9, 10: the recurrence alone takes
+        # most of a second there
+        rng = random.Random(20261018)
+        several = 0  # matroids with more than one circuit-hyperplane
+        for n in range(5, 11):
+            for d in range(2, min(n - 2, 6) + 1):
+                family = _sparse_paving(rng, n, d, 1 + (n + d) % 3)
+                removed = {mask_from(s, n) for s in family}
+                m = matroid_from_bases(
+                    n, [b for b in uniform_matroid(n - d, d).bases if b not in removed]
+                )
+                want = IntPoly(_lnr_coeffs(n, d, len(family)))
+                assert kl_poly(m) == kl_poly_recurrence(m) == want, (n, d, family)
+                several += len(family) > 1
+        assert several == 16
+
+    def test_z_route_builds_no_minor(self, monkeypatch, fresh_caches):
+        want = [kl_poly_recurrence(m) for m in ROUTE_SAMPLES]
+        clear_caches()
+        for name in ("localization", "contraction", "char_poly", "is_isomorphic", "kl_poly_recurrence"):
+            monkeypatch.setattr(matroid_module, name, _refuse)
+        for module in (tableaux, closedforms):
+            for name in ("count_skyt", "count_overline_skyt", "count_syt"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _refuse)
+        assert [kl_poly(m) for m in ROUTE_SAMPLES] == want
+
+    def test_recurrence_reads_no_z_result(self, monkeypatch, fresh_caches):
+        want = [kl_poly(m) for m in ROUTE_SAMPLES]
+        monkeypatch.setattr(matroid_module, "kl_poly", _refuse)
+        monkeypatch.setattr(matroid_module, "_z_solve", _refuse)
+        monkeypatch.setattr(matroid_module, "_KL_CACHE", _UnreadableMemo())
+        assert [kl_poly_recurrence(m) for m in ROUTE_SAMPLES] == want
 
 
 class TestIsomorphism:

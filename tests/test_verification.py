@@ -5,7 +5,7 @@ from klmatroids import verification
 from klmatroids.closedforms import RhoUniformParams, build_rho_uniform
 from klmatroids.exactarith import IntPoly
 from klmatroids.identities import IdentityReport
-from klmatroids.matroid import clear_caches, kl_poly, uniform_matroid
+from klmatroids.matroid import clear_caches, kl_poly_recurrence, uniform_matroid
 from klmatroids.verification import kl_defining_equation_holds
 
 
@@ -22,7 +22,7 @@ class TestDefiningEquation:
         [uniform_matroid(2, 4), build_rho_uniform(RhoUniformParams(2, 4, 1))],
     )
     def test_check_builds_no_minor(self, monkeypatch, fresh_caches, matroid):
-        kl_poly(matroid)
+        kl_poly_recurrence(matroid)
         built = []
         for name in ("localization", "contraction"):
             original = getattr(matroid_module, name)
@@ -50,6 +50,20 @@ class TestDefiningEquation:
 
         monkeypatch.setattr(matroid_module, "char_poly", off_by_one)
         assert not kl_defining_equation_holds(matroid)
+
+
+    def test_wrong_z_result_fails(self, monkeypatch, fresh_caches):
+        # the recurrence and its full-degree equation still hold, so only the
+        # comparison of the two routes can catch this
+        matroid = uniform_matroid(1, 3)
+        original = matroid_module._z_solve
+        monkeypatch.setattr(
+            matroid_module, "_z_solve", lambda m: original(m) + IntPoly([0, 1])
+        )
+        assert not kl_defining_equation_holds(matroid)
+        monkeypatch.setattr(matroid_module, "_z_solve", original)
+        clear_caches()
+        assert kl_defining_equation_holds(matroid)
 
 
 class TestProcessFanOut:
