@@ -9,8 +9,8 @@ equal-size sets is a basis system exactly when that table is submodular, and
 construction checks this locally at every subset; the pairwise exchange
 search runs only to name a witness for a family that fails.  Closure, the
 lattice of flats, minors and the characteristic polynomial (Whitney's sum
-over all subsets) are computed from the table directly; the lattice's
-Mobius values are computed only when first read.
+over all subsets) are computed from the table directly; nothing here needs
+Mobius values.
 
 The Kazhdan-Lusztig polynomial has two independent routes, each serving as
 the oracle that the other and the formula layer are checked against:
@@ -280,39 +280,21 @@ def closure(matroid: Matroid, subset: Collection[int] | GroundSubset) -> GroundS
     return matroid.closure_of(mask)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FlatLattice:
-    """Closure-closed subsets ordered by inclusion, with ranks and Mobius values.
+    """Closure-closed subsets ordered by inclusion, with their ranks.
 
-    ``flats`` is sorted by (cardinality, mask); ``mobius[k]`` is the Mobius
-    value from the bottom flat to ``flats[k]``.  The Mobius values cost
-    O(#flats^2), so unless they are given they are computed on first read.
+    ``flats`` is sorted by (cardinality, mask), a linear extension of
+    inclusion; ``ranks[k]`` is the rank of ``flats[k]``.
     """
 
     n: int
     flats: tuple[GroundSubset, ...]
     ranks: tuple[int, ...]
-    _mobius: tuple[int, ...] | None = field(repr=False, compare=False)
-    _index: dict[GroundSubset, int] = field(repr=False, compare=False)
+    _index: dict[GroundSubset, int] = field(init=False, repr=False, compare=False)
 
-    def __init__(
-        self,
-        n: int,
-        flats: tuple[GroundSubset, ...],
-        ranks: tuple[int, ...],
-        mobius: tuple[int, ...] | None = None,
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "flats", flats)
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "_mobius", mobius)
-        object.__setattr__(self, "_index", {f: k for k, f in enumerate(flats)})
-
-    @property
-    def mobius(self) -> tuple[int, ...]:
-        if self._mobius is None:
-            object.__setattr__(self, "_mobius", _mobius_values(self.flats))
-        return self._mobius
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {f: k for k, f in enumerate(self.flats)})
 
     @property
     def bottom(self) -> GroundSubset:
@@ -331,9 +313,6 @@ class FlatLattice:
     def rank_of(self, flat: GroundSubset) -> int:
         return self.ranks[self.index_of(flat)]
 
-    def mobius_of(self, flat: GroundSubset) -> int:
-        return self.mobius[self.index_of(flat)]
-
     def contains(self, mask: GroundSubset) -> bool:
         return mask in self._index
 
@@ -343,22 +322,6 @@ def _build_lattice(matroid: Matroid) -> FlatLattice:
     seen = {matroid.closure_of(s) for s in range(1 << matroid.n)}
     flats = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
     return FlatLattice(matroid.n, flats, tuple(table[f] for f in flats))
-
-
-def _mobius_values(flats: tuple[GroundSubset, ...]) -> tuple[int, ...]:
-    """mu(bottom, F) for every flat, by the recursive sum over lower flats."""
-    mobius = [0] * len(flats)
-    for idx, f in enumerate(flats):
-        if idx == 0:
-            mobius[idx] = 1
-            continue
-        acc = 0
-        for jdx in range(idx):
-            g = flats[jdx]
-            if g & f == g:
-                acc += mobius[jdx]
-        mobius[idx] = -acc
-    return tuple(mobius)
 
 
 def flats(matroid: Matroid) -> FlatLattice:

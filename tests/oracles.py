@@ -139,11 +139,21 @@ def is_exchange_violation(
     return not any((basis - {element}) | {y} in family for y in other - basis)
 
 
+def mobius_values(flats) -> list[int]:
+    """mu(bottom, F) for every flat, by the recursive sum over lower flats.
+    ``flats`` must list every flat after all the flats it contains."""
+    mobius = [1]
+    for idx in range(1, len(flats)):
+        f = flats[idx]
+        mobius.append(-sum(mobius[jdx] for jdx in range(idx) if flats[jdx] & f == flats[jdx]))
+    return mobius
+
+
 def mobius_char_coeffs(lattice, rank: int) -> list[int]:
     """Characteristic polynomial as the Mobius-weighted sum over the flats,
     sum of mu(bottom, F) t^(rank - rank F), low degree first."""
     coeffs = [0] * (rank + 1)
-    for r, mu in zip(lattice.ranks, lattice.mobius):
+    for r, mu in zip(lattice.ranks, mobius_values(lattice.flats)):
         coeffs[rank - r] += mu
     return coeffs
 
