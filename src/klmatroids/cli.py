@@ -223,6 +223,8 @@ def cmd_verify(args) -> int:
         return _fail_usage(f"--jobs must be 0 (all cores) or more, got {args.jobs}")
     jobs = args.jobs if args.jobs else verification.default_jobs()
     max_n = args.max_n
+    if max_n < 2:
+        return _fail_usage(f"--max-n must be at least 2, got {max_n}")
     if max_n > oracle_cap():
         return _fail_usage(
             f"--max-n {max_n} is above the KLM_MAX_N cap {oracle_cap()}"
@@ -253,6 +255,8 @@ def cmd_verify(args) -> int:
 def cmd_table(args) -> int:
     if args.m_max < 1 or args.d_max < 1:
         return _fail_usage("--m-max and --d-max must be at least 1")
+    if args.rho < 0:
+        return _fail_usage(f"--rho must be 0 or more, got {args.rho}")
     rows = []
     for m in range(1, args.m_max + 1):
         for d in range(1, args.d_max + 1):

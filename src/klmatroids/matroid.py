@@ -7,7 +7,10 @@ subsets are the independent sets, and a dependent set has the largest rank of
 its one-smaller subsets, so r(S) = max |S & B| over the bases.  A family of
 equal-size sets is a basis system exactly when that table is submodular, and
 construction checks this locally at every subset; the pairwise exchange
-search runs only to name a witness for a family that fails.  Closure, the
+search runs only to name a witness for a family that fails.  Each distinct
+family is validated once: the tables that pass are kept in a bounded LRU
+memo keyed by the exact (n, sorted masks), so a family met again, a minor
+above all, skips both the table and the check.  Closure, the
 lattice of flats, minors and the characteristic polynomial (Whitney's sum
 over all subsets) are computed from the table directly; nothing here needs
 Mobius values.
@@ -26,6 +29,7 @@ Neither route reads the other's results, nor any closed form.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from typing import Collection, Iterable
@@ -219,13 +223,51 @@ def _exchange_witness(
     return None
 
 
+class _TableMemo:
+    """Validated rank tables by exact (n, sorted masks), least recently used
+    first out once the tables held exceed ``budget`` entries in all.
+
+    It holds tables, not matroids, so that no lattice of flats stays alive.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.held = 0
+        self._tables: OrderedDict[tuple[int, tuple[int, ...]], tuple[int, ...]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def get(self, key: tuple[int, tuple[int, ...]]) -> tuple[int, ...] | None:
+        table = self._tables.get(key)
+        if table is not None:
+            self._tables.move_to_end(key)
+        return table
+
+    def put(self, key: tuple[int, tuple[int, ...]], table: tuple[int, ...]) -> None:
+        self._tables[key] = table
+        self.held += len(table)
+        while self.held > self.budget:
+            self.held -= len(self._tables.popitem(last=False)[1])
+
+    def clear(self) -> None:
+        self._tables.clear()
+        self.held = 0
+
+
+# 2**20 entries is about 8 MB of slots: sixteen 16-element tables
+_TABLE_MEMO = _TableMemo(1 << 20)
+
+
 def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) -> Matroid:
     """Validate a basis system and build the matroid.
 
     Bases may be given as collections of elements in 1..n or as bitmasks.
     Raises InvalidParameters when n exceeds MAX_GROUND, and EmptyBases,
     MixedCardinality, or ExchangeAxiomViolation (with a witnessing pair and
-    element) when the family is not a basis system.
+    element) when the family is not a basis system.  A family that passed
+    before, in any order or form, reuses its memoized rank table; a family
+    that failed is checked again and raises again.
     """
     if n < 0:
         raise ValueError(f"ground set size must be non-negative, got {n}")
@@ -247,6 +289,10 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
     if len(sizes) > 1:
         raise MixedCardinality(f"bases of different sizes: {sorted(sizes)}")
     ordered = tuple(sorted(masks))
+    key = (n, ordered)
+    known = _TABLE_MEMO.get(key)
+    if known is not None:
+        return Matroid(n, ordered, known)
     table = _dp_rank_table(n, ordered)
     if not _is_submodular(n, table):
         witness = _exchange_witness(ordered)
@@ -256,7 +302,9 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
                 "of bases satisfies the exchange axiom"
             )
         raise ExchangeAxiomViolation(*witness)
-    return Matroid(n, ordered, tuple(table))
+    known = tuple(table)
+    _TABLE_MEMO.put(key, known)
+    return Matroid(n, ordered, known)
 
 
 def uniform_matroid(m: int, d: int) -> Matroid:
@@ -328,16 +376,21 @@ def flats(matroid: Matroid) -> FlatLattice:
     return matroid.lattice()
 
 
-def _relabel(masks: Iterable[GroundSubset], kept: tuple[int, ...]) -> list[GroundSubset]:
-    """Map surviving elements (1-based, ascending) onto 1..len(kept), order preserving."""
-    position = {e: idx for idx, e in enumerate(kept)}
-    out = []
-    for mask in masks:
-        new = 0
-        for e in elements_of(mask):
-            new |= 1 << position[e]
-        out.append(new)
-    return out
+def _minor_bases(
+    table: tuple[int, ...], kept: tuple[int, ...], size: int, anchor: int, want: int
+) -> list[GroundSubset]:
+    """The size-subsets S of the kept bits with r(S | anchor) == want, each
+    relabelled onto bits 1, 2, 4, ... in the kept bits' order.
+
+    Both combination streams run in the same lexicographic order, so each
+    parent subset is paired with its relabelled image.
+    """
+    own = [1 << j for j in range(len(kept))]
+    return [
+        sum(new)
+        for old, new in zip(combinations(kept, size), combinations(own, size))
+        if table[sum(old) | anchor] == want
+    ]
 
 
 def localization(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matroid:
@@ -350,13 +403,8 @@ def localization(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matr
         raise NotAFlat(f"{set(elements_of(mask))} is not a flat")
     table = matroid.rank_table()
     r = table[mask]
-    kept = elements_of(mask)
-    bases = [
-        mask_from(combo, matroid.n)
-        for combo in combinations(kept, r)
-    ]
-    good = [b for b in bases if table[b] == r]
-    return matroid_from_bases(len(kept), _relabel(good, kept))
+    kept = tuple(_iter_bits(mask))
+    return matroid_from_bases(len(kept), _minor_bases(table, kept, r, 0, r))
 
 
 def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matroid:
@@ -374,14 +422,9 @@ def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matro
     for bit in _iter_bits(mask):
         if table[anchor | bit] > table[anchor]:
             anchor |= bit
-    kept = elements_of(ground_mask(matroid.n) & ~mask)
+    kept = tuple(_iter_bits(ground_mask(matroid.n) & ~mask))
     k = matroid.rank - r
-    good = []
-    for combo in combinations(kept, k):
-        cm = mask_from(combo, matroid.n)
-        if table[cm | anchor] == k + r:
-            good.append(cm)
-    return matroid_from_bases(len(kept), _relabel(good, kept))
+    return matroid_from_bases(len(kept), _minor_bases(table, kept, k, anchor, k + r))
 
 
 # Global result caches, keyed by the exact (n, sorted bases) representation of
@@ -532,6 +575,7 @@ def _recurrence_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
 
 
 def clear_caches() -> None:
+    _TABLE_MEMO.clear()
     _CHAR_CACHE.clear()
     _KL_CACHE.clear()
     _RECURRENCE_CACHE.clear()

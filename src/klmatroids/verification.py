@@ -6,6 +6,13 @@ which the defining recurrence checks in turn) and reports exact agreement.
 Heavy sweeps accept a ``jobs`` argument; grid points are independent pure
 computations, so they parallelize freely and results are aggregated in
 deterministic grid order.
+
+With ``jobs`` > 1 the sweeps share one process pool, forked on first use and
+kept for every later sweep with the same ``jobs``; another ``jobs`` shuts it
+down before a new pool is forked, and any error from a sweep drops it.  The
+workers keep their memos from sweep to sweep, and they run the library as it
+was at the fork: a test that monkeypatches library code must sweep with
+``jobs=1``.
 """
 
 from __future__ import annotations
@@ -48,7 +55,32 @@ from .tableaux import (
 
 
 def default_jobs() -> int:
+    """The cores this process may run on, where the platform tells; else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+_pool: ProcessPoolExecutor | None = None
+_pool_jobs = 0
+
+
+def _shared_pool(jobs: int) -> ProcessPoolExecutor:
+    """The kept pool of ``jobs`` workers, forked now if there is none."""
+    global _pool, _pool_jobs
+    if _pool is not None and _pool_jobs != jobs:
+        # its manager thread must be gone before the next fork
+        _drop_pool()
+    if _pool is None:
+        _pool, _pool_jobs = ProcessPoolExecutor(max_workers=jobs), jobs
+    return _pool
+
+
+def _drop_pool() -> None:
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _run_points(
@@ -59,8 +91,13 @@ def _run_points(
 ) -> IdentityReport:
     if jobs > 1 and len(points) > 1:
         chunk = max(1, len(points) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pool = _shared_pool(jobs)
+        try:
             results = list(pool.map(checker, points, chunksize=chunk))
+        except BaseException:
+            # a broken pool (a worker died) or a failed point: start afresh
+            _drop_pool()
+            raise
     else:
         results = [checker(point) for point in points]
     for point, ok in zip(points, results):

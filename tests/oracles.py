@@ -4,8 +4,9 @@ These deliberately avoid the formulas and data paths of the package: Pascal
 recursion instead of factorials, backtracking placement or hooks taken cell
 by cell instead of grouped hook products, subset search instead of basis
 intersections, pairwise set exchange instead of rank tables, Mobius values
-instead of Whitney's subset sum.  Expected values in the tests are frozen
-from these oracles.
+instead of Whitney's subset sum, minors relabelled element by element
+instead of by paired bit combinations.  Expected values in the tests are
+frozen from these oracles.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from itertools import combinations
 from math import factorial
 
 from klmatroids.errors import InvalidShape
+from klmatroids.matroid import elements_of, ground_mask, mask_from
 
 
 @lru_cache(maxsize=None)
@@ -156,6 +158,51 @@ def mobius_char_coeffs(lattice, rank: int) -> list[int]:
     for r, mu in zip(lattice.ranks, mobius_values(lattice.flats)):
         coeffs[rank - r] += mu
     return coeffs
+
+
+def _relabel(masks, kept: tuple[int, ...]) -> list[int]:
+    """Map surviving elements (1-based, ascending) onto 1..len(kept), order preserving."""
+    position = {e: idx for idx, e in enumerate(kept)}
+    out = []
+    for mask in masks:
+        new = 0
+        for e in elements_of(mask):
+            new |= 1 << position[e]
+        out.append(new)
+    return out
+
+
+def element_localization(matroid, flat: int) -> tuple[int, tuple[int, ...]]:
+    """(n, sorted bases) of the restriction to a flat, built element by element:
+    every r-subset of the flat's elements with rank r, relabelled onto 1..|F|."""
+    table = matroid.rank_table()
+    r = table[flat]
+    kept = elements_of(flat)
+    good = [
+        b for b in (mask_from(combo, matroid.n) for combo in combinations(kept, r))
+        if table[b] == r
+    ]
+    return len(kept), tuple(sorted(_relabel(good, kept)))
+
+
+def element_contraction(matroid, flat: int) -> tuple[int, tuple[int, ...]]:
+    """(n, sorted bases) of the contraction by a flat, built element by
+    element: every k-subset of the complement that extends a greedy basis
+    of the flat to full rank, relabelled onto 1..(n - |F|)."""
+    table = matroid.rank_table()
+    r = table[flat]
+    anchor = 0
+    for e in elements_of(flat):
+        bit = 1 << (e - 1)
+        if table[anchor | bit] > table[anchor]:
+            anchor |= bit
+    kept = elements_of(ground_mask(matroid.n) & ~flat)
+    k = matroid.rank - r
+    good = [
+        cm for cm in (mask_from(combo, matroid.n) for combo in combinations(kept, k))
+        if table[cm | anchor] == k + r
+    ]
+    return len(kept), tuple(sorted(_relabel(good, kept)))
 
 
 def termwise_integral(poly_coeffs: dict[int, int], lower: int, upper: int) -> Fraction:

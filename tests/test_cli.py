@@ -183,6 +183,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "theorem1", "--max-n", "99")
         assert code == 2 and "KLM_MAX_N" in err
 
+    @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+    def test_empty_grid_is_usage_error(self, capsys, max_n):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "theorem1", "--max-n", max_n, "--jobs", "1"
+        )
+        assert code == 2 and "--max-n" in err and out == ""
+
     def test_negative_jobs_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--suite", "theorem1", "--max-n", "4", "--jobs", "-3"
@@ -246,3 +253,7 @@ class TestTable:
     def test_bad_flags(self, capsys):
         code, _, _ = run_cli(capsys, "table", "--m-max", "0", "--d-max", "3")
         assert code == 2
+
+    def test_negative_rho_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--m-max", "3", "--d-max", "3", "--rho", "-1")
+        assert code == 2 and "--rho" in err and out == ""

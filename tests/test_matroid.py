@@ -40,6 +40,8 @@ from klmatroids.verification import family_grid
 
 from oracles import (
     brute_rank,
+    element_contraction,
+    element_localization,
     exchange_axiom_holds,
     is_exchange_violation,
     mobius_char_coeffs,
@@ -306,6 +308,84 @@ class TestMinors:
             localization(U12, mask_from({1, 2}, 3))
         with pytest.raises(NotAFlat):
             contraction(U12_MINUS, mask_from({1}, 3))
+
+    def test_match_element_by_element_construction(self):
+        small = list(_every_loopless_matroid(5))
+        grid = [build_rho_uniform(p) for p in family_grid(8)]
+        assert len(small) == 222 and len(grid) == 62
+        for m in small + grid:
+            for f in m.lattice().flats:
+                assert localization(m, f).key() == element_localization(m, f), (m, f)
+                assert contraction(m, f).key() == element_contraction(m, f), (m, f)
+
+
+class _CountedTables:
+    """Wraps _dp_rank_table, counting the tables actually built."""
+
+    def __init__(self, monkeypatch):
+        self.built = 0
+        original = matroid_module._dp_rank_table
+
+        def counted(*args):
+            self.built += 1
+            return original(*args)
+
+        monkeypatch.setattr(matroid_module, "_dp_rank_table", counted)
+
+
+class TestTableMemo:
+    def test_same_family_in_any_form_is_built_once(self, monkeypatch, fresh_caches):
+        tables = _CountedTables(monkeypatch)
+        family = [{1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}]
+        first = matroid_from_bases(4, family)
+        again = [
+            matroid_from_bases(4, [mask_from(b, 4) for b in family]),
+            matroid_from_bases(4, family[::-1]),
+            matroid_from_bases(4, [mask_from(b, 4) for b in family[2:] + family[:2]]),
+        ]
+        assert tables.built == 1
+        for m in again:
+            assert m == first and m.rank_table() is first.rank_table()
+
+    def test_another_ground_set_is_another_entry(self, monkeypatch, fresh_caches):
+        tables = _CountedTables(monkeypatch)
+        on_three = matroid_from_bases(3, [0b011, 0b101])
+        on_four = matroid_from_bases(4, [0b011, 0b101])
+        assert tables.built == 2 and len(matroid_module._TABLE_MEMO) == 2
+        assert len(on_three.rank_table()) == 8 and len(on_four.rank_table()) == 16
+        assert on_four.closure_of(0) == 0b1000  # element 4 is a loop
+
+    def test_invalid_family_fails_every_time(self, monkeypatch, fresh_caches):
+        tables = _CountedTables(monkeypatch)
+        witnesses = []
+        for _ in range(2):
+            with pytest.raises(ExchangeAxiomViolation) as err:
+                matroid_from_bases(4, [{1, 2}, {3, 4}])
+            witnesses.append((err.value.basis, err.value.other, err.value.element))
+        assert witnesses[0] == witnesses[1] == ((1, 2), (3, 4), 1)
+        assert tables.built == 2 and len(matroid_module._TABLE_MEMO) == 0
+
+    def test_clear_caches_empties_it(self, fresh_caches):
+        matroid_from_bases(4, [{1, 2}, {1, 3}])
+        memo = matroid_module._TABLE_MEMO
+        assert len(memo) == 1 and memo.held == 16
+        clear_caches()
+        assert len(memo) == 0 and memo.held == 0
+
+    def test_held_tables_stay_within_budget(self, fresh_caches):
+        # seventeen distinct 16-element tables, 2**16 entries each, exceed the
+        # 2**20 budget by one table; the least recently used one goes
+        memo = matroid_module._TABLE_MEMO
+        assert memo.budget == 1 << 20
+        keys = [(16, (1 << e,)) for e in range(16)] + [(16, (0b11,))]
+        for n, masks in keys[:16]:
+            matroid_from_bases(n, masks)
+        assert memo.held == memo.budget and len(memo) == 16
+        matroid_from_bases(*keys[0])  # a hit: keys[1] is now the oldest
+        matroid_from_bases(*keys[16])
+        assert memo.held <= memo.budget and len(memo) == 16
+        assert keys[1] not in memo._tables
+        assert all(key in memo._tables for key in keys[:1] + keys[2:])
 
 
 class TestCharPoly:

@@ -1,3 +1,7 @@
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from klmatroids import matroid as matroid_module
@@ -91,3 +95,46 @@ class TestProcessFanOut:
         fanned = verification._run_points(IdentityReport("t", "g"), points, str.isdigit, 2)
         assert serial.failures == [f"x{k}" for k in range(0, 40, 3)]
         assert self._outcome(fanned) == self._outcome(serial)
+
+    def test_sweeps_share_one_pool(self):
+        verification.sweep_theorem2(6, jobs=2)
+        pool = verification._pool
+        workers = set(pool._processes)
+        verification.sweep_charpoly(6, jobs=2)
+        assert verification._pool is pool and set(pool._processes) == workers
+
+    def test_other_jobs_replace_the_pool(self):
+        grid = dict(a_max=3, b_max=3, i_max=2, cell_max=8)
+        verification.sweep_counting(**grid, jobs=2)
+        old = verification._pool
+        assert verification.sweep_counting(**grid, jobs=3).passed
+        assert verification._pool is not old and old._shutdown_thread
+        verification._drop_pool()
+
+    def test_killed_worker_breaks_one_sweep_only(self):
+        verification.sweep_theorem2(6, jobs=2)
+        pool = verification._pool
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        # the pool's manager thread marks it broken, then ends; a sweep that
+        # raced ahead of it could still be served by the surviving worker
+        pool._executor_manager_thread.join(timeout=30)
+        assert not pool._executor_manager_thread.is_alive()
+        with pytest.raises(BrokenProcessPool):
+            verification.sweep_theorem2(6, jobs=2)
+        assert verification._pool is None
+        again = verification.sweep_theorem2(6, jobs=2)
+        assert again.passed and again.points > 1
+        assert verification._pool is not None and verification._pool is not pool
+
+
+class TestDefaultJobs:
+    def test_counts_the_cores_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert verification.default_jobs() == 3
+
+    @pytest.mark.parametrize("count, want", [(7, 7), (None, 1)])
+    def test_falls_back_to_the_cpu_count(self, monkeypatch, count, want):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert verification.default_jobs() == want
