@@ -5,11 +5,15 @@ check fails, 2 on usage or parameter errors.  All big integers are printed
 as decimal strings; JSON output round-trips losslessly.
 
 The ``oracle`` method is the Z-polynomial solver over the lattice of flats
-(``klm verify`` cross-checks it against the defining recurrence).  The
-environment variable KLM_MAX_N (default 12) caps the ground-set size for the
-oracle and for filtered enumeration, which are exponential in n by design.
-It must be an integer from 0 to 16, the largest ground set a matroid may
-have.
+(``klm verify`` cross-checks it against the defining recurrence); the
+``direct`` method counts the Theorem 1 set by a dynamic programme over order
+ideals.  Each route is bounded only by the library cap next to its own work:
+the oracle by MAX_GROUND = 16 elements, the direct count by MAX_CELLS = 64
+cells, and past it either one raises InvalidParameters, which exits 2.
+``--method all`` runs each route whose cap admits the query.  ``klm verify``
+caps ``--max-n`` at VERIFY_MAX_N, because the minor-recurrence cross-check
+slows down fast above it, and the ``minors`` suite (so also ``all``) at one
+element past the isomorphism search's limit.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
@@ -36,8 +39,9 @@ from .identities import (
     run_identity_sweeps,
     sweep_gf_truncation,
 )
-from .matroid import MAX_GROUND, kl_poly
+from .matroid import ISOMORPHISM_MAX_GROUND, MAX_GROUND, kl_poly
 from .tableaux import (
+    MAX_CELLS,
     MAX_FILLINGS,
     count_skyt_rho_direct,
     enumerate_skyt,
@@ -45,24 +49,13 @@ from .tableaux import (
 )
 from . import verification
 
-DEFAULT_ORACLE_CAP = 12
+VERIFY_MAX_N = 12
+"""The largest ``klm verify --max-n``: the minor-recurrence cross-check in the
+matroid sweeps builds a minor per flat, and slows down fast above it."""
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
-
-
-def oracle_cap() -> int:
-    raw = os.environ.get("KLM_MAX_N", "")
-    if not raw:
-        return DEFAULT_ORACLE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidParameters(f"KLM_MAX_N must be an integer, got {raw!r}") from None
-    if not 0 <= cap <= MAX_GROUND:
-        raise InvalidParameters(f"KLM_MAX_N must be between 0 and {MAX_GROUND}, got {cap}")
-    return cap
 
 
 def _fail_usage(message: str) -> int:
@@ -105,15 +98,15 @@ def _coeff_by_method(method: str, params: RhoUniformParams, i: int) -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _methods_for(method: str, params: RhoUniformParams, exhaustive_allowed: bool) -> list[str]:
+def _methods_for(method: str, params: RhoUniformParams) -> list[str]:
     if method != "all":
         return [method]
     methods = ["tableau"]
-    if exhaustive_allowed:
+    if params.n <= MAX_CELLS:
         methods.append("direct")
     if params.rho == 0:
         methods.append("closed-form")
-    if exhaustive_allowed:
+    if params.n <= MAX_GROUND:
         methods.append("oracle")
     return methods
 
@@ -137,14 +130,7 @@ def cmd_coeff(args) -> int:
     params = RhoUniformParams(args.m, args.d, args.rho)
     if args.method == "closed-form" and params.rho != 0:
         return _fail_usage("the closed-form method applies to rho = 0 only")
-    # both the oracle and filtered enumeration are exponential in m + d
-    exhaustive_allowed = params.n <= oracle_cap()
-    if args.method in ("oracle", "direct") and not exhaustive_allowed:
-        return _fail_usage(
-            f"method {args.method} needs {params.n} elements, above the "
-            f"KLM_MAX_N cap {oracle_cap()}"
-        )
-    methods = _methods_for(args.method, params, exhaustive_allowed)
+    methods = _methods_for(args.method, params)
     start = time.perf_counter()
     values: dict[str, int] = {}
     for method in methods:
@@ -156,16 +142,11 @@ def cmd_coeff(args) -> int:
 
 def cmd_klpoly(args) -> int:
     params = RhoUniformParams(args.m, args.d, args.rho)
-    oracle_allowed = params.n <= oracle_cap()
-    if args.method == "oracle" and not oracle_allowed:
-        return _fail_usage(
-            f"oracle needs {params.n} elements, above the KLM_MAX_N cap {oracle_cap()}"
-        )
     start = time.perf_counter()
     polys: dict[str, IntPoly] = {}
     if args.method in ("tableau", "all"):
         polys["tableau"] = kl_poly_rho(params)
-    if args.method == "oracle" or (args.method == "all" and oracle_allowed):
+    if args.method == "oracle" or (args.method == "all" and params.n <= MAX_GROUND):
         polys["oracle"] = kl_poly(build_rho_uniform(params))
     elapsed = (time.perf_counter() - start) * 1000
     query = {"m": args.m, "d": args.d, "rho": args.rho}
@@ -225,9 +206,12 @@ def cmd_verify(args) -> int:
     max_n = args.max_n
     if max_n < 2:
         return _fail_usage(f"--max-n must be at least 2, got {max_n}")
-    if max_n > oracle_cap():
+    if max_n > VERIFY_MAX_N:
+        return _fail_usage(f"--max-n must be at most {VERIFY_MAX_N}, got {max_n}")
+    if args.suite in ("minors", "all") and max_n > ISOMORPHISM_MAX_GROUND + 1:
         return _fail_usage(
-            f"--max-n {max_n} is above the KLM_MAX_N cap {oracle_cap()}"
+            f"--suite {args.suite} compares minors by an isomorphism search, which "
+            f"reaches --max-n {ISOMORPHISM_MAX_GROUND + 1}; got {max_n}"
         )
     runners = {
         "theorem1": lambda: [verification.sweep_theorem1(max_n, jobs)],
@@ -298,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["tableau", "direct", "closed-form", "oracle", "all"],
         default="tableau",
-        help="tableau: counting formula; direct: filtered enumeration; "
+        help="tableau: counting formula; direct: order-ideal count of the Theorem 1 set; "
         "closed-form: older uniform-only formula; oracle: Z-polynomial solver",
     )
     coeff.add_argument("--format", choices=["text", "json"], default="text")

@@ -18,6 +18,7 @@ from .exactarith import IntPoly, binomial, parity_sign
 from .matroid import (
     GroundSubset,
     Matroid,
+    check_ground_size,
     elements_of,
     ground_mask,
     mask_from,
@@ -91,6 +92,7 @@ def removed_block_masks(p: RhoUniformParams) -> list[GroundSubset]:
 @lru_cache(maxsize=128)
 def _build_cached(p: RhoUniformParams) -> Matroid:
     n = p.n
+    check_ground_size(n)
     if p.d == 0:
         return matroid_from_bases(n, [0])
     removed = set(removed_block_masks(p))

@@ -259,6 +259,18 @@ class _TableMemo:
 _TABLE_MEMO = _TableMemo(1 << 20)
 
 
+def check_ground_size(n: int) -> None:
+    """Raise InvalidParameters when n exceeds MAX_GROUND.
+
+    A builder that lists its bases calls this first: there are C(n, d) of
+    them, far more work than the refusal that would follow.
+    """
+    if n > MAX_GROUND:
+        raise InvalidParameters(
+            f"ground set of size {n} exceeds the {MAX_GROUND} element limit for matroids"
+        )
+
+
 def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) -> Matroid:
     """Validate a basis system and build the matroid.
 
@@ -271,10 +283,7 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
     """
     if n < 0:
         raise ValueError(f"ground set size must be non-negative, got {n}")
-    if n > MAX_GROUND:
-        raise InvalidParameters(
-            f"ground set of size {n} exceeds the {MAX_GROUND} element limit for matroids"
-        )
+    check_ground_size(n)
     masks: set[GroundSubset] = set()
     for b in bases:
         if isinstance(b, int):
@@ -312,6 +321,7 @@ def uniform_matroid(m: int, d: int) -> Matroid:
     if m < 0 or d < 0:
         raise ValueError(f"uniform matroid needs m, d >= 0 (got m={m}, d={d})")
     n = m + d
+    check_ground_size(n)
     bases = [mask_from(combo, n) for combo in combinations(range(1, n + 1), d)]
     return matroid_from_bases(n, bases)
 

@@ -21,7 +21,10 @@ reversal of the entries.
 Counts need no enumeration.  ``count_skyt`` is an inclusion-exclusion over
 straight-shape counts ``count_syt``, and the hooks of those straight shapes
 group into a few factorials, so each ``count_syt`` is one quotient of
-factorials rather than a loop over the cells.
+factorials rather than a loop over the cells.  ``count_skyt_rho_direct``
+counts the Theorem 1 set independently of both, by a dynamic programme over
+the order ideals of the cell poset (Stanley's transfer-matrix method), so
+only listing the fillings (``enumerate_skyt``) needs MAX_FILLINGS.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ MAX_FILLINGS = 10**6
 every filling in memory, and the count grows factorially with the shape."""
 
 MAX_CELLS = 64
-"""Enumeration also refuses a shape with more cells than this.  Thin shapes
-such as (a, 1, 2) stay under MAX_FILLINGS with a thousand cells, and their
-fillings would hold a billion entries between them."""
+"""Enumeration and the direct count refuse a shape with more cells than this.
+Thin shapes such as (a, 1, 2) stay under MAX_FILLINGS with a thousand cells,
+and their fillings would hold a billion entries between them."""
 
 
 @dataclass(frozen=True)
@@ -382,14 +385,58 @@ def satisfies_removed_family_conditions(f: Filling, d: int, rho: int) -> bool:
     return False
 
 
+def _fillings_and_misses(layout: _Layout, d: int, rho: int) -> tuple[int, int]:
+    """The legal fillings of the shape, and those meeting no boundary condition.
+
+    Value v goes in at step v, so a filling is a chain of filled-cell masks
+    (order ideals of the cell poset), and each condition of
+    satisfies_removed_family_conditions says at which steps one cell may be
+    filled: the top of the right column at step 1, the last cell after step
+    d + rho, the third cell of a left column of height >= 3 at step <= d.
+    One pass over the ideals, level by level, carries both counts per mask.
+    """
+    need = layout.need
+    n = len(need)
+    shape = layout.shape
+    top_right, last = n - shape.b, n - 1
+    level = {0: (1, 1)}
+    for step in range(1, n + 1):
+        meets = {last} if step > d + rho else set()
+        if step == 1:
+            meets.add(top_right)
+        if step <= d and shape.a >= 3:
+            meets.add(2)
+        after: dict[int, tuple[int, int]] = {}
+        for filled, (every, misses) in level.items():
+            for k in range(n):
+                bit = 1 << k
+                if filled & bit or filled & need[k] != need[k]:
+                    continue
+                old_every, old_misses = after.get(filled | bit, (0, 0))
+                after[filled | bit] = (
+                    old_every + every,
+                    old_misses if k in meets else old_misses + misses,
+                )
+        level = after
+    return level[(1 << n) - 1]
+
+
 def count_skyt_rho_direct(m: int, d: int, i: int, rho: int) -> int:
     """Count fillings of shape (m+1, i, d-2i+1) passing the boundary conditions.
 
-    This is the direct filtered enumeration; it always agrees with
-    count_skyt(m+1, i, d-2i+1) - rho * count_overline_skyt(i, d-2i+1).
-    Returns 1 for i = 0 by convention, 0 for i outside the coefficient range.
+    This is the paper's Theorem 1 set, counted without listing it: all legal
+    fillings minus those meeting no condition, both from one dynamic
+    programme over order ideals (``_fillings_and_misses``).  It always agrees
+    with count_skyt(m+1, i, d-2i+1) - rho * count_overline_skyt(i, d-2i+1),
+    but reads neither.  Returns 1 for i = 0 by convention, 0 for i outside
+    the coefficient range.  Raises InvalidParameters for more than MAX_CELLS
+    cells (m + d) before any counting work.
     """
     validate_family_params(m, d, rho)
+    if m + d > MAX_CELLS:
+        raise InvalidParameters(
+            f"the direct count is capped at {MAX_CELLS} cells, and m + d = {m + d}"
+        )
     if i < 0:
         return 0
     if i == 0:
@@ -397,11 +444,8 @@ def count_skyt_rho_direct(m: int, d: int, i: int, rho: int) -> int:
     b = d - 2 * i + 1
     if b < 2:
         return 0
-    return sum(
-        1
-        for f in _enumerate_cached(m + 1, i, b)
-        if satisfies_removed_family_conditions(f, d, rho)
-    )
+    every, misses = _fillings_and_misses(_layout(m + 1, i, b), d, rho)
+    return every - misses
 
 
 def iota_action(j: int, f: Filling, m: int) -> Filling:

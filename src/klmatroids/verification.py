@@ -1,7 +1,7 @@
 """Cross-checks between the formula layer and the brute-force matroid oracles.
 
 Every sweep compares two or three logically independent routes to the same
-value (closed form vs. filtered enumeration vs. the Z-polynomial solver,
+value (closed form vs. order-ideal count vs. the Z-polynomial solver,
 which the defining recurrence checks in turn) and reports exact agreement.
 Heavy sweeps accept a ``jobs`` argument; grid points are independent pure
 computations, so they parallelize freely and results are aggregated in
@@ -66,13 +66,18 @@ _pool_jobs = 0
 
 
 def _shared_pool(jobs: int) -> ProcessPoolExecutor:
-    """The kept pool of ``jobs`` workers, forked now if there is none."""
+    """The kept pool for ``jobs``, forked now if there is none.
+
+    The pool forks every worker on its first task, so it gets at most
+    default_jobs() of them, however many were asked for.
+    """
     global _pool, _pool_jobs
     if _pool is not None and _pool_jobs != jobs:
         # its manager thread must be gone before the next fork
         _drop_pool()
     if _pool is None:
-        _pool, _pool_jobs = ProcessPoolExecutor(max_workers=jobs), jobs
+        _pool = ProcessPoolExecutor(max_workers=min(jobs, default_jobs()))
+        _pool_jobs = jobs
     return _pool
 
 
@@ -154,7 +159,7 @@ def _theorem1_point(p: RhoUniformParams) -> bool:
 
 
 def sweep_theorem1(total_max: int = 9, jobs: int = 1) -> IdentityReport:
-    """Counting formula == filtered enumeration == Z solver == recurrence, every coefficient."""
+    """Counting formula == order-ideal count == Z solver == recurrence, every coefficient."""
     report = IdentityReport("theorem1", f"valid (m, d, rho), m+d<={total_max}")
     return _run_points(report, family_grid(total_max, min_d=0), _theorem1_point, jobs)
 

@@ -60,17 +60,29 @@ class TestCoeff:
         payload = json.loads(out)
         assert payload["result"] == "29399769954675289400"
 
-    def test_exponential_methods_capped(self, capsys, monkeypatch):
-        monkeypatch.setenv("KLM_MAX_N", "6")
-        code, _, err = run_cli(
-            capsys, "coeff", "--m", "4", "--d", "4", "--i", "1", "--method", "direct"
+    def test_exponential_methods_capped(self, capsys):
+        # Each route raises at its own library cap; "all" leaves it out.
+        code, out, err = run_cli(
+            capsys, "coeff", "--m", "9", "--d", "8", "--i", "1", "--method", "oracle"
         )
-        assert code == 2 and "KLM_MAX_N" in err
+        assert code == 2 and "16 element limit" in err and out == ""
+        code, out, err = run_cli(
+            capsys, "coeff", "--m", "40", "--d", "25", "--i", "1", "--method", "direct"
+        )
+        assert code == 2 and "capped at 64 cells" in err and out == ""
         code, out, _ = run_cli(
-            capsys, "coeff", "--m", "4", "--d", "4", "--i", "1", "--method", "all"
+            capsys, "coeff", "--m", "9", "--d", "8", "--i", "1", "--method", "all"
         )
         assert code == 0
-        assert "oracle" not in out and "tableau: 48" in out
+        assert out.splitlines() == [
+            "tableau: 19431", "direct: 19431", "closed-form: 19431", "OK"
+        ]
+        code, out, _ = run_cli(
+            capsys, "coeff", "--m", "40", "--d", "25", "--i", "1", "--method", "all"
+        )
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "OK"
+        assert [line.split(":")[0] for line in lines[:-1]] == ["tableau", "closed-form"]
 
 
 class TestKlpoly:
@@ -180,8 +192,14 @@ class TestVerify:
         assert payload[0]["counterexample"] is None
 
     def test_max_n_capped(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--suite", "theorem1", "--max-n", "99")
-        assert code == 2 and "KLM_MAX_N" in err
+        for max_n in ("13", "99"):
+            code, out, err = run_cli(capsys, "verify", "--suite", "theorem1", "--max-n", max_n)
+            assert code == 2 and "at most 12" in err and out == ""
+
+    @pytest.mark.parametrize("suite", ["minors", "all"])
+    def test_minors_capped_by_the_isomorphism_search(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "11")
+        assert code == 2 and "isomorphism" in err and "10" in err and out == ""
 
     @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
     def test_empty_grid_is_usage_error(self, capsys, max_n):
@@ -198,25 +216,40 @@ class TestVerify:
 
 
 class TestOracleCapSetting:
+    """The oracle's cap is MAX_GROUND, set in the library next to its work.
+
+    Sizes past it, or not sizes at all, are usage errors before any listing
+    of bases; the cap's own end runs every route.
+    """
+
     @pytest.mark.parametrize("raw", ["abc", "7.5", "-1", "17", "99"])
     @pytest.mark.parametrize(
         "argv",
         [
-            ("coeff", "--m", "2", "--d", "2", "--i", "0", "--method", "oracle"),
-            ("klpoly", "--m", "2", "--d", "2", "--method", "all"),
-            ("verify", "--suite", "theorem1", "--max-n", "4", "--jobs", "1"),
+            ("coeff", "--d", "8", "--i", "0", "--method", "oracle", "--m"),
+            ("klpoly", "--d", "8", "--method", "oracle", "--m"),
+            ("verify", "--suite", "theorem1", "--jobs", "1", "--max-n"),
         ],
     )
-    def test_bad_values_are_usage_errors(self, capsys, monkeypatch, raw, argv):
-        monkeypatch.setenv("KLM_MAX_N", raw)
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and "KLM_MAX_N" in err and out == ""
+    def test_bad_values_are_usage_errors(self, capsys, raw, argv):
+        try:
+            code = main([*argv, raw])
+        except SystemExit as exc:  # argparse refuses a non-integer
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err and captured.out == ""
 
     @pytest.mark.parametrize("raw", ["0", "16"])
-    def test_range_ends_accepted(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("KLM_MAX_N", raw)
-        code, out, _ = run_cli(capsys, "klpoly", "--m", "1", "--d", "3", "--method", "all")
-        assert code == 0 and "1 + 2t" in out
+    def test_range_ends_accepted(self, capsys, raw):
+        # n = 16 is the oracle's last size: all four routes run, at i = 0
+        # and far past the degree.
+        code, out, _ = run_cli(
+            capsys, "coeff", "--m", "15", "--d", "1", "--i", raw, "--method", "all"
+        )
+        value = "1" if raw == "0" else "0"
+        assert code == 0 and out.splitlines() == [
+            f"{method}: {value}" for method in ("tableau", "direct", "closed-form", "oracle")
+        ] + ["OK"]
 
 
 class TestTable:

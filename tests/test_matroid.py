@@ -1,10 +1,16 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import klmatroids
 from klmatroids import closedforms, tableaux
 from klmatroids import matroid as matroid_module
 from klmatroids.closedforms import RhoUniformParams, build_rho_uniform
@@ -89,6 +95,34 @@ class TestConstruction:
                 matroid_from_bases(n, [{1}])
             assert isinstance(info.value, KlmatroidsError)
             assert "16" in str(info.value)
+
+    def test_builders_check_the_cap_before_listing_bases(self):
+        # C(40, 20) bases would never be listed: the cap must fire first.
+        # A child process under a timeout and an address-space limit keeps
+        # a missing check from hanging the suite.
+        script = (
+            "from klmatroids.closedforms import RhoUniformParams, build_rho_uniform\n"
+            "from klmatroids.errors import InvalidParameters\n"
+            "from klmatroids.matroid import uniform_matroid\n"
+            "for build in (lambda: uniform_matroid(20, 20),\n"
+            "              lambda: build_rho_uniform(RhoUniformParams(20, 20, 1))):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except InvalidParameters as exc:\n"
+            "        print(exc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env={**os.environ, "PYTHONPATH": str(Path(klmatroids.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.splitlines() == [
+            "ground set of size 40 exceeds the 16 element limit for matroids"
+        ] * 2
 
     def test_missing_witness_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(matroid_module, "_exchange_witness", lambda ordered: None)

@@ -9,12 +9,16 @@ from pathlib import Path
 import pytest
 
 import klmatroids
+from klmatroids import tableaux
+from klmatroids.closedforms import coeff_rho
 from klmatroids.errors import IndexOutOfRange, InvalidParameters, InvalidShape
 from klmatroids.tableaux import (
     MAX_CELLS,
     MAX_FILLINGS,
     Filling,
     SkewShape,
+    _fillings_and_misses,
+    _layout,
     count_overline_skyt,
     count_skyt,
     count_skyt_rho_direct,
@@ -24,7 +28,7 @@ from klmatroids.tableaux import (
     iota_action,
     satisfies_removed_family_conditions,
 )
-from klmatroids.verification import shape_grid
+from klmatroids.verification import family_grid, shape_grid
 
 from oracles import (
     brute_syt_count,
@@ -247,6 +251,65 @@ class TestRemovedFamilyCount:
             count_skyt_rho_direct(1, 3, 1, 2)  # 2 disjoint 3-sets need 6 elements
 
 
+def _coefficient_points(total_max: int, past: int):
+    """(m, d, rho, i) over family_grid, i from -1 to ``past`` beyond the range."""
+    for p in family_grid(total_max, min_d=0):
+        top = (p.d - 1) // 2 if p.d else 0
+        for i in range(-1 if past else 0, top + 1 + past):
+            yield p.m, p.d, p.rho, i
+
+
+class TestDirectCountByIdeals:
+    def test_matches_the_filtered_listing(self):
+        points = 0
+        for m, d, rho, i in _coefficient_points(12, past=1):
+            b = d - 2 * i + 1
+            if i <= 0 or b < 2:
+                listed = int(i == 0)
+            else:
+                listed = sum(
+                    1
+                    for f in enumerate_skyt(m + 1, i, b)
+                    if satisfies_removed_family_conditions(f, d, rho)
+                )
+            assert count_skyt_rho_direct(m, d, i, rho) == listed, (m, d, rho, i)
+            points += 1
+        assert points == 756
+
+    def test_matches_the_counting_formula(self):
+        points = 0
+        for m, d, rho, i in _coefficient_points(20, past=0):
+            assert count_skyt_rho_direct(m, d, i, rho) == coeff_rho(m, d, i, rho), (m, d, rho, i)
+            points += 1
+        assert points == 1816
+
+    @pytest.mark.parametrize("a,i,b", shape_grid(a_max=6, b_max=6, i_max=4, cell_max=14))
+    def test_every_ideal_chain_is_a_filling(self, a, i, b):
+        # The pass's first count is one more independent skew-tableau count.
+        if a < 2 or b < 2:
+            return
+        every, misses = _fillings_and_misses(_layout(a, i, b), b + 2 * i - 1, 0)
+        assert every == count_skyt(a, i, b) and misses == 0
+
+    def test_reads_no_listing_and_no_formula(self, monkeypatch):
+        points = [(4, 12, 4, 0), (3, 6, 2, 1), (2, 5, 1, 1), (6, 9, 3, 1)]
+        expected = [count_skyt_rho_direct(*point) for point in points]
+
+        def refuse(*args):
+            raise AssertionError("the direct count must not list or use the formula")
+
+        for name in (
+            "count_skyt",
+            "count_syt",
+            "count_overline_skyt",
+            "enumerate_skyt",
+            "_enumerate_cached",
+        ):
+            monkeypatch.setattr(tableaux, name, refuse)
+        assert [count_skyt_rho_direct(*point) for point in points] == expected
+        assert expected[0] == 1112930
+
+
 class TestIotaAction:
     def test_zero_index_appends_untouched_tail(self):
         f = Filling.from_columns(2, 1, 2, [[1, 3], [2, 4]])
@@ -406,10 +469,14 @@ class TestEnumerationCap:
             enumerate_skyt(7, 2, 9)
 
     def test_direct_count_shares_the_cap(self):
+        # The direct count lists nothing, so only the cell cap is shared.
         m, d, i = 4, 12, 4  # shape (5, 4, 5)
         assert count_skyt(m + 1, i, d - 2 * i + 1) == 1112930 > MAX_FILLINGS
-        with pytest.raises(InvalidParameters, match="fillings"):
-            count_skyt_rho_direct(m, d, i, 0)
+        assert count_skyt_rho_direct(m, d, i, 0) == 1112930
+        assert count_skyt_rho_direct(32, 32, 8, 1) == coeff_rho(32, 32, 8, 1)
+        for i in (0, 8):  # refused before the i = 0 convention too
+            with pytest.raises(InvalidParameters, match="cells"):
+                count_skyt_rho_direct(33, 32, i, 1)
 
     def test_cell_cap(self):
         # (a, 1, 2) has a(a + 1)/2 - 1 fillings: few, but each as long as the shape.

@@ -127,6 +127,19 @@ class TestProcessFanOut:
         assert verification._pool is not None and verification._pool is not pool
 
 
+class TestPoolSize:
+    # Building the executor forks nothing; only its first task would.
+    @pytest.mark.parametrize("cores, jobs, want", [(1, 2, 1), (2, 3, 2), (4, 3, 3)])
+    def test_forks_at_most_the_usable_cores(self, monkeypatch, cores, jobs, want):
+        verification._drop_pool()
+        monkeypatch.setattr(verification, "default_jobs", lambda: cores)
+        try:
+            assert verification._shared_pool(jobs)._max_workers == want
+            assert not verification._pool._processes
+        finally:
+            verification._drop_pool()
+
+
 class TestDefaultJobs:
     def test_counts_the_cores_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
