@@ -498,28 +498,39 @@ def _z_solve(matroid: Matroid) -> IntPoly:
     if matroid.closure_of(0) != 0:
         raise HasLoops("the Z-polynomial solver is implemented for loopless matroids only")
     lattice = matroid.lattice()
-    # position p is lattice index count - 1 - p: the top flat comes first, and
-    # every flat above another sits at a smaller position
+    # the flats from the top rank down, each rank level in reverse (cardinality,
+    # mask) order: every flat above another sits at a smaller position, each
+    # level comes whole before the next, and supersets, with their larger
+    # masks, come early, which keeps the up-set bitsets short
     count = len(lattice.flats)
-    order = lattice.flats[::-1]
-    ranks = lattice.ranks[::-1]
+    order = sorted(range(count - 1, -1, -1), key=lattice.ranks.__getitem__, reverse=True)
+    position = [0] * count
+    for p, k in enumerate(order):
+        position[k] = p
+    flats = [lattice.flats[k] for k in order]
+    ranks = [lattice.ranks[k] for k in order]
     ground = ground_mask(matroid.n)
-    # bitset over positions of the flats strictly above each flat
-    above = [0] * count
+    # bitsets over positions of the flats strictly above each flat, for the
+    # current rank level and the one above it: a flat reads only the up-sets
+    # of its covers, which are one rank higher, so older levels are dropped
+    above: dict[int, int] = {}
+    level = {0: 0}
     # t^(rank G) P_{M/G}(t) of each flat G, as (degree, coefficient) pairs
     terms: list[tuple[tuple[int, int], ...]] = [((top, 1),)] + [()] * (count - 1)
     coeffs = [1]
     for p in range(1, count):
-        flat = order[p]
+        flat, r = flats[p], ranks[p]
+        if r != ranks[p - 1]:
+            above, level = level, {}
         upset = 0
         rest = ground & ~flat
         while rest:
             # the covers cl(F + x) split the elements outside F between them
             cover = matroid.closure_of(flat | (rest & -rest))
             rest &= ~cover
-            q = count - 1 - lattice.index_of(cover)
+            q = position[lattice.index_of(cover)]
             upset |= above[q] | (1 << q)
-        above[p] = upset
+        level[p] = upset
         sums = [0] * (top + 1)  # R_F, by the absolute degree rank F + j
         bits = bin(upset)
         last = len(bits) - 1
@@ -528,7 +539,6 @@ def _z_solve(matroid: Matroid) -> IntPoly:
             for degree, c in terms[last - k]:
                 sums[degree] += c
             k = bits.find("1", k + 1)
-        r = ranks[p]
         coeffs = [sums[top - j] - sums[r + j] for j in range((top - r + 1) // 2)]
         terms[p] = tuple((r + j, c) for j, c in enumerate(coeffs) if c)
     # the last position holds the bottom flat, the empty set

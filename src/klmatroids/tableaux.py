@@ -10,13 +10,14 @@ occupy rows 0..1, and column i runs from row -(b - 2) at its top down to
 row 1.  A legal filling places 1..(a + 2i + b - 2) bijectively so that every
 row increases rightward and every column increases downward.
 
-A Filling stores its entries as one flat column-major tuple: column 0 top to
-bottom, then each middle column, then column i.  What the enumeration and
-the legality test need to know about a shape is worked out once per shape
-(``_layout``): where each column starts, the bitmask of the cells above and
-to the left of each cell, and the index pairs whose entries must increase.
-The half-turn rotation needs no table, since in column-major order it is the
-reversal of the entries.
+A Filling is the immutable pair (shape, entries), a tuple subclass, so that
+building, unpacking and comparing fillings all run in C.  Its entries are one
+flat column-major tuple: column 0 top to bottom, then each middle column,
+then column i.  What the enumeration and the legality test need to know
+about a shape is worked out once per shape (``_layout``): where each column
+starts, the bitmask of the cells above and to the left of each cell, and the
+index pairs whose entries must increase.  The half-turn rotation needs no
+table, since in column-major order it is the reversal of the entries.
 
 Counts need no enumeration.  ``count_skyt`` is an inclusion-exclusion over
 straight-shape counts ``count_syt``, and the hooks of those straight shapes
@@ -33,6 +34,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InvalidParameters, InvalidShape
@@ -109,39 +111,57 @@ def _layout_of(shape: SkewShape) -> _Layout:
     return _layout(shape.a, shape.i, shape.b)
 
 
-@dataclass(frozen=True)
-class Filling:
+class Filling(tuple):
     """An assignment of integers to the cells of a SkewShape; see is_legal.
 
+    A filling is the immutable pair ``(shape, entries)``: it unpacks, has
+    length 2, and compares equal to the plain tuple ``(shape, entries)``, but
+    it hashes by its entries alone, so a set or dict should not mix the two.
     ``entries`` lists the values column by column, each column top to bottom.
     The constructor does not check it against the shape; ``from_columns`` is
-    the validated constructor.
+    the validated constructor.  The library builds its fillings with
+    ``tuple.__new__(Filling, (shape, entries))``, which skips the Python-level
+    constructor.
     """
 
-    shape: SkewShape
-    entries: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, shape: SkewShape, entries: tuple[int, ...]) -> "Filling":
+        return tuple.__new__(cls, (shape, entries))
+
+    def __getnewargs__(self) -> tuple[SkewShape, tuple[int, ...]]:
+        return tuple(self)
 
     def __hash__(self) -> int:
         # Equal fillings have equal entries; the shape only splits rare ties.
-        return hash(self.entries)
+        # Hashing the pair would call SkewShape's generated Python __hash__.
+        return hash(self[1])
+
+    def __repr__(self) -> str:
+        return f"Filling(shape={self[0]!r}, entries={self[1]!r})"
+
+    shape = property(itemgetter(0), doc="The SkewShape the entries fill.")
+    entries = property(itemgetter(1), doc="The values, column-major, each column top to bottom.")
 
     @property
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Column c's entries top to bottom, for each column c."""
-        starts = _layout_of(self.shape).starts
-        return tuple(self.entries[lo:hi] for lo, hi in zip(starts, starts[1:]))
+        shape, entries = self
+        starts = _layout_of(shape).starts
+        return tuple(entries[lo:hi] for lo, hi in zip(starts, starts[1:]))
 
     def value_at(self, r: int, c: int) -> int:
-        rows = self.shape.column_rows(c)
+        shape, entries = self
+        rows = shape.column_rows(c)
         if r not in rows:
-            raise InvalidShape(f"cell ({r}, {c}) not in shape {self.shape}")
-        return self.entries[_layout_of(self.shape).starts[c] + r - rows.start]
+            raise InvalidShape(f"cell ({r}, {c}) not in shape {shape}")
+        return entries[_layout_of(shape).starts[c] + r - rows.start]
 
     def is_legal(self) -> bool:
         """The entries are 1..n once each and increase down every column and
         rightward along rows 0 and 1."""
-        layout = _layout_of(self.shape)
-        entries = self.entries
+        shape, entries = self
+        layout = _layout_of(shape)
         if tuple(sorted(entries)) != layout.values:
             return False
         for lo, hi in layout.pairs:
@@ -168,7 +188,7 @@ class Filling:
             len(cols[c]) != len(shape.column_rows(c)) for c in range(i + 1)
         ):
             raise InvalidShape("column lengths do not match the shape")
-        return cls(shape, tuple(v for col in cols for v in col))
+        return tuple.__new__(cls, (shape, tuple(v for col in cols for v in col)))
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Filling":
@@ -228,7 +248,8 @@ def _enumerate_cached(a: int, i: int, b: int) -> tuple[Filling, ...]:
     entries = _legal_entries(layout)
     entries.sort()
     shape = layout.shape
-    return tuple(Filling(shape, e) for e in entries)
+    new = tuple.__new__
+    return tuple([new(Filling, (shape, e)) for e in entries])
 
 
 def enumerate_skyt(a: int, i: int, b: int) -> list[Filling]:
@@ -317,11 +338,11 @@ def involution_rotate(f: Filling) -> Filling:
     shape comes from cell (1 - r, i - c), so column c of the image is column
     i - c reversed, and the column-major entries come out in reverse order.
     """
-    shape = f.shape
-    entries = f.entries
+    shape, entries = f
     top = len(entries) + 1
-    return Filling(
-        _layout(shape.b, shape.i, shape.a).shape, tuple(top - v for v in reversed(entries))
+    return tuple.__new__(
+        Filling,
+        (_layout(shape.b, shape.i, shape.a).shape, tuple([top - v for v in reversed(entries)])),
     )
 
 
@@ -463,10 +484,9 @@ def iota_action(j: int, f: Filling, m: int) -> Filling:
         raise InvalidParameters(f"m must be at least 1, got {m}")
     if not 0 <= j <= m - 1:
         raise IndexOutOfRange(f"index {j} outside 0..{m - 1}")
-    shape = f.shape
-    entries = f.entries
+    shape, entries = f
     n = len(entries)
     tail = tuple(v for v in range(n, n + m) if v != n + j)
     # The left column is entries[:2]; the bottom-right cell is the last entry.
     lifted = entries[:2] + tail + entries[2:-1] + (n + j,)
-    return Filling(_layout(m + 1, shape.i, shape.b).shape, lifted)
+    return tuple.__new__(Filling, (_layout(m + 1, shape.i, shape.b).shape, lifted))

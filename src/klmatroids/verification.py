@@ -7,9 +7,10 @@ Heavy sweeps accept a ``jobs`` argument; grid points are independent pure
 computations, so they parallelize freely and results are aggregated in
 deterministic grid order.
 
-With ``jobs`` > 1 the sweeps share one process pool, forked on first use and
-kept for every later sweep with the same ``jobs``; another ``jobs`` shuts it
-down before a new pool is forked, and any error from a sweep drops it.  The
+With ``jobs`` > 1 the sweeps share one process pool of min(``jobs``,
+default_jobs()) workers, forked on first use and kept for every later sweep
+that comes to the same worker count; another worker count shuts it down
+before a new pool is forked, and any error from a sweep drops it.  The
 workers keep their memos from sweep to sweep, and they run the library as it
 was at the fork: a test that monkeypatches library code must sweep with
 ``jobs=1``.
@@ -62,22 +63,24 @@ def default_jobs() -> int:
 
 
 _pool: ProcessPoolExecutor | None = None
-_pool_jobs = 0
+_pool_workers = 0
 
 
 def _shared_pool(jobs: int) -> ProcessPoolExecutor:
-    """The kept pool for ``jobs``, forked now if there is none.
+    """The kept pool of min(jobs, default_jobs()) workers, forked now if there is none.
 
     The pool forks every worker on its first task, so it gets at most
-    default_jobs() of them, however many were asked for.
+    default_jobs() of them, however many were asked for; a ``jobs`` that
+    comes to the same worker count keeps the pool.
     """
-    global _pool, _pool_jobs
-    if _pool is not None and _pool_jobs != jobs:
+    global _pool, _pool_workers
+    workers = min(jobs, default_jobs())
+    if _pool is not None and _pool_workers != workers:
         # its manager thread must be gone before the next fork
         _drop_pool()
     if _pool is None:
-        _pool = ProcessPoolExecutor(max_workers=min(jobs, default_jobs()))
-        _pool_jobs = jobs
+        _pool = ProcessPoolExecutor(max_workers=workers)
+        _pool_workers = workers
     return _pool
 
 

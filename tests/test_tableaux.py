@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import pickle
@@ -408,6 +409,17 @@ def test_flat_layout_matches_cell_coordinate_oracles(a, i, b):
             assert Filling.from_columns(a, i, b, bad).is_legal() == skew_is_legal(a, i, b, bad)
 
 
+@pytest.mark.parametrize("a,i,b", [(a, i, b) for a, i, b in shape_grid() if a >= 2 and b >= 2])
+def test_enumeration_is_column_major_lexicographic(a, i, b):
+    # on every fillable shape of the counting sweep's grid
+    fillings = enumerate_skyt(a, i, b)
+    assert len(fillings) == count_skyt(a, i, b)
+    assert all(type(f) is Filling for f in fillings)
+    assert {f.shape for f in fillings} == {SkewShape(a, i, b)}
+    entries = [f.entries for f in fillings]
+    assert all(x < y for x, y in zip(entries, entries[1:]))
+
+
 class TestFillingContract:
     def test_columns_round_trip(self):
         assert FILLING_433.columns == ((2, 3, 10, 11), (4, 6), (5, 8), (1, 7, 9))
@@ -459,6 +471,45 @@ class TestFillingContract:
     def test_columns_are_read_only(self):
         with pytest.raises(AttributeError):
             FILLING_433.columns = ()
+
+    def test_is_an_immutable_pair(self):
+        shape, entries = FILLING_433
+        assert len(FILLING_433) == 2
+        assert shape is FILLING_433.shape and shape == SkewShape(4, 3, 3)
+        assert entries is FILLING_433.entries and entries == (2, 3, 10, 11, 4, 6, 5, 8, 1, 7, 9)
+        assert not hasattr(FILLING_433, "__dict__")
+        for name in ("shape", "entries"):
+            with pytest.raises(AttributeError):
+                setattr(FILLING_433, name, None)
+        # perfbench/tracing.py patches the method on the class
+        assert inspect.isfunction(vars(Filling)["is_legal"])
+
+    def test_equals_its_plain_pair_and_hashes_by_entries(self):
+        pair = (SkewShape(4, 3, 3), FILLING_433.entries)
+        assert FILLING_433 == pair and pair == FILLING_433
+        assert hash(FILLING_433) == hash(FILLING_433.entries)
+        # equal entries on another shape: the same hash, but another filling
+        other = Filling(SkewShape(3, 3, 4), FILLING_433.entries)
+        assert hash(other) == hash(FILLING_433) and other != FILLING_433
+        assert len({other, FILLING_433}) == 2
+
+    def test_every_constructor_gives_a_filling(self):
+        built = [
+            Filling(SkewShape(4, 3, 3), FILLING_433.entries),
+            Filling.from_columns(4, 3, 3, FILLING_433.columns),
+            Filling.from_json_dict(json.loads(FILLING_433.to_json())),
+            enumerate_skyt(4, 3, 3)[0],
+            involution_rotate(FILLING_433),
+            iota_action(1, OVERLINE_233, 3),
+        ]
+        assert all(type(f) is Filling for f in built)
+        # the image is the bare pair, with nothing kept from its source
+        assert involution_rotate(FILLING_433) == (SkewShape(3, 3, 4), ROTATED_334.entries)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_at_every_protocol(self, protocol):
+        back = pickle.loads(pickle.dumps(FILLING_433, protocol))
+        assert type(back) is Filling and back == FILLING_433 and back.is_legal()
 
 
 class TestEnumerationCap:

@@ -103,13 +103,23 @@ class TestProcessFanOut:
         verification.sweep_charpoly(6, jobs=2)
         assert verification._pool is pool and set(pool._processes) == workers
 
-    def test_other_jobs_replace_the_pool(self):
+    def test_other_worker_counts_replace_the_pool(self, monkeypatch):
+        # the pool is kept per worker count, min(jobs, default_jobs())
         grid = dict(a_max=3, b_max=3, i_max=2, cell_max=8)
-        verification.sweep_counting(**grid, jobs=2)
-        old = verification._pool
-        assert verification.sweep_counting(**grid, jobs=3).passed
-        assert verification._pool is not old and old._shutdown_thread
         verification._drop_pool()
+        monkeypatch.setattr(verification, "default_jobs", lambda: 2)
+        try:
+            assert verification.sweep_counting(**grid, jobs=2).passed
+            old = verification._pool
+            workers = set(old._processes)
+            assert verification.sweep_counting(**grid, jobs=3).passed
+            assert verification._pool is old and set(old._processes) == workers
+            monkeypatch.setattr(verification, "default_jobs", lambda: 1)
+            assert verification.sweep_counting(**grid, jobs=3).passed
+            assert verification._pool is not old and old._shutdown_thread
+            assert verification._pool._max_workers == 1
+        finally:
+            verification._drop_pool()
 
     def test_killed_worker_breaks_one_sweep_only(self):
         verification.sweep_theorem2(6, jobs=2)
