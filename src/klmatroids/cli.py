@@ -46,6 +46,7 @@ from .tableaux import (
     count_skyt_rho_direct,
     enumerate_skyt,
     satisfies_removed_family_conditions,
+    validate_family_params,
 )
 from . import verification
 
@@ -166,6 +167,7 @@ def cmd_enumerate(args) -> int:
             return _fail_usage(
                 f"shape (a={args.a}, i={args.i}, b={args.b}) carries d={derived}, not {d}"
             )
+        validate_family_params(args.a - 1, d, args.rho)
     fillings = enumerate_skyt(args.a, args.i, args.b)
     if family == "overline":
         n = args.a + 2 * args.i + args.b - 2

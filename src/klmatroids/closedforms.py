@@ -66,8 +66,7 @@ def valid_rhos(m: int, d: int) -> list[int]:
     For d < 2 only rho = 0 is listed (d = 1 removal is invalid, d = 0 removal
     is a no-op); otherwise rho ranges up to (m + d) // d.
     """
-    if m < 1 or d < 0:
-        raise InvalidParameters(f"need m >= 1 and d >= 0 (got m={m}, d={d})")
+    validate_family_params(m, d, 0)
     if d < 2:
         return [0]
     return list(range((m + d) // d + 1))
@@ -117,13 +116,10 @@ def _in_coefficient_range(d: int, i: int) -> bool:
 def coeff_uniform_tableau(m: int, d: int, i: int) -> int:
     """Coefficient i of the KL polynomial of U(m, d), as a tableau count.
 
-    Equals count_skyt(m + 1, i, d - 2i + 1); out-of-range i gives 0.
+    This is coeff_rho at rho = 0, count_skyt(m + 1, i, d - 2i + 1);
+    out-of-range i gives 0.
     """
-    if m < 1 or d < 0:
-        raise InvalidParameters(f"need m >= 1 and d >= 0 (got m={m}, d={d})")
-    if i < 0 or not _in_coefficient_range(d, i):
-        return 0
-    return count_skyt(m + 1, i, d - 2 * i + 1)
+    return coeff_rho(m, d, i, 0)
 
 
 def coeff_uniform_klum(m: int, d: int, i: int) -> int:
@@ -138,8 +134,7 @@ def coeff_uniform_klum(m: int, d: int, i: int) -> int:
     non-zero remainder raises NonIntegerResult (it would mean an
     implementation bug).
     """
-    if m < 1 or d < 0:
-        raise InvalidParameters(f"need m >= 1 and d >= 0 (got m={m}, d={d})")
+    validate_family_params(m, d, 0)
     if i < 0 or not _in_coefficient_range(d, i):
         return 0
     if i == 0:

@@ -89,7 +89,7 @@ class Matroid:
     assumes masks and a rank table that already passed validation.
     """
 
-    __slots__ = ("n", "bases", "rank", "_basis_set", "_rank_table", "_lattice")
+    __slots__ = ("n", "bases", "rank", "_rank_table", "_lattice")
 
     def __init__(
         self, n: int, base_masks: tuple[GroundSubset, ...], rank_table: tuple[int, ...]
@@ -97,7 +97,6 @@ class Matroid:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bases", base_masks)
         object.__setattr__(self, "rank", base_masks[0].bit_count() if base_masks else 0)
-        object.__setattr__(self, "_basis_set", frozenset(base_masks))
         object.__setattr__(self, "_rank_table", rank_table)
         object.__setattr__(self, "_lattice", None)
 
@@ -636,7 +635,7 @@ def is_isomorphic(m1: Matroid, m2: Matroid) -> bool:
         return False
     degrees = sorted(groups1)
     sources = [sorted(groups1[deg]) for deg in degrees]
-    target_set = m2._basis_set
+    target_set = frozenset(m2.bases)
     for arrangement in product(*(permutations(sorted(groups2[deg])) for deg in degrees)):
         mapping = {}
         for src_list, dst_list in zip(sources, arrangement):

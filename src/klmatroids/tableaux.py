@@ -16,8 +16,9 @@ flat column-major tuple: column 0 top to bottom, then each middle column,
 then column i.  What the enumeration and the legality test need to know
 about a shape is worked out once per shape (``_layout``): where each column
 starts, the bitmask of the cells above and to the left of each cell, and the
-index pairs whose entries must increase.  The half-turn rotation needs no
-table, since in column-major order it is the reversal of the entries.
+index pairs whose entries must increase; the fillings are not kept, and
+each ``enumerate_skyt`` call lists them afresh.  The half-turn rotation needs
+no table, since in column-major order it is the reversal of the entries.
 
 Counts need no enumeration.  ``count_skyt`` is an inclusion-exclusion over
 straight-shape counts ``count_syt``, and the hooks of those straight shapes
@@ -231,8 +232,20 @@ def _legal_entries(layout: _Layout) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=512)
-def _enumerate_cached(a: int, i: int, b: int) -> tuple[Filling, ...]:
+def enumerate_skyt(a: int, i: int, b: int) -> list[Filling]:
+    """All legal fillings of shape (a, i, b) in column-major lexicographic order.
+
+    Requires i >= 1; returns the empty list when a or b is below 2 (there is
+    nothing fillable then).  Raises InvalidParameters, before any enumeration
+    work, for a shape with more than MAX_CELLS cells or MAX_FILLINGS fillings.
+    Each call builds a new list of new fillings and keeps none of them.
+    """
+    if i < 1:
+        raise InvalidShape("enumeration needs i >= 1; the i = 0 cases are count-level conventions")
+    if a < 0 or b < 0:
+        raise InvalidShape(f"negative shape parameter (a={a}, b={b})")
+    if a < 2 or b < 2:
+        return []
     # Both caps are checked before any work that grows with the shape.
     cells = a + 2 * i + b - 2
     if cells > MAX_CELLS:
@@ -249,23 +262,7 @@ def _enumerate_cached(a: int, i: int, b: int) -> tuple[Filling, ...]:
     entries.sort()
     shape = layout.shape
     new = tuple.__new__
-    return tuple([new(Filling, (shape, e)) for e in entries])
-
-
-def enumerate_skyt(a: int, i: int, b: int) -> list[Filling]:
-    """All legal fillings of shape (a, i, b) in column-major lexicographic order.
-
-    Requires i >= 1; returns the empty list when a or b is below 2 (there is
-    nothing fillable then).  Raises InvalidParameters, before any enumeration
-    work, for a shape with more than MAX_FILLINGS fillings or MAX_CELLS cells.
-    """
-    if i < 1:
-        raise InvalidShape("enumeration needs i >= 1; the i = 0 cases are count-level conventions")
-    if a < 0 or b < 0:
-        raise InvalidShape(f"negative shape parameter (a={a}, b={b})")
-    if a < 2 or b < 2:
-        return []
-    return list(_enumerate_cached(a, i, b))
+    return [new(Filling, (shape, e)) for e in entries]
 
 
 def count_syt(a: int, i: int, k: int) -> int:

@@ -232,11 +232,17 @@ def _symmetry_point(point: tuple[int, int, int]) -> bool:
 def sweep_symmetry(
     a_max: int = 6, b_max: int = 6, i_max: int = 4, cell_max: int = 14, jobs: int = 1
 ) -> IdentityReport:
-    """count(a,i,b) == count(b,i,a), via an explicit entry-reversing rotation bijection."""
+    """count(a,i,b) == count(b,i,a), via an explicit entry-reversing rotation bijection.
+
+    One point per mirror pair, (min(a, b), i, max(a, b)): a rotation onto
+    F(b, i, a) that is its own inverse on F(a, i, b) proves both directions.
+    """
     report = IdentityReport(
         "symmetry", f"a<={a_max}, b<={b_max}, i<={i_max}, cells<={cell_max}"
     )
-    return _run_points(report, shape_grid(a_max, b_max, i_max, cell_max), _symmetry_point, jobs)
+    grid = shape_grid(a_max, b_max, i_max, cell_max)
+    points = list(dict.fromkeys((min(a, b), i, max(a, b)) for a, i, b in grid))
+    return _run_points(report, points, _symmetry_point, jobs)
 
 
 def catalan_numbers(count: int) -> list[int]:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from klmatroids.cli import main
+from klmatroids.closedforms import coeff_rho, valid_rhos
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +155,30 @@ class TestEnumerate:
             "--family", "rho", "--rho", "1", "--d", "7",
         )
         assert code == 2 and "carries d=3" in err
+
+    @pytest.mark.parametrize("rho", ["-3", "9"])
+    def test_rho_family_validates_the_family(self, capsys, rho):
+        # the same (m, d) = (3, 4) that klm coeff rejects, with its message
+        code, out, err = run_cli(
+            capsys, "enumerate", "--a", "4", "--i", "1", "--b", "3",
+            "--family", "rho", "--rho", rho,
+        )
+        assert code == 2 and out == ""
+        coeff_code, _, coeff_err = run_cli(
+            capsys, "coeff", "--m", "3", "--d", "4", "--i", "1", "--rho", rho
+        )
+        assert coeff_code == 2 and err == coeff_err
+        if rho == "9":
+            assert "9 disjoint bases of size 4 do not fit in 7 elements" in err
+
+    def test_rho_family_counts_every_valid_rho(self, capsys):
+        for rho in valid_rhos(3, 4):
+            code, out, _ = run_cli(
+                capsys, "enumerate", "--a", "4", "--i", "1", "--b", "3",
+                "--family", "rho", "--rho", str(rho),
+            )
+            assert code == 0
+            assert out.strip().splitlines()[-1] == f"count: {coeff_rho(3, 4, 1, rho)}"
 
     def test_overline_family(self, capsys):
         code, out, _ = run_cli(

@@ -51,8 +51,9 @@ class TestParams:
             RhoUniformParams(m, d, rho)
 
     def test_both_entry_points_reject_the_same_points(self):
-        # RhoUniformParams, the direct filtered count and coeff_rho share one
-        # validator, so they reject the same points with the same message.
+        # RhoUniformParams, the direct filtered count, coeff_rho and (at
+        # rho = 0) the uniform entry points share one validator, so they
+        # reject the same points with the same message.
         rejected = 0
         for m in range(-1, 5):
             for d in range(-1, 7):
@@ -65,10 +66,22 @@ class TestParams:
                             count_skyt_rho_direct(m, d, 0, rho)
                         with pytest.raises(InvalidParameters, match=message):
                             coeff_rho(m, d, 0, rho)
+                        if rho == 0:
+                            for call in (
+                                lambda: valid_rhos(m, d),
+                                lambda: coeff_uniform_klum(m, d, 0),
+                                lambda: coeff_uniform_tableau(m, d, 0),
+                            ):
+                                with pytest.raises(InvalidParameters, match=message):
+                                    call()
                         rejected += 1
                     else:
                         assert count_skyt_rho_direct(m, d, 0, rho) == 1
                         assert coeff_rho(m, d, 0, rho) == 1
+                        if rho == 0:
+                            assert 0 in valid_rhos(m, d)
+                            assert coeff_uniform_klum(m, d, 0) == 1
+                            assert coeff_uniform_tableau(m, d, 0) == 1
         assert 0 < rejected < 6 * 8 * 6
 
     def test_labels(self):

@@ -97,6 +97,13 @@ class TestEnumeration:
         with pytest.raises(InvalidShape):
             enumerate_skyt(3, 0, 3)
 
+    def test_each_call_builds_new_fillings(self):
+        # nothing is cached: equal lists, but no filling object is shared
+        first, second = enumerate_skyt(4, 2, 7), enumerate_skyt(4, 2, 7)
+        assert first == second and len(first) == 10374
+        assert first is not second
+        assert not any(f is g for f, g in zip(first, second))
+
 
 class TestCountSyt:
     def test_spot_values(self):
@@ -304,7 +311,6 @@ class TestDirectCountByIdeals:
             "count_syt",
             "count_overline_skyt",
             "enumerate_skyt",
-            "_enumerate_cached",
         ):
             monkeypatch.setattr(tableaux, name, refuse)
         assert [count_skyt_rho_direct(*point) for point in points] == expected

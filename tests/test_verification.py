@@ -137,6 +137,39 @@ class TestProcessFanOut:
         assert verification._pool is not None and verification._pool is not pool
 
 
+class TestSymmetryPoints:
+    GRID = dict(a_max=3, b_max=3, i_max=2, cell_max=8)
+
+    def test_one_point_per_mirror_pair(self, monkeypatch):
+        # a checker that fails everywhere records every point it was given
+        monkeypatch.setattr(verification, "_symmetry_point", lambda point: False)
+        for grid, want in ((self.GRID, 20), ({}, 104)):
+            points = verification.sweep_symmetry(**grid, jobs=1).failures
+            assert len(points) == len(set(points)) == want
+            assert all(a <= b for a, _, b in points)
+            shapes = verification.shape_grid(**grid)
+            assert set(points) <= set(shapes)
+            for a, i, b in shapes:
+                assert sum(p in points for p in {(a, i, b), (b, i, a)}) == 1
+
+    @pytest.mark.parametrize("wrong_when", [lambda a, b: a > b, lambda a, b: a < b])
+    def test_both_orientations_are_checked(self, monkeypatch, wrong_when):
+        # a rotation that forgets to reverse the entries, on one side only
+        original = verification.involution_rotate
+
+        def rotate(f):
+            image = original(f)
+            if wrong_when(f.shape.a, f.shape.b):
+                return type(image)(image.shape, image.entries[::-1])
+            return image
+
+        monkeypatch.setattr(verification, "involution_rotate", rotate)
+        report = verification.sweep_symmetry(**self.GRID, jobs=1)
+        assert not report.passed
+        monkeypatch.setattr(verification, "involution_rotate", original)
+        assert verification.sweep_symmetry(**self.GRID, jobs=1).passed
+
+
 class TestPoolSize:
     # Building the executor forks nothing; only its first task would.
     @pytest.mark.parametrize("cores, jobs, want", [(1, 2, 1), (2, 3, 2), (4, 3, 3)])
