@@ -27,7 +27,6 @@ from .matroid import (
     closure,
     contraction,
     flats,
-    is_isomorphic,
     kl_poly,
     localization,
     mask_from,
@@ -102,7 +101,6 @@ __all__ = [
     "flats",
     "involution_rotate",
     "iota_action",
-    "is_isomorphic",
     "kl_poly",
     "kl_poly_rho",
     "localization",

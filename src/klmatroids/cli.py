@@ -11,9 +11,8 @@ ideals.  Each route is bounded only by the library cap next to its own work:
 the oracle by MAX_GROUND = 16 elements, the direct count by MAX_CELLS = 64
 cells, and past it either one raises InvalidParameters, which exits 2.
 ``--method all`` runs each route whose cap admits the query.  ``klm verify``
-caps ``--max-n`` at VERIFY_MAX_N, because the minor-recurrence cross-check
-slows down fast above it, and the ``minors`` suite (so also ``all``) at one
-element past the isomorphism search's limit.
+caps ``--max-n`` at VERIFY_MAX_N for every suite, because the
+minor-recurrence cross-check slows down fast above it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .identities import (
     run_identity_sweeps,
     sweep_gf_truncation,
 )
-from .matroid import ISOMORPHISM_MAX_GROUND, MAX_GROUND, kl_poly
+from .matroid import MAX_GROUND, kl_poly
 from .tableaux import (
     MAX_CELLS,
     MAX_FILLINGS,
@@ -51,8 +50,9 @@ from .tableaux import (
 from . import verification
 
 VERIFY_MAX_N = 12
-"""The largest ``klm verify --max-n``: the minor-recurrence cross-check in the
-matroid sweeps builds a minor per flat, and slows down fast above it."""
+"""The largest ``klm verify --max-n``, for every suite: the minor-recurrence
+cross-check in the matroid sweeps builds a minor per flat, and slows down
+fast above it."""
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -159,6 +159,8 @@ def cmd_enumerate(args) -> int:
         return _fail_usage("enumeration needs i >= 1 (i = 0 shapes are count conventions)")
     family = args.family
     d = args.d
+    if family != "rho" and (d is not None or args.rho is not None):
+        return _fail_usage(f"--d and --rho apply to --family rho only, not --family {family}")
     if family == "rho":
         derived = args.b + 2 * args.i - 1
         if d is None:
@@ -167,7 +169,8 @@ def cmd_enumerate(args) -> int:
             return _fail_usage(
                 f"shape (a={args.a}, i={args.i}, b={args.b}) carries d={derived}, not {d}"
             )
-        validate_family_params(args.a - 1, d, args.rho)
+        rho = 0 if args.rho is None else args.rho
+        validate_family_params(args.a - 1, d, rho)
     fillings = enumerate_skyt(args.a, args.i, args.b)
     if family == "overline":
         n = args.a + 2 * args.i + args.b - 2
@@ -177,7 +180,7 @@ def cmd_enumerate(args) -> int:
         ]
     elif family == "rho":
         fillings = [
-            f for f in fillings if satisfies_removed_family_conditions(f, d, args.rho)
+            f for f in fillings if satisfies_removed_family_conditions(f, d, rho)
         ]
     for f in fillings:
         if args.format == "json":
@@ -210,11 +213,6 @@ def cmd_verify(args) -> int:
         return _fail_usage(f"--max-n must be at least 2, got {max_n}")
     if max_n > VERIFY_MAX_N:
         return _fail_usage(f"--max-n must be at most {VERIFY_MAX_N}, got {max_n}")
-    if args.suite in ("minors", "all") and max_n > ISOMORPHISM_MAX_GROUND + 1:
-        return _fail_usage(
-            f"--suite {args.suite} compares minors by an isomorphism search, which "
-            f"reaches --max-n {ISOMORPHISM_MAX_GROUND + 1}; got {max_n}"
-        )
     runners = {
         "theorem1": lambda: [verification.sweep_theorem1(max_n, jobs)],
         "theorem2": lambda: [verification.sweep_theorem2(max_n, jobs)],
@@ -316,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
         "rho: fillings passing the removed-family boundary conditions",
     )
     enum.add_argument("--d", type=int, default=None, help="rank for --family rho (derived from the shape when omitted)")
-    enum.add_argument("--rho", type=int, default=0)
+    enum.add_argument(
+        "--rho", type=int, default=None, help="removed bases for --family rho (0 when omitted)"
+    )
     enum.add_argument("--format", choices=["text", "json"], default="text")
     enum.set_defaults(func=cmd_enumerate)
 

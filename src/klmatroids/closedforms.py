@@ -23,7 +23,6 @@ from .matroid import (
     ground_mask,
     mask_from,
     matroid_from_bases,
-    uniform_matroid,
 )
 from .tableaux import count_overline_skyt, count_skyt, validate_family_params
 
@@ -89,22 +88,26 @@ def removed_block_masks(p: RhoUniformParams) -> list[GroundSubset]:
 
 
 @lru_cache(maxsize=128)
-def _build_cached(p: RhoUniformParams) -> Matroid:
-    n = p.n
+def _build_cached(m: int, d: int, rho: int, offset: int) -> Matroid:
+    """U(m, d) minus the rho consecutive d-blocks starting after label ``offset``.
+
+    The caller has validated (m, d, rho, offset).
+    """
+    n = m + d
     check_ground_size(n)
-    if p.d == 0:
+    if d == 0:
         return matroid_from_bases(n, [0])
-    removed = set(removed_block_masks(p))
+    removed = {mask_from(consecutive_block(d, offset + ell * d), n) for ell in range(rho)}
     bases = [
         mask_from(combo, n)
-        for combo in combinations(range(1, n + 1), p.d)
+        for combo in combinations(range(1, n + 1), d)
     ]
     return matroid_from_bases(n, [b for b in bases if b not in removed])
 
 
 def build_rho_uniform(p: RhoUniformParams) -> Matroid:
     """Construct U(m, d; rho) and validate it through the generic basis checks."""
-    return _build_cached(p)
+    return _build_cached(p.m, p.d, p.rho, 0)
 
 
 def _in_coefficient_range(d: int, i: int) -> bool:
@@ -197,44 +200,54 @@ def char_poly_rho(p: RhoUniformParams) -> IntPoly:
 
 @dataclass(frozen=True)
 class MinorClass:
-    """Symbolic isomorphism type of a minor: U(m, d; rho), uniform when rho = 0."""
+    """A minor predicted label for label: U(m, d; rho), uniform when rho = 0,
+    with its removed blocks at labels offset + 1 + k * d, ..., offset + (k + 1) * d.
+
+    ``label()`` names the isomorphism class, whatever the offset.
+    """
 
     m: int
     d: int
     rho: int = 0
+    offset: int = 0
 
     def label(self) -> str:
         return family_label(self.m, self.d, self.rho)
 
     def build(self) -> Matroid:
-        if self.rho == 0:
-            return uniform_matroid(self.m, self.d)
-        return build_rho_uniform(RhoUniformParams(self.m, self.d, self.rho))
+        if self.rho:
+            validate_family_params(self.m, self.d, self.rho)
+        if min(self.m, self.d, self.offset) < 0 or self.offset + self.rho * self.d > self.m + self.d:
+            raise InvalidParameters(
+                f"{self} needs m, d and offset non-negative and offset + rho * d <= m + d"
+            )
+        return _build_cached(self.m, self.d, self.rho, self.offset)
 
 
 def classify_minor(
     p: RhoUniformParams, flat, kind: str
 ) -> MinorClass:
-    """Predicted isomorphism type of the localization or contraction at a flat.
+    """The localization or contraction at a flat, predicted in its own labels.
 
     Localizations: the whole matroid at the top, U(1, d-1) at a removed
     block, and the free matroid U(0, |F|) elsewhere.  Contractions: the whole
-    matroid at the empty flat, U(m, d-|F|; 1) strictly inside a removed
-    block, U(m-1, 1) at a block, and the uniform answer U(m, d-|F|)
-    elsewhere (U(0, 0) at the top).
+    matroid at the empty flat, U(m-1, 1) at a block, and the uniform answer
+    U(m, d-|F|) elsewhere (U(0, 0) at the top), except strictly inside
+    removed block l: there it is U(m, d-|F|; 1) at offset l * d, since the
+    minors relabel in element order and the image of the block minus F
+    follows the l * d labels before it.  Every other class has offset 0.
 
-    The return value is symbolic; verification builds the claimed matroid
-    separately and compares by brute-force isomorphism.
+    The prediction reads only ``p`` and the flat: it builds no minor and no
+    lattice of flats, and verification compares the built class with the
+    computed minor basis for basis.
     """
     if kind not in ("localization", "contraction"):
         raise ValueError(f"kind must be localization or contraction, got {kind!r}")
     if not isinstance(flat, int):
         flat = mask_from(flat, p.n)
-    matroid = build_rho_uniform(p)
-    lattice = matroid.lattice()
-    if not lattice.contains(flat):
-        raise NotAFlat(f"{set(elements_of(flat))} is not a flat of {p.label()}")
     full = ground_mask(p.n)
+    if not 0 <= flat <= full or build_rho_uniform(p).closure_of(flat) != flat:
+        raise NotAFlat(f"{set(elements_of(flat))} is not a flat of {p.label()}")
     blocks = removed_block_masks(p)
     size = flat.bit_count()
     if kind == "localization":
@@ -249,8 +262,9 @@ def classify_minor(
         return MinorClass(0, 0)
     if flat in blocks:
         return MinorClass(p.m - 1, 1)
-    if any(flat & block == flat for block in blocks):
-        return MinorClass(p.m, p.d - size, 1)
+    for ell, block in enumerate(blocks):
+        if flat & block == flat:
+            return MinorClass(p.m, p.d - size, 1, ell * p.d)
     return MinorClass(p.m, p.d - size)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations
 from typing import Collection, Iterable
 
 from .errors import (
@@ -47,8 +47,6 @@ from .exactarith import IntPoly
 GroundSubset = int  # bitmask over {1..n}
 
 MAX_GROUND = 16  # every matroid holds a 2**n rank table; keep it sane
-# the isomorphism search tries up to n! permutations, so it stops far earlier
-ISOMORPHISM_MAX_GROUND = 9
 
 
 def mask_from(elements: Iterable[int], n: int) -> GroundSubset:
@@ -438,7 +436,7 @@ def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matro
 
 # Global result caches, keyed by the exact (n, sorted bases) representation of
 # a matroid, never by isomorphism class: the oracle must stay independent of
-# the isomorphism claims it is used to verify.  Plain dicts are fine under the
+# the minor predictions it is used to verify.  Plain dicts are fine under the
 # GIL; a concurrent duplicate insert just recomputes the same immutable value.
 _CHAR_CACHE: dict[tuple[int, tuple[int, ...]], IntPoly] = {}
 # P from the Z-polynomial solver
@@ -599,54 +597,3 @@ def clear_caches() -> None:
     _KL_CACHE.clear()
     _RECURRENCE_CACHE.clear()
 
-
-def _degree_profile(matroid: Matroid) -> dict[int, list[int]]:
-    """Group ground elements by how many bases contain them."""
-    degs: dict[int, int] = {}
-    for e in range(1, matroid.n + 1):
-        bit = 1 << (e - 1)
-        degs[e] = sum(1 for b in matroid.bases if b & bit)
-    groups: dict[int, list[int]] = {}
-    for e, deg in degs.items():
-        groups.setdefault(deg, []).append(e)
-    return groups
-
-
-def is_isomorphic(m1: Matroid, m2: Matroid) -> bool:
-    """Brute-force isomorphism test by ground-set permutation.
-
-    Permutations are restricted to matching element-degree classes, which is
-    pure pruning: any isomorphism must preserve the number of bases through
-    each element.  Refuses ground sets larger than ISOMORPHISM_MAX_GROUND.
-    """
-    if m1.n != m2.n or m1.rank != m2.rank or len(m1.bases) != len(m2.bases):
-        return False
-    if m1.bases == m2.bases:
-        return True
-    if m1.n > ISOMORPHISM_MAX_GROUND:
-        raise ValueError(f"isomorphism search limited to {ISOMORPHISM_MAX_GROUND} elements")
-    groups1 = _degree_profile(m1)
-    groups2 = _degree_profile(m2)
-    if sorted((deg, len(es)) for deg, es in groups1.items()) != sorted(
-        (deg, len(es)) for deg, es in groups2.items()
-    ):
-        return False
-    if set(groups1) != set(groups2):
-        return False
-    degrees = sorted(groups1)
-    sources = [sorted(groups1[deg]) for deg in degrees]
-    target_set = frozenset(m2.bases)
-    for arrangement in product(*(permutations(sorted(groups2[deg])) for deg in degrees)):
-        mapping = {}
-        for src_list, dst_list in zip(sources, arrangement):
-            if len(src_list) != len(dst_list):
-                break
-            for s, t in zip(src_list, dst_list):
-                mapping[s] = t
-        else:
-            remapped = frozenset(
-                mask_from((mapping[e] for e in elements_of(b)), m2.n) for b in m1.bases
-            )
-            if remapped == target_set:
-                return True
-    return False

@@ -5,13 +5,13 @@ recursion instead of factorials, backtracking placement or hooks taken cell
 by cell instead of grouped hook products, subset search instead of basis
 intersections, pairwise set exchange instead of rank tables, Mobius values
 instead of Whitney's subset sum, minors relabelled element by element
-instead of by paired bit combinations.  Expected values in the tests are
-frozen from these oracles.
+instead of by paired bit combinations, and a permutation search for matroid
+isomorphism.  Expected values in the tests are frozen from these oracles.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import factorial
 
 from klmatroids.errors import InvalidShape
@@ -203,6 +203,62 @@ def element_contraction(matroid, flat: int) -> tuple[int, tuple[int, ...]]:
         if table[cm | anchor] == k + r
     ]
     return len(kept), tuple(sorted(_relabel(good, kept)))
+
+
+# the isomorphism search tries up to n! permutations, so it stops early
+ISOMORPHISM_MAX_GROUND = 9
+
+
+def _degree_profile(matroid) -> dict[int, list[int]]:
+    """Group ground elements by how many bases contain them."""
+    degs: dict[int, int] = {}
+    for e in range(1, matroid.n + 1):
+        bit = 1 << (e - 1)
+        degs[e] = sum(1 for b in matroid.bases if b & bit)
+    groups: dict[int, list[int]] = {}
+    for e, deg in degs.items():
+        groups.setdefault(deg, []).append(e)
+    return groups
+
+
+def is_isomorphic(m1, m2) -> bool:
+    """Brute-force isomorphism test by ground-set permutation.
+
+    Permutations are restricted to matching element-degree classes, which is
+    pure pruning: any isomorphism must preserve the number of bases through
+    each element.  Refuses ground sets larger than ISOMORPHISM_MAX_GROUND.
+    """
+    if m1.n != m2.n or m1.rank != m2.rank or len(m1.bases) != len(m2.bases):
+        return False
+    if m1.bases == m2.bases:
+        return True
+    if m1.n > ISOMORPHISM_MAX_GROUND:
+        raise ValueError(f"isomorphism search limited to {ISOMORPHISM_MAX_GROUND} elements")
+    groups1 = _degree_profile(m1)
+    groups2 = _degree_profile(m2)
+    if sorted((deg, len(es)) for deg, es in groups1.items()) != sorted(
+        (deg, len(es)) for deg, es in groups2.items()
+    ):
+        return False
+    if set(groups1) != set(groups2):
+        return False
+    degrees = sorted(groups1)
+    sources = [sorted(groups1[deg]) for deg in degrees]
+    target_set = frozenset(m2.bases)
+    for arrangement in product(*(permutations(sorted(groups2[deg])) for deg in degrees)):
+        mapping = {}
+        for src_list, dst_list in zip(sources, arrangement):
+            if len(src_list) != len(dst_list):
+                break
+            for s, t in zip(src_list, dst_list):
+                mapping[s] = t
+        else:
+            remapped = frozenset(
+                mask_from((mapping[e] for e in elements_of(b)), m2.n) for b in m1.bases
+            )
+            if remapped == target_set:
+                return True
+    return False
 
 
 def termwise_integral(poly_coeffs: dict[int, int], lower: int, upper: int) -> Fraction:

@@ -57,7 +57,7 @@ def test_characteristic_polynomial_formula():
 
 
 def test_minor_classification():
-    _report_ok("minor classification up to isomorphism", verification.sweep_minors(8))
+    _report_ok("minor classification, exact", verification.sweep_minors(8))
 
 
 def test_identity_suites():

@@ -180,6 +180,17 @@ class TestEnumerate:
             assert code == 0
             assert out.strip().splitlines()[-1] == f"count: {coeff_rho(3, 4, 1, rho)}"
 
+    @pytest.mark.parametrize(
+        "family_args",
+        [("--d", "99", "--rho", "-7"), ("--family", "overline", "--d", "99", "--rho", "50")],
+        ids=["skyt", "overline"],
+    )
+    def test_d_and_rho_outside_the_rho_family_are_usage_errors(self, capsys, family_args):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--a", "2", "--i", "1", "--b", "2", *family_args
+        )
+        assert code == 2 and out == "" and "--d and --rho" in err
+
     def test_overline_family(self, capsys):
         code, out, _ = run_cli(
             capsys, "enumerate", "--a", "2", "--i", "1", "--b", "3",
@@ -216,15 +227,11 @@ class TestVerify:
         assert payload[0]["passed"] is True
         assert payload[0]["counterexample"] is None
 
-    def test_max_n_capped(self, capsys):
+    @pytest.mark.parametrize("suite", ["theorem1", "minors", "all"])
+    def test_max_n_capped(self, capsys, suite):
         for max_n in ("13", "99"):
-            code, out, err = run_cli(capsys, "verify", "--suite", "theorem1", "--max-n", max_n)
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", max_n)
             assert code == 2 and "at most 12" in err and out == ""
-
-    @pytest.mark.parametrize("suite", ["minors", "all"])
-    def test_minors_capped_by_the_isomorphism_search(self, capsys, suite):
-        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "11")
-        assert code == 2 and "isomorphism" in err and "10" in err and out == ""
 
     @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
     def test_empty_grid_is_usage_error(self, capsys, max_n):

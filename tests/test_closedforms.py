@@ -3,6 +3,7 @@ import re
 import pytest
 
 from klmatroids import closedforms
+from klmatroids import matroid as matroid_module
 from klmatroids.closedforms import (
     MinorClass,
     RhoUniformParams,
@@ -20,18 +21,20 @@ from klmatroids.closedforms import (
 from klmatroids.errors import InvalidParameters, NonIntegerResult, NotAFlat
 from klmatroids.exactarith import IntPoly
 from klmatroids.matroid import (
+    Matroid,
     char_poly,
     contraction,
     elements_of,
     flats,
     ground_mask,
-    is_isomorphic,
     kl_poly,
-    localization,
     mask_from,
     uniform_matroid,
 )
 from klmatroids.tableaux import count_skyt_rho_direct
+from klmatroids.verification import family_grid
+
+from oracles import is_isomorphic
 
 
 class TestParams:
@@ -244,20 +247,45 @@ class TestClassifyMinor:
         assert classify_minor(self.P231, {4}, "localization") == MinorClass(0, 1)
         assert classify_minor(self.P231, {4}, "contraction") == MinorClass(2, 2)
 
+    def test_contraction_inside_a_later_block_is_offset(self):
+        # the image of {5, 6} follows the three labels of block {1, 2, 3}
+        p = RhoUniformParams(3, 3, 2)
+        claimed = classify_minor(p, {4}, "contraction")
+        assert claimed == MinorClass(3, 2, 1, 3)
+        assert claimed.build() == contraction(build_rho_uniform(p), {4})
+
+    @pytest.mark.parametrize("offset", [-1, 2])
+    def test_build_rejects_an_offset_that_does_not_fit(self, offset):
+        # two blocks of size 2 fill U(2, 2; 2) from offset 0
+        with pytest.raises(InvalidParameters):
+            MinorClass(2, 2, 2, offset).build()
+
     def test_not_a_flat(self):
         with pytest.raises(NotAFlat):
             classify_minor(self.P231, {1, 2}, "localization")
 
-    def test_claims_verified_by_isomorphism(self):
+    def test_reads_only_the_parameters_and_the_flat(self, monkeypatch):
         p = RhoUniformParams(3, 3, 2)
-        matroid = build_rho_uniform(p)
-        for flat in flats(matroid).flats:
-            for kind, make in (
-                ("localization", localization),
-                ("contraction", contraction),
-            ):
-                claimed = classify_minor(p, flat, kind)
-                assert is_isomorphic(make(matroid, flat), claimed.build())
+        kinds = ("localization", "contraction")
+        want = {(f, k): classify_minor(p, f, k) for f in expected_flats(p) for k in kinds}
+
+        def refuse(*args):
+            raise AssertionError("classify_minor built a minor, a lattice or a KL polynomial")
+
+        monkeypatch.setattr(Matroid, "lattice", refuse)
+        for name in ("localization", "contraction", "kl_poly", "kl_poly_recurrence"):
+            monkeypatch.setattr(matroid_module, name, refuse)
+        assert {(f, k): classify_minor(p, f, k) for f, k in want} == want
+
+    def test_claims_verified_by_isomorphism(self):
+        # the offset only places the removed block: at offset 0 the class
+        # builds a matroid isomorphic to the prediction
+        for p in family_grid(9):
+            for flat in flats(build_rho_uniform(p)).flats:
+                for kind in ("localization", "contraction"):
+                    claimed = classify_minor(p, flat, kind)
+                    canonical = MinorClass(claimed.m, claimed.d, claimed.rho)
+                    assert is_isomorphic(claimed.build(), canonical.build())
 
 
 class TestExpectedFlats:
