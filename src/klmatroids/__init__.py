@@ -1,7 +1,7 @@
 """Exact Kazhdan-Lusztig polynomials of matroids.
 
-Three independent routes to the same coefficients: the lattice of flats
-(the Z-polynomial solver, cross-checked by the defining recurrence),
+Three independent routes to the same coefficients: the rank table (the
+Z-polynomial solver, cross-checked by the defining recurrence),
 skew-tableau counting formulas for uniform matroids with disjoint bases
 removed, and an older closed-form sum for the plain uniform case.
 Everything is exact integer or rational arithmetic.

@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 when a verification or cross-method consistency
 check fails, 2 on usage or parameter errors.  All big integers are printed
 as decimal strings; JSON output round-trips losslessly.
 
-The ``oracle`` method is the Z-polynomial solver over the lattice of flats
+The ``oracle`` method is the Z-polynomial solver over the subset cube
 (``klm verify`` cross-checks it against the defining recurrence); the
 ``direct`` method counts the Theorem 1 set by a dynamic programme over order
 ideals.  Each route is bounded only by the library cap next to its own work:

@@ -246,7 +246,9 @@ def classify_minor(
     if not isinstance(flat, int):
         flat = mask_from(flat, p.n)
     full = ground_mask(p.n)
-    if not 0 <= flat <= full or build_rho_uniform(p).closure_of(flat) != flat:
+    if not 0 <= flat <= full:
+        raise NotAFlat(f"bitmask {flat} outside the ground set of {p.label()}")
+    if build_rho_uniform(p).closure_of(flat) != flat:
         raise NotAFlat(f"{set(elements_of(flat))} is not a flat of {p.label()}")
     blocks = removed_block_masks(p)
     size = flat.bit_count()

@@ -18,9 +18,9 @@ Mobius values.
 The Kazhdan-Lusztig polynomial has two independent routes, each serving as
 the oracle that the other and the formula layer are checked against:
 
-* :func:`kl_poly` solves for P on every upper interval of the lattice of
-  flats at once, by the palindromicity of the Z-polynomial.  It needs only
-  the flats and their ranks: no minor and no characteristic polynomial.
+* :func:`kl_poly` solves for P of every contraction at a flat at once, by
+  the palindromicity of the Z-polynomial, in one pass over the subset cube.
+  It reads only the rank table: no lattice, minor or characteristic polynomial.
 * :func:`kl_poly_recurrence` solves the defining recurrence, building and
   validating a localization and a contraction at every flat.
 
@@ -30,8 +30,8 @@ Neither route reads the other's results, nor any closed form.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, zip_longest
 from typing import Collection, Iterable
 
 from .errors import (
@@ -59,6 +59,8 @@ def mask_from(elements: Iterable[int], n: int) -> GroundSubset:
 
 
 def elements_of(mask: GroundSubset) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"bitmask {mask} is negative")
     out = []
     e = 1
     while mask:
@@ -73,7 +75,18 @@ def ground_mask(n: int) -> GroundSubset:
     return (1 << n) - 1
 
 
+def _as_mask(subset: Collection[int] | GroundSubset, n: int) -> GroundSubset:
+    """A subset of 1..n as a bitmask; an int must already be one, in 0..2**n - 1."""
+    if not isinstance(subset, int):
+        return mask_from(subset, n)
+    if not 0 <= subset < 1 << n:
+        raise ValueError(f"bitmask {subset} outside ground set of size {n}")
+    return subset
+
+
 def _iter_bits(mask: int):
+    if mask < 0:
+        raise ValueError(f"bitmask {mask} is negative")
     while mask:
         low = mask & -mask
         yield low
@@ -283,12 +296,7 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
     check_ground_size(n)
     masks: set[GroundSubset] = set()
     for b in bases:
-        if isinstance(b, int):
-            if b < 0 or b >= (1 << n):
-                raise ValueError(f"bitmask {b} outside ground set of size {n}")
-            masks.add(b)
-        else:
-            masks.add(mask_from(b, n))
+        masks.add(_as_mask(b, n))
     if not masks:
         raise EmptyBases("a matroid needs at least one basis")
     sizes = {m.bit_count() for m in masks}
@@ -325,14 +333,12 @@ def uniform_matroid(m: int, d: int) -> Matroid:
 
 def rank(matroid: Matroid, subset: Collection[int] | GroundSubset) -> int:
     """Largest intersection of the subset with a basis."""
-    mask = subset if isinstance(subset, int) else mask_from(subset, matroid.n)
-    return matroid.rank_of(mask)
+    return matroid.rank_of(_as_mask(subset, matroid.n))
 
 
 def closure(matroid: Matroid, subset: Collection[int] | GroundSubset) -> GroundSubset:
     """All elements whose addition does not raise the rank of the subset."""
-    mask = subset if isinstance(subset, int) else mask_from(subset, matroid.n)
-    return matroid.closure_of(mask)
+    return matroid.closure_of(_as_mask(subset, matroid.n))
 
 
 @dataclass(frozen=True)
@@ -346,30 +352,6 @@ class FlatLattice:
     n: int
     flats: tuple[GroundSubset, ...]
     ranks: tuple[int, ...]
-    _index: dict[GroundSubset, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {f: k for k, f in enumerate(self.flats)})
-
-    @property
-    def bottom(self) -> GroundSubset:
-        return self.flats[0]
-
-    @property
-    def top(self) -> GroundSubset:
-        return self.flats[-1]
-
-    def index_of(self, flat: GroundSubset) -> int:
-        try:
-            return self._index[flat]
-        except KeyError:
-            raise NotAFlat(f"{set(elements_of(flat))} is not a flat") from None
-
-    def rank_of(self, flat: GroundSubset) -> int:
-        return self.ranks[self.index_of(flat)]
-
-    def contains(self, mask: GroundSubset) -> bool:
-        return mask in self._index
 
 
 def _build_lattice(matroid: Matroid) -> FlatLattice:
@@ -405,7 +387,7 @@ def localization(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matr
 
     The result is relabelled onto 1..|F| preserving element order.
     """
-    mask = flat if isinstance(flat, int) else mask_from(flat, matroid.n)
+    mask = _as_mask(flat, matroid.n)
     if matroid.closure_of(mask) != mask:
         raise NotAFlat(f"{set(elements_of(mask))} is not a flat")
     table = matroid.rank_table()
@@ -420,7 +402,7 @@ def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matro
 
     The result is relabelled onto 1..(n - |F|) preserving element order.
     """
-    mask = flat if isinstance(flat, int) else mask_from(flat, matroid.n)
+    mask = _as_mask(flat, matroid.n)
     if matroid.closure_of(mask) != mask:
         raise NotAFlat(f"{set(elements_of(mask))} is not a flat")
     table = matroid.rank_table()
@@ -474,10 +456,10 @@ def kl_poly(matroid: Matroid) -> IntPoly:
     Z_M(t) = sum over flats F of t^(rank F) P_{M/F}(t) is palindromic of
     degree rank M, and P_M is the unique polynomial of degree < rank/2 that
     makes it so (Proudfoot, Xu and Young, "The Z-polynomial of a matroid").
-    Applied to every upper interval [F, top] of the lattice of flats, from the
-    top down, this gives P_{M/F} for every flat F from the flats and their
-    ranks alone.  Memoized on the exact (n, bases) representation.  Rank 0
-    gives 1, loops or not; a loop in positive rank raises HasLoops.
+    Applied to every contraction M/F, from the largest subsets of the ground
+    set down, this gives P_{M/F} for every flat F from the rank table alone.
+    Memoized on the exact (n, bases) representation.  Rank 0 gives 1, loops
+    or not; a loop in positive rank raises HasLoops.
     """
     key = matroid.key()
     cached = _KL_CACHE.get(key)
@@ -486,59 +468,70 @@ def kl_poly(matroid: Matroid) -> IntPoly:
     return cached
 
 
-def _z_solve(matroid: Matroid) -> IntPoly:
-    """P_{M/F}[j] = R_F[e - j] - R_F[j] for j < e/2, where e = rank M - rank F
-    and R_F(t) = sum over flats G above F of t^(rank G - rank F) P_{M/G}(t)."""
+# bits per packed degree slot on the first attempt of the cube solve
+_Z_SLOT_BITS = 64
+
+
+def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
+    """P_{M/F}[j] = R_F[rank M - j] - R_F[rank F + j] for j < (rank M - rank F)/2,
+    where R_F(t) = sum over flats G strictly above F of t^(rank G) P_{M/G}(t).
+
+    R_F comes from the layered superset transform of fast subset convolution
+    (Bjorklund, Husfeldt, Kaski and Koivisto): h[S][k] packs, one signed
+    width-bit slot per degree, the sum of t^(rank T) P_{M/T}(t) over the flats
+    T below the top with T containing S and |T - S| = k; each such T is met
+    through each of its k elements outside S, so k h[S][k] is the sum of
+    h[S + x][k - 1] over x outside S.  A packed sum adds at most n 2^n values,
+    so |c| n 2^n < 2^(width - 1) for every packed c keeps every slot exact;
+    past that bound the solve restarts at twice the width.
+    """
     top = matroid.rank
     if top == 0:
         return IntPoly([1])
     if matroid.closure_of(0) != 0:
         raise HasLoops("the Z-polynomial solver is implemented for loopless matroids only")
-    lattice = matroid.lattice()
-    # the flats from the top rank down, each rank level in reverse (cardinality,
-    # mask) order: every flat above another sits at a smaller position, each
-    # level comes whole before the next, and supersets, with their larger
-    # masks, come early, which keeps the up-set bitsets short
-    count = len(lattice.flats)
-    order = sorted(range(count - 1, -1, -1), key=lattice.ranks.__getitem__, reverse=True)
-    position = [0] * count
-    for p, k in enumerate(order):
-        position[k] = p
-    flats = [lattice.flats[k] for k in order]
-    ranks = [lattice.ranks[k] for k in order]
-    ground = ground_mask(matroid.n)
-    # bitsets over positions of the flats strictly above each flat, for the
-    # current rank level and the one above it: a flat reads only the up-sets
-    # of its covers, which are one rank higher, so older levels are dropped
-    above: dict[int, int] = {}
-    level = {0: 0}
-    # t^(rank G) P_{M/G}(t) of each flat G, as (degree, coefficient) pairs
-    terms: list[tuple[tuple[int, int], ...]] = [((top, 1),)] + [()] * (count - 1)
-    coeffs = [1]
-    for p in range(1, count):
-        flat, r = flats[p], ranks[p]
-        if r != ranks[p - 1]:
-            above, level = level, {}
-        upset = 0
-        rest = ground & ~flat
-        while rest:
-            # the covers cl(F + x) split the elements outside F between them
-            cover = matroid.closure_of(flat | (rest & -rest))
-            rest &= ~cover
-            q = position[lattice.index_of(cover)]
-            upset |= above[q] | (1 << q)
-        level[p] = upset
-        sums = [0] * (top + 1)  # R_F, by the absolute degree rank F + j
-        bits = bin(upset)
-        last = len(bits) - 1
-        k = bits.find("1", 2)
-        while k >= 0:
-            for degree, c in terms[last - k]:
-                sums[degree] += c
-            k = bits.find("1", k + 1)
-        coeffs = [sums[top - j] - sums[r + j] for j in range((top - r + 1) // 2)]
-        terms[p] = tuple((r + j, c) for j, c in enumerate(coeffs) if c)
-    # the last position holds the bottom flat, the empty set
+    table = matroid.rank_table()
+    n = matroid.n
+    # a mask of full rank has only the top flat above it, so it holds nothing
+    levels: list[list[int]] = [[] for _ in range(n + 1)]
+    for s, r in enumerate(table):
+        if r < top:
+            levels[s.bit_count()].append(s)
+    width = width or _Z_SLOT_BITS
+    half = 1 << (width - 1)
+    slot = (1 << width) - 1
+    # half in each slot keeps a sum of values in (-half, half) from borrowing
+    bias = sum(half << width * d for d in range(top + 1))
+    bits = [1 << e for e in range(n)]
+    above: dict[int, list[int]] = {}  # h of the masks one element larger
+    for size in range(n - 1, -1, -1):
+        here: dict[int, list[int]] = {}
+        for s in levels[size]:
+            r = table[s]
+            flat = True
+            uppers = []
+            for bit in bits:
+                if not s & bit:
+                    t = s | bit
+                    if table[t] == r:
+                        flat = False
+                    upper = above.get(t)
+                    if upper:
+                        uppers.append(upper)
+            h = [0] + [sum(col) // k for k, col in enumerate(zip_longest(*uppers, fillvalue=0), 1)]
+            if flat:
+                # R_F by degree rank F .. top
+                rest = sum(h) + (1 << width * top) + bias
+                values = [(rest >> width * d & slot) - half for d in range(r, top + 1)]
+                coeffs = [values[top - r - j] - values[j] for j in range((top - r + 1) // 2)]
+                if max(map(abs, coeffs)) * (n << n) >= half:
+                    return _z_solve(matroid, 2 * width)
+                h[0] = sum(c << width * (r + j) for j, c in enumerate(coeffs))
+            while h and not h[-1]:
+                h.pop()
+            here[s] = h
+        above = here
+    # the last mask visited is the empty set, the bottom flat
     return IntPoly(coeffs)
 
 

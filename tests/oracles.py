@@ -5,8 +5,10 @@ recursion instead of factorials, backtracking placement or hooks taken cell
 by cell instead of grouped hook products, subset search instead of basis
 intersections, pairwise set exchange instead of rank tables, Mobius values
 instead of Whitney's subset sum, minors relabelled element by element
-instead of by paired bit combinations, and a permutation search for matroid
-isomorphism.  Expected values in the tests are frozen from these oracles.
+instead of by paired bit combinations, a permutation search for matroid
+isomorphism, and an up-set walk over the lattice of flats instead of the
+subset cube for the Z-polynomial solve.  Expected values in the tests are
+frozen from these oracles.
 """
 
 from fractions import Fraction
@@ -259,6 +261,65 @@ def is_isomorphic(m1, m2) -> bool:
             if remapped == target_set:
                 return True
     return False
+
+
+def upset_z_poly(matroid) -> list[int]:
+    """Coefficients of the KL polynomial by the Z-polynomial palindromicity,
+    solved over the lattice of flats with an up-set bitset per flat.
+
+    P_{M/F}[j] = R_F[e - j] - R_F[j] for j < e/2, where e = rank M - rank F
+    and R_F(t) = sum over flats G above F of t^(rank G - rank F) P_{M/G}(t).
+    The library sums R_F over the subset cube instead; this route visits
+    every comparable pair of flats.  Loopless matroids of positive rank only.
+    """
+    top = matroid.rank
+    lattice = matroid.lattice()
+    index = {f: k for k, f in enumerate(lattice.flats)}
+    # the flats from the top rank down, each rank level in reverse (cardinality,
+    # mask) order: every flat above another sits at a smaller position, each
+    # level comes whole before the next, and supersets, with their larger
+    # masks, come early, which keeps the up-set bitsets short
+    count = len(lattice.flats)
+    order = sorted(range(count - 1, -1, -1), key=lattice.ranks.__getitem__, reverse=True)
+    position = [0] * count
+    for p, k in enumerate(order):
+        position[k] = p
+    flats = [lattice.flats[k] for k in order]
+    ranks = [lattice.ranks[k] for k in order]
+    ground = ground_mask(matroid.n)
+    # bitsets over positions of the flats strictly above each flat, for the
+    # current rank level and the one above it: a flat reads only the up-sets
+    # of its covers, which are one rank higher, so older levels are dropped
+    above: dict[int, int] = {}
+    level = {0: 0}
+    # t^(rank G) P_{M/G}(t) of each flat G, as (degree, coefficient) pairs
+    terms: list[tuple[tuple[int, int], ...]] = [((top, 1),)] + [()] * (count - 1)
+    coeffs = [1]
+    for p in range(1, count):
+        flat, r = flats[p], ranks[p]
+        if r != ranks[p - 1]:
+            above, level = level, {}
+        upset = 0
+        rest = ground & ~flat
+        while rest:
+            # the covers cl(F + x) split the elements outside F between them
+            cover = matroid.closure_of(flat | (rest & -rest))
+            rest &= ~cover
+            q = position[index[cover]]
+            upset |= above[q] | (1 << q)
+        level[p] = upset
+        sums = [0] * (top + 1)  # R_F, by the absolute degree rank F + j
+        bits = bin(upset)
+        last = len(bits) - 1
+        k = bits.find("1", 2)
+        while k >= 0:
+            for degree, c in terms[last - k]:
+                sums[degree] += c
+            k = bits.find("1", k + 1)
+        coeffs = [sums[top - j] - sums[r + j] for j in range((top - r + 1) // 2)]
+        terms[p] = tuple((r + j, c) for j, c in enumerate(coeffs) if c)
+    # the last position holds the bottom flat, the empty set
+    return coeffs
 
 
 def termwise_integral(poly_coeffs: dict[int, int], lower: int, upper: int) -> Fraction:

@@ -301,4 +301,5 @@ class TestExpectedFlats:
         matroid = build_rho_uniform(p)
         block = mask_from({1, 2, 3}, 5)
         lat = flats(matroid)
-        assert lat.rank_of(block) == 2
+        assert block in lat.flats
+        assert matroid.rank_of(block) == 2

@@ -52,6 +52,7 @@ from oracles import (
     is_isomorphic,
     mobius_char_coeffs,
     mobius_values,
+    upset_z_poly,
 )
 
 U12 = matroid_from_bases(3, [{1, 2}, {1, 3}, {2, 3}])
@@ -268,6 +269,46 @@ class TestRankClosure:
         assert closure(U12_MINUS, {1}) == mask_from({1, 2}, 3)
         assert closure(U12, {1, 2, 3}) == ground_mask(3)
 
+    def test_masks_outside_the_ground_set_are_refused(self):
+        # -1 once sent elements_of and _iter_bits into endless loops, and
+        # table[-1] read the top rank; a child process under a timeout and
+        # an address-space limit keeps a regression from hanging the suite
+        script = (
+            "from klmatroids.closedforms import RhoUniformParams, classify_minor\n"
+            "from klmatroids.matroid import (_iter_bits, closure, contraction,\n"
+            "    elements_of, localization, rank, uniform_matroid)\n"
+            "m = uniform_matroid(2, 2)\n"
+            "calls = [lambda: elements_of(-1), lambda: list(_iter_bits(-1))]\n"
+            "for mask in (-1, 1 << 4):\n"
+            "    for entry in (rank, closure, localization, contraction):\n"
+            "        calls.append(lambda entry=entry, mask=mask: entry(m, mask))\n"
+            "for mask in (-1, 1 << 5):\n"
+            "    for kind in ('localization', 'contraction'):\n"
+            "        calls.append(lambda mask=mask, kind=kind:\n"
+            "            classify_minor(RhoUniformParams(2, 3, 1), mask, kind))\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        print('returned', call())\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env={**os.environ, "PYTHONPATH": str(Path(klmatroids.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.splitlines() == (
+            ["ValueError bitmask -1 is negative"] * 2
+            + ["ValueError bitmask -1 outside ground set of size 4"] * 4
+            + ["ValueError bitmask 16 outside ground set of size 4"] * 4
+            + ["NotAFlat bitmask -1 outside the ground set of U(2,3;1)"] * 2
+            + ["NotAFlat bitmask 32 outside the ground set of U(2,3;1)"] * 2
+        )
+
     def test_closure_is_idempotent_and_monotone(self):
         for m in (U12, U12_MINUS, uniform_matroid(2, 2)):
             for s in range(1 << m.n):
@@ -291,23 +332,6 @@ class TestFlats:
         ]
         assert mobius_values(lat.flats) == [1, -1, -1, 1]
 
-    def test_lookups_by_flat(self):
-        lat = flats(U12_MINUS)
-        for k, f in enumerate(lat.flats):
-            assert lat.index_of(f) == k and lat.contains(f)
-            assert lat.rank_of(f) == lat.ranks[k]
-        not_flat = mask_from({1}, 3)
-        assert not lat.contains(not_flat)
-        for lookup in (lat.index_of, lat.rank_of):
-            with pytest.raises(NotAFlat):
-                lookup(not_flat)
-
-    def test_lookup_index_is_not_part_of_the_value(self):
-        lat = flats(U12)
-        again = type(lat)(lat.n, lat.flats, lat.ranks)
-        assert again == lat and hash(again) == hash(lat)
-        assert "_index" not in repr(lat)
-
     def test_rank_zero_collapses(self):
         lat = flats(RANK0)
         assert lat.flats == (ground_mask(3),)
@@ -320,7 +344,7 @@ class TestFlats:
             total = sum(
                 mu for g, mu in zip(lat.flats, mobius_values(lat.flats)) if g & f == g
             )
-            assert total == (1 if f == lat.bottom else 0)
+            assert total == (1 if f == lat.flats[0] else 0)
 
 
 class TestMinors:
@@ -573,11 +597,68 @@ class TestOracleRoutes:
         clear_caches()
         for name in ("localization", "contraction", "char_poly", "kl_poly_recurrence"):
             monkeypatch.setattr(matroid_module, name, _refuse)
+        monkeypatch.setattr(matroid_module.Matroid, "lattice", _refuse)
         for module in (tableaux, closedforms):
             for name in ("count_skyt", "count_overline_skyt", "count_syt"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, _refuse)
         assert [kl_poly(m) for m in ROUTE_SAMPLES] == want
+
+    def test_cube_matches_upset_solver_on_every_small_basis_system(self):
+        matroids = list(_every_loopless_matroid(5))
+        assert len(matroids) == 222
+        for m in matroids:
+            assert kl_poly(m) == IntPoly(upset_z_poly(m) if m.rank else [1]), m
+
+    def test_cube_matches_upset_solver_on_the_family_grid(self):
+        grid = list(family_grid(10))
+        assert len(grid) == 108
+        for p in grid:
+            m = build_rho_uniform(p)
+            assert kl_poly(m) == IntPoly(upset_z_poly(m) if m.rank else [1]), p
+
+    def test_cube_matches_upset_solver_and_lnr_on_sparse_paving(self):
+        rng = random.Random(20261019)
+        checked = 0
+        for n in range(5, 13):
+            for d in range(2, n - 1):
+                for k in (1, 2, 3):
+                    family = _sparse_paving(rng, n, d, k)
+                    removed = {mask_from(s, n) for s in family}
+                    m = matroid_from_bases(
+                        n, [b for b in uniform_matroid(n - d, d).bases if b not in removed]
+                    )
+                    want = IntPoly(_lnr_coeffs(n, d, len(family)))
+                    assert kl_poly(m) == IntPoly(upset_z_poly(m)) == want, (n, d, family)
+                    checked += 1
+        assert checked == 132
+
+    @pytest.mark.parametrize(
+        "n,d,family",
+        [
+            (12, 8, []),
+            (11, 5, [{1, 2, 3, 4, 5}, {1, 2, 6, 7, 8}, {3, 4, 6, 9, 10}]),
+        ],
+    )
+    def test_narrow_slots_restart_wider(self, monkeypatch, fresh_caches, n, d, family):
+        # U(4, 8) and the sparse paving point have coefficients far beyond a
+        # 4-bit slot, so the solve must refuse its first widths and restart
+        # until the bound holds
+        removed = {mask_from(s, n) for s in family}
+        m = matroid_from_bases(
+            n, [b for b in uniform_matroid(n - d, d).bases if b not in removed]
+        )
+        widths = []
+        solve = matroid_module._z_solve
+
+        def spy(matroid, width=None):
+            widths.append(width or matroid_module._Z_SLOT_BITS)
+            return solve(matroid, width)
+
+        monkeypatch.setattr(matroid_module, "_Z_SLOT_BITS", 4)
+        monkeypatch.setattr(matroid_module, "_z_solve", spy)
+        assert kl_poly(m) == IntPoly(_lnr_coeffs(n, d, len(family)))
+        assert widths[:2] == [4, 8] and len(widths) >= 3
 
     def test_recurrence_reads_no_z_result(self, monkeypatch, fresh_caches):
         want = [kl_poly(m) for m in ROUTE_SAMPLES]
