@@ -13,6 +13,10 @@ cells, and past it either one raises InvalidParameters, which exits 2.
 ``--method all`` runs each route whose cap admits the query.  ``klm verify``
 caps ``--max-n`` at VERIFY_MAX_N for every suite, because the
 minor-recurrence cross-check slows down fast above it.
+
+Only ``klm verify`` loads ``verification``, and with it the process pool
+(``concurrent.futures`` and ``multiprocessing``); every other command starts
+without them.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .tableaux import (
     satisfies_removed_family_conditions,
     validate_family_params,
 )
-from . import verification
 
 VERIFY_MAX_N = 12
 """The largest ``klm verify --max-n``, for every suite: the minor-recurrence
@@ -205,6 +208,8 @@ def _print_reports(reports: list[IdentityReport], fmt: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verification
+
     if args.jobs < 0:
         return _fail_usage(f"--jobs must be 0 (all cores) or more, got {args.jobs}")
     jobs = args.jobs if args.jobs else verification.default_jobs()

@@ -5,13 +5,17 @@ pairwise disjoint bases removed.  The canonical removed bases are the
 consecutive blocks {1..d}, {d+1..2d}, ..., {(rho-1)d+1..rho d}; disjointness
 is what makes the removal produce a matroid at all, and it needs
 rho * d <= m + d elements of room.
+
+The parameter types are named tuples: RhoUniformParams is (m, d, rho),
+checked when it is built, and MinorClass is (m, d, rho, offset).  They
+unpack, and compare and hash like the plain tuple of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InvalidParameters, NonIntegerResult, NotAFlat
 from .exactarith import IntPoly, binomial, parity_sign
@@ -34,8 +38,13 @@ def family_label(m: int, d: int, rho: int) -> str:
     return f"U({m},{d};{rho})"
 
 
-@dataclass(frozen=True)
-class RhoUniformParams:
+class _ParamFields(NamedTuple):
+    m: int
+    d: int
+    rho: int = 0
+
+
+class RhoUniformParams(_ParamFields):
     """Parameters (m, d, rho) of the removed-basis uniform matroid U(m, d; rho).
 
     Validity: m >= 1 (the m = 0 family is degenerate and rejected), d >= 0,
@@ -44,12 +53,11 @@ class RhoUniformParams:
     rejected because it creates loops.
     """
 
-    m: int
-    d: int
-    rho: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        validate_family_params(self.m, self.d, self.rho)
+    def __new__(cls, m: int, d: int, rho: int = 0) -> "RhoUniformParams":
+        validate_family_params(m, d, rho)
+        return tuple.__new__(cls, (m, d, rho))
 
     @property
     def n(self) -> int:
@@ -198,8 +206,7 @@ def char_poly_rho(p: RhoUniformParams) -> IntPoly:
     return IntPoly(coeffs)
 
 
-@dataclass(frozen=True)
-class MinorClass:
+class MinorClass(NamedTuple):
     """A minor predicted label for label: U(m, d; rho), uniform when rho = 0,
     with its removed blocks at labels offset + 1 + k * d, ..., offset + (k + 1) * d.
 

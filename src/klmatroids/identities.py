@@ -10,7 +10,6 @@ matches exactly or is a counterexample.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .closedforms import RhoUniformParams, build_rho_uniform, kl_poly_rho
@@ -26,14 +25,29 @@ from .matroid import kl_poly
 from .tableaux import count_overline_skyt, count_skyt, count_syt
 
 
-@dataclass
 class IdentityReport:
-    """Outcome of sweeping one identity over a parameter grid."""
+    """Outcome of sweeping one identity over a parameter grid.
 
-    name: str
-    grid: str
-    points: int = 0
-    failures: list = field(default_factory=list)
+    A mutable record: ``record`` adds a point, and a failed point is kept in
+    ``failures``.  Two reports are equal when all four fields are.
+    """
+
+    __hash__ = None  # mutable
+
+    def __init__(self, name: str, grid: str, points: int = 0, failures: list | None = None):
+        self.name = name
+        self.grid = grid
+        self.points = points
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"IdentityReport({fields})"
 
     @property
     def passed(self) -> bool:

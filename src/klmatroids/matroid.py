@@ -30,9 +30,8 @@ Neither route reads the other's results, nor any closed form.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import combinations, zip_longest
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import (
     EmptyBases,
@@ -136,10 +135,16 @@ class Matroid:
         """rank of every subset, indexed by bitmask (2**n entries)."""
         return self._rank_table
 
-    def rank_of(self, mask: GroundSubset) -> int:
-        return self._rank_table[mask]
+    def rank_of(self, subset: Collection[int] | GroundSubset) -> int:
+        """Largest intersection of the subset with a basis."""
+        return self._rank_table[_as_mask(subset, self.n)]
 
-    def closure_of(self, mask: GroundSubset) -> GroundSubset:
+    def closure_of(self, subset: Collection[int] | GroundSubset) -> GroundSubset:
+        """All elements whose addition does not raise the rank of the subset."""
+        return self._closure(_as_mask(subset, self.n))
+
+    def _closure(self, mask: GroundSubset) -> GroundSubset:
+        # closure_of without the range check, for a mask known to be in range
         table = self.rank_table()
         r = table[mask]
         closed = mask
@@ -333,20 +338,20 @@ def uniform_matroid(m: int, d: int) -> Matroid:
 
 def rank(matroid: Matroid, subset: Collection[int] | GroundSubset) -> int:
     """Largest intersection of the subset with a basis."""
-    return matroid.rank_of(_as_mask(subset, matroid.n))
+    return matroid.rank_of(subset)
 
 
 def closure(matroid: Matroid, subset: Collection[int] | GroundSubset) -> GroundSubset:
     """All elements whose addition does not raise the rank of the subset."""
-    return matroid.closure_of(_as_mask(subset, matroid.n))
+    return matroid.closure_of(subset)
 
 
-@dataclass(frozen=True)
-class FlatLattice:
+class FlatLattice(NamedTuple):
     """Closure-closed subsets ordered by inclusion, with their ranks.
 
-    ``flats`` is sorted by (cardinality, mask), a linear extension of
-    inclusion; ``ranks[k]`` is the rank of ``flats[k]``.
+    A named tuple ``(n, flats, ranks)``.  ``flats`` is sorted by
+    (cardinality, mask), a linear extension of inclusion; ``ranks[k]`` is
+    the rank of ``flats[k]``.
     """
 
     n: int
@@ -356,7 +361,7 @@ class FlatLattice:
 
 def _build_lattice(matroid: Matroid) -> FlatLattice:
     table = matroid.rank_table()
-    seen = {matroid.closure_of(s) for s in range(1 << matroid.n)}
+    seen = {matroid._closure(s) for s in range(1 << matroid.n)}
     flats = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
     return FlatLattice(matroid.n, flats, tuple(table[f] for f in flats))
 
@@ -388,7 +393,7 @@ def localization(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matr
     The result is relabelled onto 1..|F| preserving element order.
     """
     mask = _as_mask(flat, matroid.n)
-    if matroid.closure_of(mask) != mask:
+    if matroid._closure(mask) != mask:
         raise NotAFlat(f"{set(elements_of(mask))} is not a flat")
     table = matroid.rank_table()
     r = table[mask]
@@ -403,7 +408,7 @@ def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matro
     The result is relabelled onto 1..(n - |F|) preserving element order.
     """
     mask = _as_mask(flat, matroid.n)
-    if matroid.closure_of(mask) != mask:
+    if matroid._closure(mask) != mask:
         raise NotAFlat(f"{set(elements_of(mask))} is not a flat")
     table = matroid.rank_table()
     r = table[mask]

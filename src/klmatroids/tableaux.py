@@ -10,10 +10,12 @@ occupy rows 0..1, and column i runs from row -(b - 2) at its top down to
 row 1.  A legal filling places 1..(a + 2i + b - 2) bijectively so that every
 row increases rightward and every column increases downward.
 
-A Filling is the immutable pair (shape, entries), a tuple subclass, so that
-building, unpacking and comparing fillings all run in C.  Its entries are one
-flat column-major tuple: column 0 top to bottom, then each middle column,
-then column i.  What the enumeration and the legality test need to know
+The value types are tuples.  A SkewShape is the named triple (a, i, b),
+checked when it is built, and a Filling is the immutable pair (shape,
+entries); both are tuple subclasses, so that building, unpacking, comparing
+and hashing them all run in C.  A filling's entries are one flat
+column-major tuple: column 0 top to bottom, then each middle column, then
+column i.  What the enumeration and the legality test need to know
 about a shape is worked out once per shape (``_layout``): where each column
 starts, the bitmask of the cells above and to the left of each cell, and the
 index pairs whose entries must increase; the fillings are not kept, and
@@ -32,7 +34,6 @@ only listing the fillings (``enumerate_skyt``) needs MAX_FILLINGS.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import itemgetter
@@ -51,21 +52,23 @@ Thin shapes such as (a, 1, 2) stay under MAX_FILLINGS with a thousand cells,
 and their fillings would hold a billion entries between them."""
 
 
-@dataclass(frozen=True)
-class SkewShape:
-    """The three-column-group diagram with left height a, i - 1 middle columns, right height b."""
-
+class _ShapeFields(NamedTuple):
     a: int
     i: int
     b: int
 
-    def __post_init__(self):
-        if self.i < 1:
-            raise InvalidShape(f"shape needs at least one column step, got i={self.i}")
-        if self.a < 2 or self.b < 2:
-            raise InvalidShape(
-                f"no cells to fill when a or b is below 2 (a={self.a}, b={self.b})"
-            )
+
+class SkewShape(_ShapeFields):
+    """The three-column-group diagram with left height a, i - 1 middle columns, right height b."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, i: int, b: int) -> "SkewShape":
+        if i < 1:
+            raise InvalidShape(f"shape needs at least one column step, got i={i}")
+        if a < 2 or b < 2:
+            raise InvalidShape(f"no cells to fill when a or b is below 2 (a={a}, b={b})")
+        return tuple.__new__(cls, (a, i, b))
 
     @property
     def cell_count(self) -> int:
@@ -109,15 +112,14 @@ def _layout(a: int, i: int, b: int) -> _Layout:
 
 
 def _layout_of(shape: SkewShape) -> _Layout:
-    return _layout(shape.a, shape.i, shape.b)
+    return _layout(*shape)
 
 
 class Filling(tuple):
     """An assignment of integers to the cells of a SkewShape; see is_legal.
 
     A filling is the immutable pair ``(shape, entries)``: it unpacks, has
-    length 2, and compares equal to the plain tuple ``(shape, entries)``, but
-    it hashes by its entries alone, so a set or dict should not mix the two.
+    length 2, and compares and hashes like the plain tuple ``(shape, entries)``.
     ``entries`` lists the values column by column, each column top to bottom.
     The constructor does not check it against the shape; ``from_columns`` is
     the validated constructor.  The library builds its fillings with
@@ -132,11 +134,6 @@ class Filling(tuple):
 
     def __getnewargs__(self) -> tuple[SkewShape, tuple[int, ...]]:
         return tuple(self)
-
-    def __hash__(self) -> int:
-        # Equal fillings have equal entries; the shape only splits rare ties.
-        # Hashing the pair would call SkewShape's generated Python __hash__.
-        return hash(self[1])
 
     def __repr__(self) -> str:
         return f"Filling(shape={self[0]!r}, entries={self[1]!r})"

@@ -19,6 +19,9 @@ was at the fork: a test that monkeypatches library code must sweep with
 from __future__ import annotations
 
 import os
+# Imported here, not in _shared_pool: importing this module is set-up, and a
+# deferred import would bill its 25-40 ms to whichever sweep first fans out.
+# The CLI imports this module only for `klm verify`.
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from typing import Callable, Iterable, Sequence

@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import klmatroids
 from klmatroids.cli import main
-from klmatroids.closedforms import coeff_rho, valid_rhos
+from klmatroids.closedforms import RhoUniformParams, coeff_rho, valid_rhos
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +250,48 @@ class TestVerify:
             capsys, "verify", "--suite", "theorem1", "--max-n", "4", "--jobs", "-3"
         )
         assert code == 2 and "--jobs" in err and out == ""
+
+    def test_json_names_a_failed_family_point(self, capsys, monkeypatch):
+        from klmatroids import verification
+
+        failing = RhoUniformParams(2, 3, 1)
+        monkeypatch.setattr(verification, "_theorem1_point", lambda p: p != failing)
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "theorem1", "--max-n", "5", "--jobs", "1",
+            "--format", "json",
+        )
+        assert code == 1
+        [report] = json.loads(out)
+        assert report["passed"] is False and report["counterexample"] == [2, 3, 1]
+
+
+class TestStartUp:
+    @pytest.mark.parametrize("module", ["klmatroids", "klmatroids.cli"])
+    def test_loads_neither_dataclasses_nor_the_process_pool(self, module):
+        # only `klm verify` needs the pool; site is skipped so that no .pth
+        # file imports anything first
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"import {module}\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(klmatroids.__file__).parents[1])},
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        added = done.stdout.split()
+        assert module in added
+        heavy = [
+            name for name in added
+            if name.split(".")[0] in ("dataclasses", "concurrent", "multiprocessing")
+            or name == "klmatroids.verification"
+        ]
+        assert heavy == []
 
 
 class TestOracleCapSetting:

@@ -1,3 +1,5 @@
+import json
+import pickle
 import re
 
 import pytest
@@ -86,6 +88,19 @@ class TestParams:
                             assert coeff_uniform_klum(m, d, 0) == 1
                             assert coeff_uniform_tableau(m, d, 0) == 1
         assert 0 < rejected < 6 * 8 * 6
+
+    def test_parameters_are_named_tuples(self):
+        p = RhoUniformParams(m=2, d=3, rho=1)
+        m, d, rho = p
+        assert (m, d, rho) == p == (2, 3, 1) and RhoUniformParams(2, 3) == (2, 3, 0)
+        assert repr(p) == "RhoUniformParams(m=2, d=3, rho=1)"
+        assert repr(MinorClass(2, 2, 1, 3)) == "MinorClass(m=2, d=2, rho=1, offset=3)"
+        assert MinorClass(2, 3) == (2, 3, 0, 0)
+        assert json.dumps(p) == "[2, 3, 1]"
+        back = pickle.loads(pickle.dumps(p))
+        assert type(back) is RhoUniformParams and back == p
+        with pytest.raises(InvalidParameters):
+            RhoUniformParams(2, 1, 1)
 
     def test_labels(self):
         assert RhoUniformParams(2, 3).label() == MinorClass(2, 3).label() == "U(2,3)"

@@ -177,6 +177,17 @@ def test_report_json_schema():
     assert "FAIL" in report.summary()
 
 
+def test_report_repr_and_equality():
+    report = IdentityReport("demo", "d<=3")
+    report.record((1, 3), False)
+    assert repr(report) == "IdentityReport(name='demo', grid='d<=3', points=1, failures=[(1, 3)])"
+    assert report == IdentityReport("demo", "d<=3", 1, [(1, 3)])
+    assert report != IdentityReport("demo", "d<=3", 1)
+    assert IdentityReport("a", "g").failures is not IdentityReport("a", "g").failures
+    with pytest.raises(TypeError):
+        hash(report)
+
+
 def test_run_identity_sweeps_all_pass():
     reports = run_identity_sweeps()
     assert len(reports) == 8

@@ -275,12 +275,13 @@ class TestRankClosure:
         # an address-space limit keeps a regression from hanging the suite
         script = (
             "from klmatroids.closedforms import RhoUniformParams, classify_minor\n"
-            "from klmatroids.matroid import (_iter_bits, closure, contraction,\n"
+            "from klmatroids.matroid import (Matroid, _iter_bits, closure, contraction,\n"
             "    elements_of, localization, rank, uniform_matroid)\n"
             "m = uniform_matroid(2, 2)\n"
             "calls = [lambda: elements_of(-1), lambda: list(_iter_bits(-1))]\n"
             "for mask in (-1, 1 << 4):\n"
-            "    for entry in (rank, closure, localization, contraction):\n"
+            "    for entry in (rank, closure, localization, contraction,\n"
+            "                  Matroid.rank_of, Matroid.closure_of):\n"
             "        calls.append(lambda entry=entry, mask=mask: entry(m, mask))\n"
             "for mask in (-1, 1 << 5):\n"
             "    for kind in ('localization', 'contraction'):\n"
@@ -303,8 +304,8 @@ class TestRankClosure:
         assert done.returncode == 0 and done.stderr == ""
         assert done.stdout.splitlines() == (
             ["ValueError bitmask -1 is negative"] * 2
-            + ["ValueError bitmask -1 outside ground set of size 4"] * 4
-            + ["ValueError bitmask 16 outside ground set of size 4"] * 4
+            + ["ValueError bitmask -1 outside ground set of size 4"] * 6
+            + ["ValueError bitmask 16 outside ground set of size 4"] * 6
             + ["NotAFlat bitmask -1 outside the ground set of U(2,3;1)"] * 2
             + ["NotAFlat bitmask 32 outside the ground set of U(2,3;1)"] * 2
         )
@@ -324,6 +325,9 @@ class TestFlats:
             set(), {1}, {2}, {3}, {1, 2, 3},
         ]
         assert mobius_values(lat.flats) == [1, -1, -1, -1, 2]
+        n, flat_masks, ranks = lat
+        assert (n, flat_masks, ranks) == (3, (0, 1, 2, 4, 7), (0, 1, 1, 1, 2))
+        assert repr(lat) == "FlatLattice(n=3, flats=(0, 1, 2, 4, 7), ranks=(0, 1, 1, 1, 2))"
 
     def test_removed_basis_flat_lattice(self):
         lat = flats(U12_MINUS)

@@ -69,6 +69,17 @@ class TestShapeGeometry:
         with pytest.raises(InvalidShape):
             SkewShape(3, 0, 3)
 
+    def test_is_a_named_triple(self):
+        shape = SkewShape(a=4, i=3, b=3)
+        a, i, b = shape
+        assert (a, i, b) == shape == (4, 3, 3) and hash(shape) == hash((4, 3, 3))
+        assert repr(shape) == "SkewShape(a=4, i=3, b=3)"
+        assert not hasattr(shape, "__dict__")
+        with pytest.raises(AttributeError):
+            shape.a = 5
+        back = pickle.loads(pickle.dumps(shape))
+        assert type(back) is SkewShape and back == shape
+
 
 class TestEnumeration:
     def test_b_below_two_is_empty(self):
@@ -490,13 +501,14 @@ class TestFillingContract:
         # perfbench/tracing.py patches the method on the class
         assert inspect.isfunction(vars(Filling)["is_legal"])
 
-    def test_equals_its_plain_pair_and_hashes_by_entries(self):
+    def test_equals_and_hashes_like_its_plain_pair(self):
         pair = (SkewShape(4, 3, 3), FILLING_433.entries)
         assert FILLING_433 == pair and pair == FILLING_433
-        assert hash(FILLING_433) == hash(FILLING_433.entries)
-        # equal entries on another shape: the same hash, but another filling
+        assert hash(FILLING_433) == hash(pair) == hash((FILLING_433.shape, FILLING_433.entries))
+        assert len({FILLING_433, pair}) == 1
+        # equal entries on another shape: another filling
         other = Filling(SkewShape(3, 3, 4), FILLING_433.entries)
-        assert hash(other) == hash(FILLING_433) and other != FILLING_433
+        assert other != FILLING_433
         assert len({other, FILLING_433}) == 2
 
     def test_every_constructor_gives_a_filling(self):
