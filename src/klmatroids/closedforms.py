@@ -139,11 +139,15 @@ def coeff_uniform_klum(m: int, d: int, i: int) -> int:
     With a = m + 1 and b = d - 2i + 1:
 
         (1 / (b + i - 1)) * C(b + 2i + a - 2, i)
-            * sum over h of C(b + i + h - 1, h + i + 1) * C(i - 1 + h, h)
+            * sum over h = 0..a-2 of C(b + i + h - 1, h + i + 1) * C(i - 1 + h, h)
 
-    computed in exact integers; the division must come out integral, and a
-    non-zero remainder raises NonIntegerResult (it would mean an
-    implementation bug).
+    computed in exact integers.  The inner sum starts at C(b + i - 1, i + 1),
+    and each next term is the one before times
+    (b + i + h)(i + h) / ((h + i + 2)(h + 1)), the product of the two
+    binomial steps; both terms are integers and term_h * numerator =
+    term_(h+1) * denominator, so each floor division is exact.  The final
+    division by b + i - 1 must come out integral, and a non-zero remainder
+    raises NonIntegerResult (it would mean an implementation bug).
     """
     validate_family_params(m, d, 0)
     if i < 0 or not _in_coefficient_range(d, i):
@@ -152,10 +156,10 @@ def coeff_uniform_klum(m: int, d: int, i: int) -> int:
         return 1
     a = m + 1
     b = d - 2 * i + 1
-    inner = sum(
-        binomial(b + i + h - 1, h + i + 1) * binomial(i - 1 + h, h)
-        for h in range(a - 1)
-    )
+    term = inner = binomial(b + i - 1, i + 1)
+    for h in range(a - 2):
+        term = term * (b + i + h) * (i + h) // ((h + i + 2) * (h + 1))
+        inner += term
     numerator = binomial(b + 2 * i + a - 2, i) * inner
     value, rem = divmod(numerator, b + i - 1)
     if rem:
@@ -193,16 +197,23 @@ def char_poly_rho(p: RhoUniformParams) -> IntPoly:
 
     [t^0] = (-1)^d (C(m+d-1, d-1) - rho), [t^1] = (-1)^(d-1) (C(m+d, d-1) - rho),
     [t^i] = (-1)^(d-i) C(m+d, d-i) for 2 <= i <= d.
+
+    The row C(m+d, k) for k = 0..d-1 is walked from C(m+d, 0) = 1 by
+    C(N, k + 1) = C(N, k) (N - k) / (k + 1); the division is exact because
+    C(N, k) (N - k) = C(N, k + 1) (k + 1).
     """
     if p.d < 1:
         raise InvalidParameters("the closed form needs d >= 1")
     m, d, rho = p.m, p.d, p.rho
-    coeffs = [0] * (d + 1)
-    coeffs[0] = parity_sign(d) * (binomial(m + d - 1, d - 1) - rho)
-    if d >= 1:
-        coeffs[1] = parity_sign(d - 1) * (binomial(m + d, d - 1) - rho)
-    for i in range(2, d + 1):
-        coeffs[i] = parity_sign(d - i) * binomial(m + d, d - i)
+    n = m + d
+    row = [1]  # row[k] = C(m + d, k) for k = 0..d-1
+    for k in range(d - 1):
+        row.append(row[k] * (n - k) // (k + 1))
+    coeffs = [
+        parity_sign(d) * (binomial(n - 1, d - 1) - rho),
+        parity_sign(d - 1) * (row[d - 1] - rho),
+    ]
+    coeffs += [parity_sign(d - i) * row[d - i] for i in range(2, d + 1)]
     return IntPoly(coeffs)
 
 

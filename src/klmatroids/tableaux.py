@@ -24,11 +24,15 @@ no table, since in column-major order it is the reversal of the entries.
 
 Counts need no enumeration.  ``count_skyt`` is an inclusion-exclusion over
 straight-shape counts ``count_syt``, and the hooks of those straight shapes
-group into a few factorials, so each ``count_syt`` is one quotient of
-factorials rather than a loop over the cells.  ``count_skyt_rho_direct``
-counts the Theorem 1 set independently of both, by a dynamic programme over
-the order ideals of the cell poset (Stanley's transfer-matrix method), so
-only listing the fillings (``enumerate_skyt``) needs MAX_FILLINGS.
+group into a few factorials, so ``count_syt`` is one quotient of factorials
+rather than a loop over the cells.  ``count_skyt`` takes that quotient only
+for its first term: by the hook-length formula, two consecutive
+straight-shape counts differ by a ratio of a few small integers, so each
+later term is the one before times an exact ratio.
+``count_skyt_rho_direct`` counts the Theorem 1 set independently of both, by
+a dynamic programme over the order ideals of the cell poset (Stanley's
+transfer-matrix method), so only listing the fillings (``enumerate_skyt``)
+needs MAX_FILLINGS.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InvalidParameters, InvalidShape
-from .exactarith import binomial, parity_sign
+from .exactarith import binomial
 
 MAX_FILLINGS = 10**6
 """Enumeration refuses a shape with more legal fillings than this: it holds
@@ -309,7 +313,15 @@ def count_skyt(a: int, i: int, b: int) -> int:
 
     Conventions first: 1 when i = 0, and 0 when i > 0 with a or b below 2.
     Otherwise the count is assembled by inclusion-exclusion from straight-shape
-    counts: sum over k of (-1)^k C(a+2i+b-2, b-k-2) * count_syt(a, i, k).
+    counts: sum over k = 0..b-2 of (-1)^k C(n, j) * count_syt(a, i, k), where
+    n = a + 2i + b - 2 and j = b - k - 2.
+
+    Only the first term is built from factorials.  Each next term is the one
+    before times the binomial step C(n, j - 1) / C(n, j) = j / (n - j + 1)
+    and the hook-length step count_syt(a, i, k + 1) / count_syt(a, i, k)
+    = (a + 2i + k + 1)(k + 2)(a + i + k) / ((k + 1)(a + i + k + 1)(i + k + 2)),
+    with the sign flipped.  Both terms are integers and term_k * numerator
+    = term_(k+1) * denominator, so each floor division is exact.
     """
     if i < 0:
         raise InvalidShape(f"negative i={i}")
@@ -318,9 +330,13 @@ def count_skyt(a: int, i: int, b: int) -> int:
     if a < 2 or b < 2:
         return 0
     n = a + 2 * i + b - 2
-    total = 0
-    for k in range(b - 1):
-        total += parity_sign(k) * binomial(n, b - k - 2) * count_syt(a, i, k)
+    term = total = binomial(n, b - 2) * count_syt(a, i, 0)
+    for k in range(b - 2):
+        j = b - k - 2
+        term = -term * j * (a + 2 * i + k + 1) * (k + 2) * (a + i + k) // (
+            (n - j + 1) * (k + 1) * (a + i + k + 1) * (i + k + 2)
+        )
+        total += term
     return total
 
 
@@ -332,11 +348,10 @@ def involution_rotate(f: Filling) -> Filling:
     shape comes from cell (1 - r, i - c), so column c of the image is column
     i - c reversed, and the column-major entries come out in reverse order.
     """
-    shape, entries = f
+    (a, i, b), entries = f
     top = len(entries) + 1
     return tuple.__new__(
-        Filling,
-        (_layout(shape.b, shape.i, shape.a).shape, tuple([top - v for v in reversed(entries)])),
+        Filling, (_layout(b, i, a).shape, tuple([top - v for v in reversed(entries)]))
     )
 
 

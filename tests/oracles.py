@@ -7,17 +7,19 @@ intersections, pairwise set exchange instead of rank tables, Mobius values
 instead of Whitney's subset sum, minors relabelled element by element
 instead of by paired bit combinations, a permutation search for matroid
 isomorphism, and an up-set walk over the lattice of flats instead of the
-subset cube for the Z-polynomial solve.  Expected values in the tests are
-frozen from these oracles.
+subset cube for the Z-polynomial solve, and sums that build every term
+afresh instead of stepping from the one before.  Expected values in the
+tests are frozen from these oracles.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 
 from klmatroids.errors import InvalidShape
 from klmatroids.matroid import elements_of, ground_mask, mask_from
+from klmatroids.tableaux import count_syt
 
 
 @lru_cache(maxsize=None)
@@ -400,3 +402,60 @@ def skew_is_legal(a: int, i: int, b: int, columns) -> bool:
         if any(row[k] >= row[k + 1] for k in range(len(row) - 1)):
             return False
     return True
+
+
+# -- the formula layer's sums, term by term --------------------------------------
+#
+# The library gets each term of these sums from the one before by an exact
+# ratio.  Here every term is built on its own: binomials by math.comb, and
+# straight-shape counts by count_syt, whose hook quotient the tests check
+# against hook_length_count cell by cell.
+
+
+def termwise_count_skyt(a: int, i: int, b: int) -> int:
+    """Legal fillings of shape (a, i, b): 1 when i = 0, 0 when a or b is
+    below 2, else sum over k of (-1)^k C(a+2i+b-2, b-k-2) count_syt(a, i, k)."""
+    if i < 0:
+        raise InvalidShape(f"negative i={i}")
+    if i == 0:
+        return 1
+    if a < 2 or b < 2:
+        return 0
+    n = a + 2 * i + b - 2
+    return sum((-1) ** k * comb(n, b - k - 2) * count_syt(a, i, k) for k in range(b - 1))
+
+
+def termwise_coeff_rho(m: int, d: int, i: int, rho: int) -> int:
+    """Coefficient i of the KL polynomial of U(m, d; rho) by the tableau
+    formula, 0 outside 0 <= i < d/2 (i = 0 always counts)."""
+    if i < 0 or (i > 0 and 2 * i >= d):
+        return 0
+    b = d - 2 * i + 1
+    overline = termwise_count_skyt(2, i, b) - termwise_count_skyt(2, i, b - 1) if i else 0
+    return termwise_count_skyt(m + 1, i, b) - rho * overline
+
+
+def termwise_klum(m: int, d: int, i: int) -> int:
+    """Coefficient i of the KL polynomial of U(m, d) by the older closed form,
+    with a = m + 1 and b = d - 2i + 1: C(b+2i+a-2, i) / (b+i-1) times the sum
+    over h < a - 1 of C(b+i+h-1, h+i+1) C(i-1+h, h); 0 outside 0 <= i < d/2."""
+    if i < 0 or (i > 0 and 2 * i >= d):
+        return 0
+    if i == 0:
+        return 1
+    a, b = m + 1, d - 2 * i + 1
+    inner = sum(comb(b + i + h - 1, h + i + 1) * comb(i - 1 + h, h) for h in range(a - 1))
+    value, rem = divmod(comb(b + 2 * i + a - 2, i) * inner, b + i - 1)
+    if rem:
+        raise AssertionError(f"b + i - 1 = {b + i - 1} does not divide the closed form")
+    return value
+
+
+def termwise_char_poly_rho(m: int, d: int, rho: int) -> list[int]:
+    """Coefficients, low degree first, of the characteristic polynomial of
+    U(m, d; rho) for d >= 1: (-1)^d (C(m+d-1, d-1) - rho), then
+    (-1)^(d-1) (C(m+d, d-1) - rho), then (-1)^(d-i) C(m+d, d-i) for i >= 2."""
+    coeffs = [(-1) ** (d - i) * comb(m + d, d - i) for i in range(d + 1)]
+    coeffs[0] = (-1) ** d * (comb(m + d - 1, d - 1) - rho)
+    coeffs[1] = (-1) ** (d - 1) * (comb(m + d, d - 1) - rho)
+    return coeffs

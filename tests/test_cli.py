@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import klmatroids
-from klmatroids.cli import main
+from klmatroids import cli
+from klmatroids.cli import TABLE_MAX, main
 from klmatroids.closedforms import RhoUniformParams, coeff_rho, valid_rhos
 
 
@@ -65,6 +66,27 @@ class TestCoeff:
         assert code == 0
         payload = json.loads(out)
         assert payload["result"] == "29399769954675289400"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prints_integers_past_the_str_digit_limit(self, capsys, fmt):
+        # about 5,400 digits, past CPython's default limit of 4,300 on str(int)
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        limit = get_limit()
+        code, out, _ = run_cli(
+            capsys, "coeff", "--m", "6000", "--d", "6000", "--i", "2999", "--rho", "1",
+            "--format", fmt,
+        )
+        assert code == 0 and get_limit() == limit
+        printed = json.loads(out)["result"] if fmt == "json" else out.strip()
+        assert len(printed) > 4300 and printed.isdigit()
+        want = coeff_rho(6000, 6000, 2999, 1)
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert printed == str(want)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
     def test_exponential_methods_capped(self, capsys):
         # Each route raises at its own library cap; "all" leaves it out.
@@ -365,6 +387,25 @@ class TestTable:
     def test_bad_flags(self, capsys):
         code, _, _ = run_cli(capsys, "table", "--m-max", "0", "--d-max", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("m_max,d_max", [(TABLE_MAX + 1, 3), (3, TABLE_MAX + 1)])
+    def test_past_the_cap_is_refused_before_any_work(self, capsys, monkeypatch, m_max, d_max):
+        def refuse(*args):
+            raise AssertionError("the table computed a coefficient past its cap")
+
+        monkeypatch.setattr(cli, "coeff_rho", refuse)
+        code, out, err = run_cli(
+            capsys, "table", "--m-max", str(m_max), "--d-max", str(d_max)
+        )
+        assert code == 2 and out == "" and f"at most {TABLE_MAX}" in err
+
+    @pytest.mark.parametrize("m_max,d_max", [(TABLE_MAX, 1), (1, TABLE_MAX)])
+    def test_the_cap_itself_is_admitted(self, capsys, m_max, d_max):
+        code, out, _ = run_cli(
+            capsys, "table", "--m-max", str(m_max), "--d-max", str(d_max), "--format", "csv"
+        )
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert code == 0 and len(rows) == sum((d - 1) // 2 + 1 for d in range(1, d_max + 1)) * m_max
 
     def test_negative_rho_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "table", "--m-max", "3", "--d-max", "3", "--rho", "-1")

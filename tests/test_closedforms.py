@@ -3,6 +3,8 @@ import pickle
 import re
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from klmatroids import closedforms
 from klmatroids import matroid as matroid_module
@@ -36,7 +38,12 @@ from klmatroids.matroid import (
 from klmatroids.tableaux import count_skyt_rho_direct
 from klmatroids.verification import family_grid
 
-from oracles import is_isomorphic
+from oracles import (
+    is_isomorphic,
+    termwise_char_poly_rho,
+    termwise_coeff_rho,
+    termwise_klum,
+)
 
 
 class TestParams:
@@ -179,6 +186,13 @@ class TestUniformCoefficients:
             monkeypatch.setattr(closedforms, name, refuse)
         assert coeff_uniform_klum(4, 9, 3) == expected
 
+    # Every i: negative, 0, inside 0 < 2i < d and past it.
+    @pytest.mark.parametrize("m", range(1, 70))
+    def test_klum_stepped_sum_equals_termwise_sum(self, m):
+        for d in range(70):
+            for i in range(-1, d + 2):
+                assert coeff_uniform_klum(m, d, i) == termwise_klum(m, d, i), (m, d, i)
+
     # The m, d <= 30 triangle of `klm table`.
     @pytest.mark.parametrize("m", range(1, 31))
     @pytest.mark.parametrize("d", range(1, 31))
@@ -238,6 +252,24 @@ class TestCharPolyRho:
         poly = char_poly_rho(p)
         assert poly == char_poly(build_rho_uniform(p))
         assert poly(1) == 0
+
+    @pytest.mark.parametrize("m", range(1, 40))
+    def test_row_walk_equals_termwise_binomials(self, m):
+        for d in range(1, 40):
+            for rho in valid_rhos(m, d):
+                want = IntPoly(termwise_char_poly_rho(m, d, rho))
+                assert char_poly_rho(RhoUniformParams(m, d, rho)) == want, (m, d, rho)
+
+
+@seed(1954)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.data())
+def test_stepped_sums_equal_termwise_sums_at_large_parameters(m, d, data):
+    i = data.draw(st.integers(-1, (d + 1) // 2), label="i")
+    rho = data.draw(st.sampled_from(valid_rhos(m, d)), label="rho")
+    assert coeff_uniform_klum(m, d, i) == termwise_klum(m, d, i)
+    assert coeff_rho(m, d, i, rho) == termwise_coeff_rho(m, d, i, rho)
+    assert char_poly_rho(RhoUniformParams(m, d, rho)) == IntPoly(termwise_char_poly_rho(m, d, rho))
 
 
 class TestClassifyMinor:

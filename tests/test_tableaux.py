@@ -41,6 +41,7 @@ from oracles import (
     skew_rotate,
     skew_value,
     straight_rows,
+    termwise_count_skyt,
 )
 
 # Named fillings reused across tests: a legal filling of shape (4, 3, 3),
@@ -183,6 +184,31 @@ class TestCountSkyt:
     def test_catalan_specialization(self):
         for i in range(1, 6):
             assert count_skyt(2, i, 2) == catalan(i + 1)
+
+    def test_negative_i_is_refused(self):
+        for count in (count_skyt, termwise_count_skyt):
+            for a, b in ((0, 0), (3, 1), (3, 5)):
+                with pytest.raises(InvalidShape):
+                    count(a, -1, b)
+
+    # The grid holds every i = 0 and a, b below 2 convention as well.
+    @pytest.mark.parametrize("a", range(45))
+    def test_stepped_sum_equals_termwise_sum(self, a):
+        for i in range(20):
+            for b in range(45):
+                assert count_skyt(a, i, b) == termwise_count_skyt(a, i, b), (a, i, b)
+
+    def test_one_straight_count_per_sum(self, monkeypatch):
+        # Only the first term is a hook quotient; the others are stepped.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return count_syt(*args)
+
+        monkeypatch.setattr(tableaux, "count_syt", counted)
+        assert count_skyt.__wrapped__(5, 3, 9) == termwise_count_skyt(5, 3, 9)
+        assert calls == [(5, 3, 0)]
 
 
 class TestInvolution:
