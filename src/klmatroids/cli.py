@@ -7,13 +7,13 @@ as decimal strings; JSON output round-trips losslessly.
 The ``oracle`` method is the Z-polynomial solver over the subset cube
 (``klm verify`` cross-checks it against the defining recurrence); the
 ``direct`` method counts the Theorem 1 set by a dynamic programme over order
-ideals.  Each route is bounded only by the library cap next to its own work:
-the oracle by MAX_GROUND = 16 elements, the direct count by MAX_CELLS = 64
-cells, and past it either one raises InvalidParameters, which exits 2.
-``--method all`` runs each route whose cap admits the query.  ``klm verify``
-caps ``--max-n`` at VERIFY_MAX_N for every suite, because the
-minor-recurrence cross-check slows down fast above it, and ``klm table``
-caps ``--m-max`` and ``--d-max`` at TABLE_MAX, before any coefficient.
+ideals.  The library caps the oracle at MAX_GROUND = 16 elements and the
+direct count at MAX_CELLS = 64 cells, and past either cap raises
+InvalidParameters, which exits 2; ``--method all`` runs each route whose cap
+admits the query.  The CLI sets the other caps, checked before any
+coefficient: the tableau and closed-form routes at m + d <= COEFF_MAX_N in
+``klm coeff`` and KLPOLY_MAX_N in ``klm klpoly`` (``--method all`` included),
+``klm verify --max-n`` at VERIFY_MAX_N and ``klm table`` at TABLE_MAX.
 
 Only ``klm verify`` loads ``verification``, and with it the process pool
 (``concurrent.futures`` and ``multiprocessing``); every other command starts
@@ -33,6 +33,7 @@ from .closedforms import (
     build_rho_uniform,
     coeff_rho,
     coeff_uniform_klum,
+    coefficient_range,
     kl_poly_rho,
     valid_rhos,
 )
@@ -63,6 +64,15 @@ TABLE_MAX = 70
 CPython 3.11 the 70 triangle takes 2.4 s and 43 MB, the 90 triangle 6.1 s
 and the 120 triangle 19 s and 150 MB: the coefficients, and the terms of
 each sum, grow with the side, and so do the integers."""
+
+COEFF_MAX_N = 25_000
+"""The largest m + d of a ``klm coeff`` by tableau or closed form.  On a 2-core
+VM with CPython 3.11 its slowest query (m = 2, i = 1, rho = 1) takes 1.9 s;
+m + d = 40,003 takes 4.2 s and m = 10^6 takes 26 s."""
+
+KLPOLY_MAX_N = 1_000
+"""The largest m + d of a ``klm klpoly`` by tableau, a sum of d / 2 coefficients:
+its slowest query (m = 2, rho = 1) takes 2.1 s there, and d = 2001 takes 11.8 s."""
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -137,11 +147,17 @@ def _report_routes(args, query: dict, values: dict, elapsed_ms: float) -> int:
     return EXIT_OK if agreed else EXIT_INCONSISTENT
 
 
+def _fail_formula_cap(command: str, cap: int, n: int) -> int:
+    return _fail_usage(f"the formula routes of klm {command} are capped at m + d <= {cap}, got {n}")
+
+
 def cmd_coeff(args) -> int:
     params = RhoUniformParams(args.m, args.d, args.rho)
     if args.method == "closed-form" and params.rho != 0:
         return _fail_usage("the closed-form method applies to rho = 0 only")
     methods = _methods_for(args.method, params)
+    if params.n > COEFF_MAX_N and {"tableau", "closed-form"} & set(methods):
+        return _fail_formula_cap("coeff", COEFF_MAX_N, params.n)
     start = time.perf_counter()
     values: dict[str, int] = {}
     for method in methods:
@@ -153,6 +169,8 @@ def cmd_coeff(args) -> int:
 
 def cmd_klpoly(args) -> int:
     params = RhoUniformParams(args.m, args.d, args.rho)
+    if params.n > KLPOLY_MAX_N and args.method != "oracle":
+        return _fail_formula_cap("klpoly", KLPOLY_MAX_N, params.n)
     start = time.perf_counter()
     polys: dict[str, IntPoly] = {}
     if args.method in ("tableau", "all"):
@@ -168,17 +186,11 @@ def cmd_enumerate(args) -> int:
     if args.i < 1:
         return _fail_usage("enumeration needs i >= 1 (i = 0 shapes are count conventions)")
     family = args.family
-    d = args.d
-    if family != "rho" and (d is not None or args.rho is not None):
-        return _fail_usage(f"--d and --rho apply to --family rho only, not --family {family}")
+    if family != "rho" and args.rho is not None:
+        return _fail_usage(f"--rho applies to --family rho only, not --family {family}")
     if family == "rho":
-        derived = args.b + 2 * args.i - 1
-        if d is None:
-            d = derived
-        elif d != derived:
-            return _fail_usage(
-                f"shape (a={args.a}, i={args.i}, b={args.b}) carries d={derived}, not {d}"
-            )
+        # the shape (m + 1, i, d - 2i + 1) of coefficient i carries the rank
+        d = args.b + 2 * args.i - 1
         rho = 0 if args.rho is None else args.rho
         validate_family_params(args.a - 1, d, rho)
     fillings = enumerate_skyt(args.a, args.i, args.b)
@@ -263,7 +275,7 @@ def cmd_table(args) -> int:
         for d in range(1, args.d_max + 1):
             if args.rho not in valid_rhos(m, d):
                 continue
-            for i in range((d - 1) // 2 + 1):
+            for i in coefficient_range(d):
                 rows.append((m, d, args.rho, i, coeff_rho(m, d, i, args.rho)))
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -328,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["skyt", "overline", "rho"],
         default="skyt",
         help="skyt: all fillings; overline: top-left 1 with maximal left tail; "
-        "rho: fillings passing the removed-family boundary conditions",
+        "rho: fillings passing the removed-family boundary conditions of "
+        "U(a - 1, b + 2i - 1; rho)",
     )
-    enum.add_argument("--d", type=int, default=None, help="rank for --family rho (derived from the shape when omitted)")
     enum.add_argument(
         "--rho", type=int, default=None, help="removed bases for --family rho (0 when omitted)"
     )

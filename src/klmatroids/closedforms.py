@@ -6,6 +6,12 @@ consecutive blocks {1..d}, {d+1..2d}, ..., {(rho-1)d+1..rho d}; disjointness
 is what makes the removal produce a matroid at all, and it needs
 rho * d <= m + d elements of room.
 
+The family's rules are written once, here, and read from here: the valid
+rho for one (m, d) (``valid_rhos``) and every valid point up to a size
+(``family_grid``), the indices of the KL coefficients (``coefficient_range``)
+and the removed blocks as bitmasks (``removed_block_masks``).  The bases of
+the uniform matroid, all d-subsets, are listed by ``matroid.d_subsets``.
+
 The parameter types are named tuples: RhoUniformParams is (m, d, rho),
 checked when it is built, and MinorClass is (m, d, rho, offset).  They
 unpack, and compare and hash like the plain tuple of their fields.
@@ -14,7 +20,6 @@ unpack, and compare and hash like the plain tuple of their fields.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InvalidParameters, NonIntegerResult, NotAFlat
@@ -23,6 +28,7 @@ from .matroid import (
     GroundSubset,
     Matroid,
     check_ground_size,
+    d_subsets,
     elements_of,
     ground_mask,
     mask_from,
@@ -45,13 +51,8 @@ class _ParamFields(NamedTuple):
 
 
 class RhoUniformParams(_ParamFields):
-    """Parameters (m, d, rho) of the removed-basis uniform matroid U(m, d; rho).
-
-    Validity: m >= 1 (the m = 0 family is degenerate and rejected), d >= 0,
-    rho >= 0, and for rho >= 1 either d = 0 (removal is a no-op by
-    convention) or d >= 2 with rho * d <= m + d.  Removing size-1 bases is
-    rejected because it creates loops.
-    """
+    """Parameters (m, d, rho) of the removed-basis uniform matroid U(m, d; rho),
+    checked by ``validate_family_params`` when built."""
 
     __slots__ = ()
 
@@ -79,20 +80,27 @@ def valid_rhos(m: int, d: int) -> list[int]:
     return list(range((m + d) // d + 1))
 
 
-def consecutive_block(d: int, offset: int) -> frozenset[int]:
-    """The interval {1 + offset, ..., d + offset}."""
-    return frozenset(range(1 + offset, d + offset + 1))
+def family_grid(total_max: int, min_d: int = 1) -> list[RhoUniformParams]:
+    """All valid (m, d, rho) with m + d <= total_max and d >= min_d."""
+    return [
+        RhoUniformParams(m, d, rho)
+        for m in range(1, total_max + 1 - min_d)
+        for d in range(min_d, total_max - m + 1)
+        for rho in valid_rhos(m, d)
+    ]
 
 
-def removed_blocks(p: RhoUniformParams) -> list[frozenset[int]]:
-    """The canonically removed bases: disjoint blocks at offsets 0, d, 2d, ..."""
-    if p.d == 0:
-        return []
-    return [consecutive_block(p.d, ell * p.d) for ell in range(p.rho)]
+def coefficient_range(d: int) -> range:
+    """The indices i of the KL coefficients of a rank-d member: the constant
+    term i = 0, defined even in rank 0, and every i >= 1 with 2i < d."""
+    return range(max(d - 1, 0) // 2 + 1)
 
 
-def removed_block_masks(p: RhoUniformParams) -> list[GroundSubset]:
-    return [mask_from(block, p.n) for block in removed_blocks(p)]
+def removed_block_masks(d: int, rho: int, offset: int = 0) -> list[GroundSubset]:
+    """The rho removed d-blocks after label ``offset``: block l holds the
+    labels offset + l d + 1 .. offset + (l + 1) d.  Rank 0 removes none."""
+    block = (1 << d) - 1
+    return [block << (offset + ell * d) for ell in range(rho if d else 0)]
 
 
 @lru_cache(maxsize=128)
@@ -103,25 +111,13 @@ def _build_cached(m: int, d: int, rho: int, offset: int) -> Matroid:
     """
     n = m + d
     check_ground_size(n)
-    if d == 0:
-        return matroid_from_bases(n, [0])
-    removed = {mask_from(consecutive_block(d, offset + ell * d), n) for ell in range(rho)}
-    bases = [
-        mask_from(combo, n)
-        for combo in combinations(range(1, n + 1), d)
-    ]
-    return matroid_from_bases(n, [b for b in bases if b not in removed])
+    removed = set(removed_block_masks(d, rho, offset))
+    return matroid_from_bases(n, [b for b in d_subsets(n, d) if b not in removed])
 
 
 def build_rho_uniform(p: RhoUniformParams) -> Matroid:
     """Construct U(m, d; rho) and validate it through the generic basis checks."""
     return _build_cached(p.m, p.d, p.rho, 0)
-
-
-def _in_coefficient_range(d: int, i: int) -> bool:
-    # i = 0 is always a coefficient (the constant term is defined even for
-    # rank 0); higher coefficients exist only below half the rank.
-    return i == 0 or (i > 0 and 2 * i < d)
 
 
 def coeff_uniform_tableau(m: int, d: int, i: int) -> int:
@@ -150,10 +146,11 @@ def coeff_uniform_klum(m: int, d: int, i: int) -> int:
     raises NonIntegerResult (it would mean an implementation bug).
     """
     validate_family_params(m, d, 0)
-    if i < 0 or not _in_coefficient_range(d, i):
-        return 0
     if i == 0:
         return 1
+    # past coefficient_range(d) the sum below is not 0
+    if i < 0 or 2 * i >= d:
+        return 0
     a = m + 1
     b = d - 2 * i + 1
     term = inner = binomial(b + i - 1, i + 1)
@@ -174,10 +171,11 @@ def coeff_rho(m: int, d: int, i: int, rho: int) -> int:
 
     count_skyt(m+1, i, d-2i+1) - rho * count_overline_skyt(i, d-2i+1); always
     non-negative, and equal to the direct filtered count.  Out-of-range i
-    gives 0.
+    gives 0: past coefficient_range(d) the width b is below 2, where both
+    counts are 0 by their own conventions.
     """
     validate_family_params(m, d, rho)
-    if i < 0 or not _in_coefficient_range(d, i):
+    if i < 0:
         return 0
     b = d - 2 * i + 1
     return count_skyt(m + 1, i, b) - rho * count_overline_skyt(i, b)
@@ -185,11 +183,7 @@ def coeff_rho(m: int, d: int, i: int, rho: int) -> int:
 
 def kl_poly_rho(p: RhoUniformParams) -> IntPoly:
     """The full KL polynomial of U(m, d; rho), assembled coefficient by coefficient."""
-    if p.d == 0:
-        return IntPoly([1])
-    return IntPoly(
-        coeff_rho(p.m, p.d, i, p.rho) for i in range((p.d - 1) // 2 + 1)
-    )
+    return IntPoly(coeff_rho(p.m, p.d, i, p.rho) for i in coefficient_range(p.d))
 
 
 def char_poly_rho(p: RhoUniformParams) -> IntPoly:
@@ -268,7 +262,7 @@ def classify_minor(
         raise NotAFlat(f"bitmask {flat} outside the ground set of {p.label()}")
     if build_rho_uniform(p).closure_of(flat) != flat:
         raise NotAFlat(f"{set(elements_of(flat))} is not a flat of {p.label()}")
-    blocks = removed_block_masks(p)
+    blocks = removed_block_masks(p.d, p.rho)
     size = flat.bit_count()
     if kind == "localization":
         if flat == full:
@@ -295,16 +289,11 @@ def expected_flats(p: RhoUniformParams) -> set[GroundSubset]:
     no removed block, the removed blocks themselves, and the full ground set.
     """
     n, d = p.n, p.d
-    full = ground_mask(n)
-    if d == 0:
-        return {full}
-    blocks = removed_block_masks(p)
-    out: set[GroundSubset] = {full}
-    for size in range(0, d):
-        for combo in combinations(range(1, n + 1), size):
-            mask = mask_from(combo, n)
+    blocks = removed_block_masks(d, p.rho)
+    out: set[GroundSubset] = {ground_mask(n), *blocks}
+    for size in range(d):
+        for mask in d_subsets(n, size):
             if size == d - 1 and any(mask & block == mask for block in blocks):
                 continue
             out.add(mask)
-    out.update(blocks)
     return out

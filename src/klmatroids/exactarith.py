@@ -24,10 +24,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def factorial(n: int) -> int:
-    return math.factorial(n)
-
-
 def parity_sign(k: int) -> int:
     """(-1)**k, safe for negative k."""
     return -1 if k & 1 else 1

@@ -9,18 +9,18 @@ matches exactly or is a counterexample.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from math import factorial
 
-from .closedforms import RhoUniformParams, build_rho_uniform, kl_poly_rho
-from .errors import InvalidParameters
-from .exactarith import (
-    BiSeries,
-    binomial,
-    factorial,
-    parity_sign,
-    series_div_truncated,
+from .closedforms import (
+    RhoUniformParams,
+    build_rho_uniform,
+    coefficient_range,
+    family_grid,
+    kl_poly_rho,
 )
+from .errors import InvalidParameters
+from .exactarith import BiSeries, binomial, parity_sign, series_div_truncated
 from .matroid import kl_poly
 from .tableaux import count_overline_skyt, count_skyt, count_syt
 
@@ -70,9 +70,6 @@ class IdentityReport:
             "passed": self.passed,
             "counterexample": self.first_counterexample,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     def summary(self) -> str:
         status = "PASS" if self.passed else f"FAIL at {self.first_counterexample}"
@@ -334,7 +331,7 @@ def sweep_syt_dual(m_max: int = 4, d_max: int = 8) -> IdentityReport:
     report = IdentityReport("syt-dual", f"m<={m_max}, d<={d_max}, all valid k, p")
     for m in range(1, m_max + 1):
         for d in range(1, d_max + 1):
-            for k in range((d - 1) // 2 + 1):
+            for k in coefficient_range(d):
                 for p in range(d - 2 * k):
                     report.record((m, k, d, p), check_syt_dual(m, k, d, p))
     return report
@@ -343,7 +340,7 @@ def sweep_syt_dual(m_max: int = 4, d_max: int = 8) -> IdentityReport:
 def sweep_barskyt_dual(d_max: int = 8) -> IdentityReport:
     report = IdentityReport("barskyt-dual", f"d<={d_max}, k>=1, all valid p")
     for d in range(3, d_max + 1):
-        for k in range(1, (d - 1) // 2 + 1):
+        for k in coefficient_range(d)[1:]:
             for p in range(d - 2 * k):
                 report.record((k, d, p), check_barskyt_dual(k, d, p))
     return report
@@ -391,13 +388,9 @@ def sweep_gf_truncation(i_values: tuple[int, ...] = (1, 2, 3), order: int = 10) 
 
 
 def sweep_kl_constant_term(total_max: int = 7) -> IdentityReport:
-    from .closedforms import valid_rhos
-
     report = IdentityReport("kl-constant-term", f"valid (m, d, rho), m+d<={total_max}")
-    for m in range(1, total_max):
-        for d in range(1, total_max - m + 1):
-            for rho in valid_rhos(m, d):
-                report.record((m, d, rho), check_kl_constant_term_porism(m, d, rho))
+    for p in family_grid(total_max):
+        report.record(p, check_kl_constant_term_porism(*p))
     return report
 
 

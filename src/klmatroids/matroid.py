@@ -74,6 +74,11 @@ def ground_mask(n: int) -> GroundSubset:
     return (1 << n) - 1
 
 
+def d_subsets(n: int, d: int) -> list[GroundSubset]:
+    """Every d-subset of {1..n} as a bitmask, in lexicographic order."""
+    return [sum(c) for c in combinations([1 << e for e in range(n)], d)]
+
+
 def _as_mask(subset: Collection[int] | GroundSubset, n: int) -> GroundSubset:
     """A subset of 1..n as a bitmask; an int must already be one, in 0..2**n - 1."""
     if not isinstance(subset, int):
@@ -332,8 +337,7 @@ def uniform_matroid(m: int, d: int) -> Matroid:
         raise ValueError(f"uniform matroid needs m, d >= 0 (got m={m}, d={d})")
     n = m + d
     check_ground_size(n)
-    bases = [mask_from(combo, n) for combo in combinations(range(1, n + 1), d)]
-    return matroid_from_bases(n, bases)
+    return matroid_from_bases(n, d_subsets(n, d))
 
 
 def rank(matroid: Matroid, subset: Collection[int] | GroundSubset) -> int:

@@ -115,10 +115,6 @@ def _layout(a: int, i: int, b: int) -> _Layout:
     return _Layout(shape, tuple(starts), tuple(need), tuple(pairs), tuple(range(1, len(index) + 1)))
 
 
-def _layout_of(shape: SkewShape) -> _Layout:
-    return _layout(*shape)
-
-
 class Filling(tuple):
     """An assignment of integers to the cells of a SkewShape; see is_legal.
 
@@ -149,7 +145,7 @@ class Filling(tuple):
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Column c's entries top to bottom, for each column c."""
         shape, entries = self
-        starts = _layout_of(shape).starts
+        starts = _layout(*shape).starts
         return tuple(entries[lo:hi] for lo, hi in zip(starts, starts[1:]))
 
     def value_at(self, r: int, c: int) -> int:
@@ -157,13 +153,13 @@ class Filling(tuple):
         rows = shape.column_rows(c)
         if r not in rows:
             raise InvalidShape(f"cell ({r}, {c}) not in shape {shape}")
-        return entries[_layout_of(shape).starts[c] + r - rows.start]
+        return entries[_layout(*shape).starts[c] + r - rows.start]
 
     def is_legal(self) -> bool:
         """The entries are 1..n once each and increase down every column and
         rightward along rows 0 and 1."""
         shape, entries = self
-        layout = _layout_of(shape)
+        layout = _layout(*shape)
         if tuple(sorted(entries)) != layout.values:
             return False
         for lo, hi in layout.pairs:
@@ -371,9 +367,7 @@ def count_overline_skyt(i: int, b: int) -> int:
     """
     if i < 0:
         raise InvalidShape(f"negative i={i}")
-    if i == 0:
-        return 0
-    if b < 2:
+    if i == 0 or b < 2:
         return 0
     return count_skyt(2, i, b) - count_skyt(2, i, b - 1)
 

@@ -23,7 +23,6 @@ import os
 # deferred import would bill its 25-40 ms to whichever sweep first fans out.
 # The CLI imports this module only for `klm verify`.
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .closedforms import (
@@ -34,7 +33,9 @@ from .closedforms import (
     coeff_rho,
     coeff_uniform_klum,
     coeff_uniform_tableau,
+    coefficient_range,
     expected_flats,
+    family_grid,
     valid_rhos,
 )
 from .exactarith import IntPoly, poly_reverse
@@ -42,6 +43,7 @@ from .identities import IdentityReport
 from .matroid import (
     char_poly,
     contraction,
+    d_subsets,
     kl_poly,
     kl_poly_recurrence,
     kl_recurrence_rhs,
@@ -114,16 +116,6 @@ def _run_points(
     return report
 
 
-def family_grid(total_max: int, min_d: int = 1) -> list[RhoUniformParams]:
-    """All valid (m, d, rho) with m + d <= total_max and d >= min_d."""
-    grid = []
-    for m in range(1, total_max + 1 - min_d):
-        for d in range(min_d, total_max - m + 1):
-            for rho in valid_rhos(m, d):
-                grid.append(RhoUniformParams(m, d, rho))
-    return grid
-
-
 # -- coefficient agreement ------------------------------------------------------
 
 
@@ -149,12 +141,10 @@ def kl_defining_equation_holds(matroid) -> bool:
 def _theorem1_point(p: RhoUniformParams) -> bool:
     matroid = build_rho_uniform(p)
     oracle = kl_poly(matroid)
-    if oracle.coeff(0) != 1:
+    coefficients = coefficient_range(p.d)
+    if oracle.coeff(0) != 1 or oracle.degree not in coefficients:
         return False
-    if p.d > 0 and 2 * oracle.degree >= p.d:
-        return False
-    top = (p.d - 1) // 2 if p.d else 0
-    for i in range(top + 2):  # one index past the range must give 0 everywhere
+    for i in range(coefficients.stop + 1):  # one index past the range must give 0 everywhere
         formula = coeff_rho(p.m, p.d, i, p.rho)
         direct = count_skyt_rho_direct(p.m, p.d, i, p.rho)
         if not formula == direct == oracle.coeff(i):
@@ -170,8 +160,7 @@ def sweep_theorem1(total_max: int = 9, jobs: int = 1) -> IdentityReport:
 
 def _theorem2_point(p: RhoUniformParams) -> bool:
     oracle = kl_poly(build_rho_uniform(p))
-    top = (p.d - 1) // 2 if p.d else 0
-    for i in range(top + 2):
+    for i in range(coefficient_range(p.d).stop + 1):
         tableau = coeff_uniform_tableau(p.m, p.d, i)
         closed = coeff_uniform_klum(p.m, p.d, i)
         if not tableau == closed == oracle.coeff(i):
@@ -314,7 +303,7 @@ def sweep_flats(total_max: int = 8, jobs: int = 1) -> IdentityReport:
 def _monotonicity_point(point: tuple[int, int]) -> bool:
     m, d = point
     rhos = valid_rhos(m, d)
-    for i in range((d - 1) // 2 + 1):
+    for i in coefficient_range(d):
         values = [coeff_rho(m, d, i, rho) for rho in rhos]
         if any(v < 0 for v in values):
             return False
@@ -326,22 +315,19 @@ def _monotonicity_point(point: tuple[int, int]) -> bool:
 def sweep_monotonicity(total_max: int = 9, jobs: int = 1) -> IdentityReport:
     """Coefficients weakly decrease (and stay non-negative) as bases are removed."""
     report = IdentityReport("monotonicity", f"(m, d), m+d<={total_max}, all rho")
-    points = [
-        (m, d)
-        for m in range(1, total_max)
-        for d in range(1, total_max - m + 1)
-    ]
+    points = list(dict.fromkeys((p.m, p.d) for p in family_grid(total_max)))
     return _run_points(report, points, _monotonicity_point, jobs)
 
 
 # -- exchange-axiom validator ----------------------------------------------------------
 
 
-def disjoint_families(n: int, d: int) -> Iterable[tuple[frozenset[int], ...]]:
-    """Every nonempty family of pairwise disjoint d-subsets of {1..n}, up to order."""
-    subsets = [frozenset(c) for c in combinations(range(1, n + 1), d)]
+def disjoint_families(n: int, d: int) -> Iterable[tuple[int, ...]]:
+    """Every nonempty family of pairwise disjoint d-subsets of {1..n}, up to
+    order, each subset a bitmask."""
+    subsets = d_subsets(n, d)
 
-    def extend(start: int, chosen: tuple[frozenset[int], ...], used: frozenset[int]):
+    def extend(start: int, chosen: tuple[int, ...], used: int):
         for idx in range(start, len(subsets)):
             s = subsets[idx]
             if used & s:
@@ -350,12 +336,12 @@ def disjoint_families(n: int, d: int) -> Iterable[tuple[frozenset[int], ...]]:
             yield family
             yield from extend(idx + 1, family, used | s)
 
-    yield from extend(0, (), frozenset())
+    yield from extend(0, (), 0)
 
 
 def _exchange_point(point: tuple[int, int]) -> bool:
     n, d = point
-    all_bases = [frozenset(c) for c in combinations(range(1, n + 1), d)]
+    all_bases = d_subsets(n, d)
     for family in disjoint_families(n, d):
         removed = set(family)
         remaining = [b for b in all_bases if b not in removed]

@@ -10,8 +10,14 @@ import pytest
 
 import klmatroids
 from klmatroids import cli
-from klmatroids.cli import TABLE_MAX, main
-from klmatroids.closedforms import RhoUniformParams, coeff_rho, valid_rhos
+from klmatroids.cli import COEFF_MAX_N, KLPOLY_MAX_N, TABLE_MAX, main
+from klmatroids.closedforms import (
+    RhoUniformParams,
+    coeff_rho,
+    coeff_uniform_klum,
+    kl_poly_rho,
+    valid_rhos,
+)
 
 
 def run_cli(capsys, *argv):
@@ -176,12 +182,16 @@ class TestEnumerate:
         assert code == 0
         assert out.strip().splitlines()[-1] == "count: 3"
 
-    def test_rho_family_rank_consistency(self, capsys):
-        code, _, err = run_cli(
-            capsys, "enumerate", "--a", "3", "--i", "1", "--b", "2",
-            "--family", "rho", "--rho", "1", "--d", "7",
-        )
-        assert code == 2 and "carries d=3" in err
+    @pytest.mark.parametrize("family", ["skyt", "overline", "rho"])
+    def test_rank_flag_is_a_usage_error(self, capsys, family):
+        # the shape carries the rank d = b + 2i - 1; even that d is refused
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "enumerate", "--a", "3", "--i", "1", "--b", "2",
+                "--family", family, "--d", "3",
+            ])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "" and "--d" in captured.err
 
     @pytest.mark.parametrize("rho", ["-3", "9"])
     def test_rho_family_validates_the_family(self, capsys, rho):
@@ -209,14 +219,14 @@ class TestEnumerate:
 
     @pytest.mark.parametrize(
         "family_args",
-        [("--d", "99", "--rho", "-7"), ("--family", "overline", "--d", "99", "--rho", "50")],
+        [("--rho", "-7"), ("--family", "overline", "--rho", "50")],
         ids=["skyt", "overline"],
     )
-    def test_d_and_rho_outside_the_rho_family_are_usage_errors(self, capsys, family_args):
+    def test_rho_outside_the_rho_family_is_a_usage_error(self, capsys, family_args):
         code, out, err = run_cli(
             capsys, "enumerate", "--a", "2", "--i", "1", "--b", "2", *family_args
         )
-        assert code == 2 and out == "" and "--d and --rho" in err
+        assert code == 2 and out == "" and "--rho applies to --family rho only" in err
 
     def test_overline_family(self, capsys):
         code, out, _ = run_cli(
@@ -351,6 +361,59 @@ class TestOracleCapSetting:
         assert code == 0 and out.splitlines() == [
             f"{method}: {value}" for method in ("tableau", "direct", "closed-form", "oracle")
         ] + ["OK"]
+
+
+class TestFormulaCap:
+    """The tableau and closed-form routes stop at COEFF_MAX_N (klm coeff) and
+    KLPOLY_MAX_N (klm klpoly) elements, before any coefficient.
+
+    The queries at the caps are cheap ones (d = 3); the slow ones are
+    measured in the docstrings of the caps.
+    """
+
+    @staticmethod
+    def refuse_every_formula(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a formula ran past its cap")
+
+        for name in ("coeff_rho", "coeff_uniform_klum", "kl_poly_rho"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("method", ["tableau", "closed-form", "all"])
+    def test_coeff_at_the_cap(self, capsys, method):
+        m = COEFF_MAX_N - 3
+        code, out, _ = run_cli(
+            capsys, "coeff", "--m", str(m), "--d", "3", "--i", "1", "--method", method
+        )
+        assert code == 0 and out.splitlines()[0].endswith(str(coeff_uniform_klum(m, 3, 1)))
+
+    @pytest.mark.parametrize("method", ["tableau", "closed-form", "all"])
+    def test_coeff_past_the_cap(self, capsys, monkeypatch, method):
+        self.refuse_every_formula(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "coeff", "--m", "2", "--d", str(COEFF_MAX_N - 1), "--i", "1",
+            "--method", method,
+        )
+        assert code == 2 and out == ""
+        assert f"capped at m + d <= {COEFF_MAX_N}, got {COEFF_MAX_N + 1}" in err
+
+    @pytest.mark.parametrize("method", ["tableau", "all"])
+    def test_klpoly_at_the_cap(self, capsys, method):
+        p = RhoUniformParams(KLPOLY_MAX_N - 3, 3)
+        code, out, _ = run_cli(
+            capsys, "klpoly", "--m", str(p.m), "--d", "3", "--method", method
+        )
+        assert code == 0 and out.strip() == str(kl_poly_rho(p))
+
+    @pytest.mark.parametrize("method", ["tableau", "all"])
+    def test_klpoly_past_the_cap(self, capsys, monkeypatch, method):
+        self.refuse_every_formula(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "klpoly", "--m", "2", "--d", str(KLPOLY_MAX_N - 1), "--rho", "1",
+            "--method", method,
+        )
+        assert code == 2 and out == ""
+        assert f"capped at m + d <= {KLPOLY_MAX_N}, got {KLPOLY_MAX_N + 1}" in err
 
 
 class TestTable:

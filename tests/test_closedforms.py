@@ -17,9 +17,11 @@ from klmatroids.closedforms import (
     coeff_rho,
     coeff_uniform_klum,
     coeff_uniform_tableau,
+    coefficient_range,
     expected_flats,
+    family_grid,
     kl_poly_rho,
-    removed_blocks,
+    removed_block_masks,
     valid_rhos,
 )
 from klmatroids.errors import InvalidParameters, NonIntegerResult, NotAFlat
@@ -36,7 +38,6 @@ from klmatroids.matroid import (
     uniform_matroid,
 )
 from klmatroids.tableaux import count_skyt_rho_direct
-from klmatroids.verification import family_grid
 
 from oracles import (
     is_isomorphic,
@@ -134,7 +135,7 @@ class TestBuild:
 
     def test_removes_disjoint_blocks(self):
         p = RhoUniformParams(2, 2, 2)
-        assert removed_blocks(p) == [frozenset({1, 2}), frozenset({3, 4})]
+        assert removed_block_masks(p.d, p.rho) == [mask_from({1, 2}, 4), mask_from({3, 4}, 4)]
         m = build_rho_uniform(p)
         assert {frozenset(elements_of(b)) for b in m.bases} == {
             frozenset(s) for s in ({1, 3}, {1, 4}, {2, 3}, {2, 4})
@@ -143,6 +144,46 @@ class TestBuild:
     def test_rank_zero_convention(self):
         m = build_rho_uniform(RhoUniformParams(3, 0, 2))
         assert m.rank == 0 and m.n == 3
+
+
+class TestFamilyRules:
+    def test_coefficient_range_equals_the_inline_forms(self):
+        for d in range(41):
+            inline = range((d - 1) // 2 + 1) if d else range(1)
+            assert coefficient_range(d) == inline
+            assert list(coefficient_range(d)) == [i for i in range(d + 1) if i == 0 or 2 * i < d]
+
+    def test_block_masks_equal_the_consecutive_blocks(self):
+        for d in range(2, 6):
+            for rho in range(4):
+                for offset in range(6):
+                    n = offset + rho * d
+                    blocks = [
+                        range(1 + offset + ell * d, 1 + offset + (ell + 1) * d)
+                        for ell in range(rho)
+                    ]
+                    want = [mask_from(block, n) for block in blocks]
+                    assert removed_block_masks(d, rho, offset) == want
+
+    def test_rank_zero_removes_no_block(self):
+        assert removed_block_masks(0, 3) == removed_block_masks(0, 2, 4) == []
+
+    # coeff_rho has no range guard of its own: past the range the shape's
+    # width d - 2i + 1 is below 2, and both of its counts are 0 there.
+    @pytest.mark.parametrize(
+        "points",
+        [
+            family_grid(9),
+            [RhoUniformParams(m, 300, rho) for m in (1, 300) for rho in valid_rhos(m, 300)],
+        ],
+        ids=["grid", "d300"],
+    )
+    def test_coefficients_vanish_outside_the_range(self, points):
+        for m, d, rho in points:
+            past = coefficient_range(d).stop
+            for i in (-1, past, past + 9):
+                assert coeff_rho(m, d, i, rho) == 0, (m, d, rho, i)
+                assert coeff_uniform_klum(m, d, i) == 0, (m, d, i)
 
 
 class TestUniformCoefficients:

@@ -165,7 +165,7 @@ def test_report_json_schema():
     report = IdentityReport("demo", "d<=3")
     report.record((1, 2), True)
     report.record((1, 3), False)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_json_dict()))
     assert payload == {
         "identity": "demo",
         "grid": "d<=3",

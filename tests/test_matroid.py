@@ -29,6 +29,7 @@ from klmatroids.matroid import (
     clear_caches,
     closure,
     contraction,
+    d_subsets,
     elements_of,
     flats,
     ground_mask,
@@ -64,6 +65,12 @@ class TestConstruction:
     def test_uniform_from_all_pairs(self):
         assert U12 == uniform_matroid(1, 2)
         assert U12.rank == 2
+
+    def test_d_subsets_list_the_masks_in_lexicographic_order(self):
+        for n in range(11):
+            for d in range(n + 2):
+                want = [mask_from(c, n) for c in combinations(range(1, n + 1), d)]
+                assert d_subsets(n, d) == want
 
     def test_single_basis_removed_is_still_a_matroid(self):
         assert U12_MINUS.rank == 2
