@@ -19,7 +19,7 @@ from .errors import (
     NonIntegerResult,
     NotAFlat,
 )
-from .exactarith import BiSeries, IntPoly, binomial, poly_reverse, series_div_truncated
+from .exactarith import IntPoly, binomial, poly_reverse
 from .matroid import (
     FlatLattice,
     Matroid,
@@ -63,7 +63,6 @@ from .identities import IdentityReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiSeries",
     "EmptyBases",
     "ExchangeAxiomViolation",
     "Filling",
@@ -108,7 +107,6 @@ __all__ = [
     "matroid_from_bases",
     "poly_reverse",
     "rank",
-    "series_div_truncated",
     "uniform_matroid",
     "valid_rhos",
 ]

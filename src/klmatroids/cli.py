@@ -247,8 +247,8 @@ def cmd_verify(args) -> int:
         "charpoly": lambda: [verification.sweep_charpoly(max_n, jobs)],
         "minors": lambda: [verification.sweep_minors(max_n, jobs)],
         "flats": lambda: [verification.sweep_flats(max_n, jobs)],
-        "identities": lambda: run_identity_sweeps(order=args.series_order, include_gf=False),
-        "gf": lambda: [sweep_gf_truncation(order=args.series_order)],
+        "identities": lambda: run_identity_sweeps(include_gf=False),
+        "gf": lambda: [sweep_gf_truncation()],
         "monotonicity": lambda: [verification.sweep_monotonicity(max_n, jobs)],
     }
     if args.suite == "all":
@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--max-n", type=int, default=9, help="cap on m + d for matroid sweeps")
     verify.add_argument("--jobs", type=int, default=0, help="parallel workers (0 = all cores)")
-    verify.add_argument("--series-order", type=int, default=10)
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.set_defaults(func=cmd_verify)
 

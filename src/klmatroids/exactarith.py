@@ -1,16 +1,15 @@
-"""Exact arithmetic primitives: binomials, integer polynomials, truncated series.
+"""Exact arithmetic primitives: binomials, signs and integer polynomials.
 
 Everything in this module (and in the package built on top of it) is exact:
-Python integers for counts and polynomial coefficients, ``fractions.Fraction``
-for rational values, and a bivariate power series truncated at a fixed total
-degree for generating-function checks.  No floating point appears anywhere.
+Python integers for counts and polynomial coefficients, and
+``fractions.Fraction`` only inside the two rational identity checks.  No
+floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 
 def binomial(n: int, k: int) -> int:
@@ -136,134 +135,3 @@ def poly_reverse(p: IntPoly, d: int) -> IntPoly:
     if p.degree > d:
         raise ValueError(f"cannot reverse degree-{p.degree} polynomial at d={d}")
     return IntPoly(p.coeff(d - j) for j in range(d + 1))
-
-
-class BiSeries:
-    """Bivariate power series in x and y truncated at a fixed total degree.
-
-    Coefficients are ``Fraction`` values keyed by exponent pairs (p, q) with
-    p, q >= 0 and p + q <= order; missing keys are zero.  All arithmetic
-    truncates uniformly at the same order, and mixed-order operands are
-    rejected to keep truncation honest.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Mapping[tuple[int, int], Fraction | int] | None = None):
-        if order < 0:
-            raise ValueError("series order must be non-negative")
-        data: dict[tuple[int, int], Fraction] = {}
-        for (p, q), v in (coeffs or {}).items():
-            if p < 0 or q < 0 or p + q > order:
-                raise ValueError(f"exponent ({p}, {q}) outside total degree {order}")
-            f = Fraction(v)
-            if f:
-                data[(p, q)] = f
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
-    @classmethod
-    def constant(cls, value: Fraction | int, order: int) -> "BiSeries":
-        return cls(order, {(0, 0): Fraction(value)})
-
-    @classmethod
-    def monomial(cls, p: int, q: int, order: int, value: Fraction | int = 1) -> "BiSeries":
-        return cls(order, {(p, q): Fraction(value)})
-
-    def coeff(self, p: int, q: int) -> Fraction:
-        return self.coeffs.get((p, q), Fraction(0))
-
-    def terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        return iter(sorted(self.coeffs.items()))
-
-    def _check_order(self, other: "BiSeries") -> None:
-        if self.order != other.order:
-            raise ValueError("series orders differ")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, tuple(sorted(self.coeffs.items()))))
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        self._check_order(other)
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + v
-        return BiSeries(self.order, out)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries(self.order, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiSeries(self.order, {k: v * other for k, v in self.coeffs.items()})
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        self._check_order(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (p1, q1), v1 in self.coeffs.items():
-            for (p2, q2), v2 in other.coeffs.items():
-                p, q = p1 + p2, q1 + q2
-                if p + q > self.order:
-                    continue
-                key = (p, q)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return BiSeries(self.order, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "BiSeries":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined; divide instead")
-        result = BiSeries.constant(1, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"x^{p} y^{q}: {v}" for (p, q), v in self.terms())
-        return f"BiSeries(order={self.order}, {{{inner}}})"
-
-
-def series_div_truncated(num: BiSeries, den: BiSeries) -> BiSeries:
-    """Truncated quotient q with q * den == num up to the common total degree.
-
-    The denominator must have a nonzero constant term.  Coefficients are
-    solved degree by degree; every referenced quotient coefficient has
-    strictly smaller total degree, so the recursion is well founded.
-    """
-    num._check_order(den)
-    d00 = den.coeff(0, 0)
-    if d00 == 0:
-        raise ValueError("denominator has zero constant term")
-    order = num.order
-    out: dict[tuple[int, int], Fraction] = {}
-    for total in range(order + 1):
-        for p in range(total + 1):
-            q = total - p
-            acc = num.coeff(p, q)
-            for (r, s), v in den.coeffs.items():
-                if (r, s) == (0, 0):
-                    continue
-                if r <= p and s <= q:
-                    prev = out.get((p - r, q - s))
-                    if prev:
-                        acc -= prev * v
-            if acc:
-                out[(p, q)] = acc / d00
-    return BiSeries(order, out)

@@ -9,7 +9,6 @@ matches exactly or is a counterexample.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from .closedforms import (
@@ -20,7 +19,7 @@ from .closedforms import (
     kl_poly_rho,
 )
 from .errors import InvalidParameters
-from .exactarith import BiSeries, binomial, parity_sign, series_div_truncated
+from .exactarith import binomial, parity_sign
 from .matroid import kl_poly
 from .tableaux import count_overline_skyt, count_skyt, count_syt
 
@@ -188,6 +187,9 @@ def check_integral_identity(a: int, b: int) -> bool:
     """
     if a < 1 or b < 1:
         raise InvalidParameters("need a, b >= 1")
+    # imported here so that loading the package does not load fractions
+    from fractions import Fraction
+
     lhs = sum(
         (binomial(b, s) * Fraction(parity_sign(a + s + 1), a + s + 1) for s in range(b + 1)),
         Fraction(0),
@@ -214,6 +216,9 @@ def check_binomial_altsum(m: int, d: int, i: int) -> bool:
     """
     if m < 1 or i < 1 or d <= i:
         raise InvalidParameters("need m >= 1 and 1 <= i < d")
+    # imported here so that loading the package does not load fractions
+    from fractions import Fraction
+
     lhs_a = binomial(m + d, d - i) * Fraction(
         (m + d - i) * factorial(m - 1) * factorial(d - i) * factorial(i),
         factorial(m + d),
@@ -249,44 +254,63 @@ def check_binomial_altsum(m: int, d: int, i: int) -> bool:
 # -- generating-function truncation check -------------------------------------
 
 
+def _truncated_product(f: dict, g: dict, order: int) -> dict:
+    """f * g for series stored as {(p, q): coefficient of x^p y^q}.
+
+    Terms of total degree above ``order`` are dropped, and so are zeros, so
+    two products are equal exactly when their dicts are.
+    """
+    out: dict[tuple[int, int], int] = {}
+    for (p1, q1), u in f.items():
+        for (p2, q2), v in g.items():
+            if p1 + q1 + p2 + q2 <= order:
+                key = (p1 + p2, q1 + q2)
+                out[key] = out.get(key, 0) + u * v
+    return {key: v for key, v in out.items() if v}
+
+
+def gf_double_sums(i: int, a: int, b: int) -> tuple[int, int]:
+    """The coefficient of x^a y^b in the alternating and in the plain double sum."""
+    alternating = sum(
+        parity_sign(k)
+        * (k + 1)
+        * binomial(a + i + b - 2, b + i + k)
+        * binomial(b + i + k - 1, b - 2)
+        for k in range(max(a - 1, 0))
+    )
+    plain = sum(
+        binomial(b + i + h - 1, h + i + 1) * binomial(i - 1 + h, h)
+        for h in range(max(a - 1, 0))
+    )
+    return alternating, plain
+
+
 def check_gf_truncation(i: int, order: int = 10) -> bool:
     """Both coefficient double sums match x^2 y^2 / ((1-x)(1-x-y)^i (1-y)^2).
 
-    The closed form is expanded by truncated series division; the two double
-    sums are evaluated coefficient-wise from their finite inner sums.  True
-    iff every coefficient of total degree <= order matches on both sides.
+    The denominator has constant term 1, so it is a unit among series cut
+    off at total degree ``order``: a double sum equals the cut-off quotient
+    exactly when the sum times the denominator is x^2 y^2 up to that degree.
+    Both products are taken in integers; the double sums are evaluated
+    coefficient-wise by ``gf_double_sums``.
     """
     if i < 1:
         raise InvalidParameters("need i >= 1")
     if order < 4:
         raise InvalidParameters("order below 4 sees nothing past the leading term")
-    one = BiSeries.constant(1, order)
-    x = BiSeries.monomial(1, 0, order)
-    y = BiSeries.monomial(0, 1, order)
-    closed = series_div_truncated(
-        BiSeries.monomial(2, 2, order),
-        (one - x) * (one - x - y) ** i * (one - y) ** 2,
-    )
+    den = {(0, 0): 1, (1, 0): -1}
+    for factor in [{(0, 0): 1, (1, 0): -1, (0, 1): -1}] * i + [{(0, 0): 1, (0, 1): -1}] * 2:
+        den = _truncated_product(den, factor, order)
     lhs = {}
     rhs = {}
     for a in range(order + 1):
         for b in range(order + 1 - a):
-            alternating = sum(
-                parity_sign(k)
-                * (k + 1)
-                * binomial(a + i + b - 2, b + i + k)
-                * binomial(b + i + k - 1, b - 2)
-                for k in range(max(a - 1, 0))
-            )
-            plain = sum(
-                binomial(b + i + h - 1, h + i + 1) * binomial(i - 1 + h, h)
-                for h in range(max(a - 1, 0))
-            )
-            if alternating:
-                lhs[(a, b)] = Fraction(alternating)
-            if plain:
-                rhs[(a, b)] = Fraction(plain)
-    return BiSeries(order, lhs) == closed and BiSeries(order, rhs) == closed
+            lhs[(a, b)], rhs[(a, b)] = gf_double_sums(i, a, b)
+    numerator = {(2, 2): 1}
+    return (
+        _truncated_product(lhs, den, order) == numerator
+        and _truncated_product(rhs, den, order) == numerator
+    )
 
 
 # -- constant-term bookkeeping -------------------------------------------------

@@ -88,18 +88,23 @@ def hook_length_count(rows: tuple[int, ...]) -> int:
     return count
 
 
-def geometric_2var_coeff(p: int, q: int) -> int:
-    """Coefficient of x^p y^q in 1/(1 - x - y), via the lattice-path recurrence."""
+def gf_coefficient(i: int, a: int, b: int) -> int:
+    """Coefficient of x^a y^b in 1/((1 - x)(1 - x - y)^i (1 - y)^2).
+
+    Multiplying by (1 - x - y) steps i down by one, which gives
+    f_i(a, b) = f_i(a - 1, b) + f_i(a, b - 1) + f_{i-1}(a, b), with
+    f_0(a, b) = b + 1 and 0 at a negative index.
+    """
 
     @lru_cache(maxsize=None)
-    def walk(a: int, b: int) -> int:
-        if a < 0 or b < 0:
+    def f(j: int, p: int, q: int) -> int:
+        if p < 0 or q < 0:
             return 0
-        if a == 0 and b == 0:
-            return 1
-        return walk(a - 1, b) + walk(a, b - 1)
+        if j == 0:
+            return q + 1
+        return f(j, p - 1, q) + f(j, p, q - 1) + f(j - 1, p, q)
 
-    return walk(p, q)
+    return f(i, a, b)
 
 
 def catalan(n: int) -> int:

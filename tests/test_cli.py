@@ -264,6 +264,12 @@ class TestVerify:
         assert payload[0]["passed"] is True
         assert payload[0]["counterexample"] is None
 
+    def test_series_order_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "gf", "--series-order", "10"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and "--series-order" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("suite", ["theorem1", "minors", "all"])
     def test_max_n_capped(self, capsys, suite):
         for max_n in ("13", "99"):
@@ -300,8 +306,9 @@ class TestVerify:
 class TestStartUp:
     @pytest.mark.parametrize("module", ["klmatroids", "klmatroids.cli"])
     def test_loads_neither_dataclasses_nor_the_process_pool(self, module):
-        # only `klm verify` needs the pool; site is skipped so that no .pth
-        # file imports anything first
+        # only `klm verify` needs the pool, and only the two rational identity
+        # checks need fractions; site is skipped so that no .pth file imports
+        # anything first
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -320,7 +327,8 @@ class TestStartUp:
         assert module in added
         heavy = [
             name for name in added
-            if name.split(".")[0] in ("dataclasses", "concurrent", "multiprocessing")
+            if name.split(".")[0]
+            in ("dataclasses", "concurrent", "multiprocessing", "fractions", "decimal", "numbers")
             or name == "klmatroids.verification"
         ]
         assert heavy == []

@@ -1,18 +1,9 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
-from klmatroids.exactarith import (
-    BiSeries,
-    IntPoly,
-    binomial,
-    parity_sign,
-    poly_reverse,
-    series_div_truncated,
-)
+from klmatroids.exactarith import IntPoly, binomial, parity_sign, poly_reverse
 
-from oracles import geometric_2var_coeff, pascal
+from oracles import pascal
 
 
 def test_binomial_conventions():
@@ -85,65 +76,3 @@ class TestIntPoly:
         d = max(p.degree, 0) + 2
         assert poly_reverse(poly_reverse(p, d), d) == p
 
-
-def _series(order, entries):
-    return BiSeries(order, {k: Fraction(v) for k, v in entries.items()})
-
-
-class TestBiSeries:
-    def test_geometric_series(self):
-        one = BiSeries.constant(1, 3)
-        x = BiSeries.monomial(1, 0, 3)
-        q = series_div_truncated(one, one - x)
-        assert q == _series(3, {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): 1})
-
-    def test_identity_denominator(self):
-        x = BiSeries.monomial(1, 0, 4)
-        assert series_div_truncated(x, BiSeries.constant(1, 4)) == x
-
-    def test_two_variable_geometric_matches_path_oracle(self):
-        order = 5
-        one = BiSeries.constant(1, order)
-        den = one - BiSeries.monomial(1, 0, order) - BiSeries.monomial(0, 1, order)
-        q = series_div_truncated(one, den)
-        for p in range(order + 1):
-            for r in range(order + 1 - p):
-                assert q.coeff(p, r) == geometric_2var_coeff(p, r)
-
-    def test_zero_constant_term_rejected(self):
-        x = BiSeries.monomial(1, 0, 3)
-        with pytest.raises(ValueError):
-            series_div_truncated(BiSeries.constant(1, 3), x)
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            BiSeries.constant(1, 3) * BiSeries.constant(1, 4)
-
-    def test_truncation_drops_high_terms(self):
-        x = BiSeries.monomial(1, 0, 2)
-        y = BiSeries.monomial(0, 1, 2)
-        prod = (x + y) * (x + y) * (x + y)
-        assert prod == BiSeries(2, {})
-
-
-small_series = st.builds(
-    lambda d: _series(4, {k: v for k, v in d.items()}),
-    st.dictionaries(
-        st.tuples(st.integers(0, 2), st.integers(0, 2)),
-        st.fractions(min_value=-3, max_value=3, max_denominator=4),
-        max_size=4,
-    ),
-)
-
-
-@given(small_series, small_series, small_series)
-def test_series_multiplication_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
-
-
-@given(small_series, small_series)
-def test_series_division_inverts_multiplication(a, b):
-    unit = b + BiSeries.constant(1, 4)  # force a nonzero constant term
-    if unit.coeff(0, 0) == 0:
-        unit = unit + BiSeries.constant(1, 4)
-    assert series_div_truncated(a * unit, unit) == a

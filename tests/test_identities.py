@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from klmatroids import identities
 from klmatroids.errors import InvalidParameters
 from klmatroids.exactarith import binomial, parity_sign
 from klmatroids.identities import (
@@ -15,6 +16,7 @@ from klmatroids.identities import (
     check_skyt_identity,
     check_skytbar_identity,
     check_syt_dual,
+    gf_double_sums,
     run_identity_sweeps,
     skyt_identity_residual,
     skytbar_identity_residual,
@@ -28,7 +30,7 @@ from klmatroids.identities import (
     sweep_syt_dual,
 )
 
-from oracles import termwise_integral
+from oracles import gf_coefficient, termwise_integral
 
 
 class TestSytDual:
@@ -148,8 +150,33 @@ class TestGfTruncation:
         with pytest.raises(InvalidParameters):
             check_gf_truncation(1, 3)
 
+    def test_needs_i_at_least_one(self):
+        for i in (0, -1):
+            with pytest.raises(InvalidParameters):
+                check_gf_truncation(i, 10)
+
     def test_sweep(self):
         assert sweep_gf_truncation().passed
+
+    @pytest.mark.parametrize("i", range(1, 7))
+    def test_double_sums_match_the_recurrence(self, i):
+        # x^2 y^2 shifts the expansion of the reciprocal denominator by (2, 2)
+        for a in range(13):
+            for b in range(13 - a):
+                want = gf_coefficient(i, a - 2, b - 2)
+                assert gf_double_sums(i, a, b) == (want, want), (a, b)
+
+    def test_fails_without_the_alternating_sign(self, monkeypatch):
+        monkeypatch.setattr(identities, "parity_sign", lambda k: 1)
+        assert not check_gf_truncation(2, 10)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_fails_with_one_binomial_off_by_one(self, monkeypatch, i):
+        exact = identities.binomial
+        monkeypatch.setattr(
+            identities, "binomial", lambda n, k: exact(n, k) + ((n, k) == (5, 3))
+        )
+        assert not check_gf_truncation(i, 10)
 
 
 class TestConstantTermPorism:
