@@ -4,7 +4,7 @@ Three independent routes to the same coefficients: the rank table (the
 Z-polynomial solver, cross-checked by the defining recurrence),
 skew-tableau counting formulas for uniform matroids with disjoint bases
 removed, and an older closed-form sum for the plain uniform case.
-Everything is exact integer or rational arithmetic.
+Everything is exact integer arithmetic.
 """
 
 from .errors import (

@@ -1,14 +1,15 @@
 """Exact arithmetic primitives: binomials, signs and integer polynomials.
 
 Everything in this module (and in the package built on top of it) is exact:
-Python integers for counts and polynomial coefficients, and
-``fractions.Fraction`` only inside the two rational identity checks.  No
-floating point appears anywhere.
+Python integers for counts, polynomial coefficients and every identity
+check, whose rational sides are compared after clearing their denominators.
+No floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Iterable
 
 
@@ -33,13 +34,15 @@ class IntPoly:
 
     ``coeffs[j]`` holds the coefficient of t**j.  Trailing zeros are stripped,
     so the zero polynomial has an empty coefficient tuple and degree -1.
-    Instances are immutable and hashable.
+    A coefficient that is not an integer (a float, a string, a rational)
+    raises TypeError rather than being truncated.  Instances are immutable
+    and hashable.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
+        cs = [index(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

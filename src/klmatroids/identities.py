@@ -9,7 +9,7 @@ matches exactly or is a counterexample.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 
 from .closedforms import (
     RhoUniformParams,
@@ -182,23 +182,18 @@ def check_skytbar_identity(d: int, i: int) -> bool:
 def check_integral_identity(a: int, b: int) -> bool:
     """Integral of x^a (1+x)^b from 0 to -1 equals (-1)^(a+1) b! / ((a+1)...(a+b+1)).
 
-    The left side is computed exactly by expanding the binomial and
-    integrating term by term in rationals.
+    The left side is the binomial expansion integrated term by term,
+    sum over s of (-1)^(a+s+1) C(b, s) / (a+s+1).  Both sides are multiplied
+    by D = (a+1)...(a+b+1), which every a+s+1 divides, so they are compared
+    in integers.
     """
     if a < 1 or b < 1:
         raise InvalidParameters("need a, b >= 1")
-    # imported here so that loading the package does not load fractions
-    from fractions import Fraction
-
+    denom = prod(range(a + 1, a + b + 2))
     lhs = sum(
-        (binomial(b, s) * Fraction(parity_sign(a + s + 1), a + s + 1) for s in range(b + 1)),
-        Fraction(0),
+        parity_sign(a + s + 1) * binomial(b, s) * (denom // (a + s + 1)) for s in range(b + 1)
     )
-    denom = 1
-    for t in range(a + 1, a + b + 2):
-        denom *= t
-    rhs = Fraction(parity_sign(a + 1) * factorial(b), denom)
-    return lhs == rhs
+    return lhs == parity_sign(a + 1) * factorial(b)
 
 
 def check_binomial_altsum(m: int, d: int, i: int) -> bool:
@@ -213,42 +208,28 @@ def check_binomial_altsum(m: int, d: int, i: int) -> bool:
     what the i = 1 case split of the alternating identity absorbs), so that
     is what gets asserted there.  Outside 2i <= d the companion fails
     (d=3, i=2 gives 2/3 against 4/3) and only the first identity is checked.
+
+    Both are compared in integers.  The first is multiplied by
+    L = m(m+1)...(m+i), which every m+k divides, and its left side becomes
+    (m+d-i) i!.  The second is multiplied by i+1, and
+    C(i, k) (i+1)/(k+1) = C(i+1, k+1); its left side becomes
+    i (d-i+1)(d-i), so the off-by-1 at i = 1 becomes off-by-2.
     """
     if m < 1 or i < 1 or d <= i:
         raise InvalidParameters("need m >= 1 and 1 <= i < d")
-    # imported here so that loading the package does not load fractions
-    from fractions import Fraction
-
-    lhs_a = binomial(m + d, d - i) * Fraction(
-        (m + d - i) * factorial(m - 1) * factorial(d - i) * factorial(i),
-        factorial(m + d),
-    )
+    scale = prod(range(m, m + i + 1))
     rhs_a = sum(
-        (
-            parity_sign(k) * binomial(i, k) * Fraction(d - i - k, m + k)
-            for k in range(i + 1)
-        ),
-        Fraction(0),
+        parity_sign(k) * binomial(i, k) * (d - i - k) * (scale // (m + k)) for k in range(i + 1)
     )
-    if lhs_a != rhs_a:
+    if (m + d - i) * factorial(i) != rhs_a:
         return False
-    lhs_b = i * binomial(d, i + 1) * Fraction(
-        factorial(i) * factorial(d - i + 1), factorial(d)
-    )
-    rhs_b = sum(
-        (
-            parity_sign(k + 1)
-            * binomial(i, k)
-            * Fraction((d - i + k + 1) * (d - k - i), k + 1)
-            for k in range(1, i + 1)
-        ),
-        Fraction(0),
+    gap = i * (d - i + 1) * (d - i) - sum(
+        parity_sign(k + 1) * binomial(i + 1, k + 1) * (d - i + k + 1) * (d - k - i)
+        for k in range(1, i + 1)
     )
     if i == 1:
-        return lhs_b - rhs_b == 1
-    if 2 * i <= d:
-        return lhs_b == rhs_b
-    return True
+        return gap == 2
+    return 2 * i > d or gap == 0
 
 
 # -- generating-function truncation check -------------------------------------

@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from math import factorial
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InvalidParameters, InvalidShape
@@ -181,7 +181,7 @@ class Filling(tuple):
     @classmethod
     def from_columns(cls, a: int, i: int, b: int, columns) -> "Filling":
         shape = SkewShape(a, i, b)
-        cols = tuple(tuple(int(v) for v in col) for col in columns)
+        cols = tuple(tuple(index(v) for v in col) for col in columns)
         if len(cols) != i + 1 or any(
             len(cols[c]) != len(shape.column_rows(c)) for c in range(i + 1)
         ):
@@ -391,45 +391,37 @@ def validate_family_params(m: int, d: int, rho: int) -> None:
         )
 
 
-def satisfies_removed_family_conditions(f: Filling, d: int, rho: int) -> bool:
-    """At least one of the three boundary-entry conditions holds for f.
+def _boundary_windows(shape: SkewShape, d: int, rho: int) -> list[tuple[int, int, int]]:
+    """Theorem 1's boundary conditions as (entry index, lowest, highest value),
+    for entries 1..n: the top of the right column is 1, the last cell is above
+    d + rho, or a left column of height >= 3 has its third entry at most d."""
+    n = shape.cell_count
+    windows = [(n - shape.b, 1, 1), (n - 1, d + rho + 1, n)]
+    if shape.a >= 3:
+        windows.append((2, 1, d))
+    return windows
 
-    On shape (a, i, b): the top of the right column is 1, or the bottom of the
-    right column exceeds d + rho, or the left column has a third cell and its
-    entry is at most d.
-    """
-    entries = f.entries
-    # The right column is the last b entries; the left column starts at 0.
-    if entries[-f.shape.b] == 1:
-        return True
-    if entries[-1] > d + rho:
-        return True
-    if f.shape.a >= 3 and entries[2] < d + 1:
-        return True
-    return False
+
+def satisfies_removed_family_conditions(f: Filling, d: int, rho: int) -> bool:
+    """At least one of the boundary conditions of ``_boundary_windows`` holds for f."""
+    shape, entries = f
+    return any(lo <= entries[k] <= hi for k, lo, hi in _boundary_windows(shape, d, rho))
 
 
 def _fillings_and_misses(layout: _Layout, d: int, rho: int) -> tuple[int, int]:
     """The legal fillings of the shape, and those meeting no boundary condition.
 
     Value v goes in at step v, so a filling is a chain of filled-cell masks
-    (order ideals of the cell poset), and each condition of
-    satisfies_removed_family_conditions says at which steps one cell may be
-    filled: the top of the right column at step 1, the last cell after step
-    d + rho, the third cell of a left column of height >= 3 at step <= d.
-    One pass over the ideals, level by level, carries both counts per mask.
+    (order ideals of the cell poset), and each window of ``_boundary_windows``
+    says at which steps its cell meets a condition.  One pass over the
+    ideals, level by level, carries both counts per mask.
     """
     need = layout.need
     n = len(need)
-    shape = layout.shape
-    top_right, last = n - shape.b, n - 1
+    windows = _boundary_windows(layout.shape, d, rho)
     level = {0: (1, 1)}
     for step in range(1, n + 1):
-        meets = {last} if step > d + rho else set()
-        if step == 1:
-            meets.add(top_right)
-        if step <= d and shape.a >= 3:
-            meets.add(2)
+        meets = {k for k, lo, hi in windows if lo <= step <= hi}
         after: dict[int, tuple[int, int]] = {}
         for filled, (every, misses) in level.items():
             for k in range(n):

@@ -338,6 +338,43 @@ def termwise_integral(poly_coeffs: dict[int, int], lower: int, upper: int) -> Fr
     return total
 
 
+def rational_integral_identity(a: int, b: int) -> bool:
+    """The integral identity in rationals: x^a (1+x)^b expanded by Pascal's
+    rule, integrated from 0 to -1, against (-1)^(a+1) b! / ((a+1)...(a+b+1))."""
+    integral = termwise_integral({a + s: pascal(b, s) for s in range(b + 1)}, 0, -1)
+    denom = 1
+    for t in range(a + 1, a + b + 2):
+        denom *= t
+    return integral == Fraction((-1) ** (a + 1) * factorial(b), denom)
+
+
+def rational_binomial_altsum(m: int, d: int, i: int) -> bool:
+    """Both alternating binomial identities in rationals, with each side as
+    stated: the first for every 1 <= i < d, the companion off by exactly 1 at
+    i = 1 and exact for 2 <= i <= d / 2."""
+    lhs_a = pascal(m + d, d - i) * Fraction(
+        (m + d - i) * factorial(m - 1) * factorial(d - i) * factorial(i),
+        factorial(m + d),
+    )
+    rhs_a = sum(
+        ((-1) ** k * pascal(i, k) * Fraction(d - i - k, m + k) for k in range(i + 1)),
+        Fraction(0),
+    )
+    if lhs_a != rhs_a:
+        return False
+    lhs_b = i * pascal(d, i + 1) * Fraction(factorial(i) * factorial(d - i + 1), factorial(d))
+    rhs_b = sum(
+        (
+            (-1) ** (k + 1) * pascal(i, k) * Fraction((d - i + k + 1) * (d - k - i), k + 1)
+            for k in range(1, i + 1)
+        ),
+        Fraction(0),
+    )
+    if i == 1:
+        return lhs_b - rhs_b == 1
+    return 2 * i > d or lhs_b == rhs_b
+
+
 # -- skew fillings on cell coordinates -------------------------------------------
 #
 # The shape (a, i, b) in (row, column) coordinates: column 0 holds rows

@@ -306,9 +306,8 @@ class TestVerify:
 class TestStartUp:
     @pytest.mark.parametrize("module", ["klmatroids", "klmatroids.cli"])
     def test_loads_neither_dataclasses_nor_the_process_pool(self, module):
-        # only `klm verify` needs the pool, and only the two rational identity
-        # checks need fractions; site is skipped so that no .pth file imports
-        # anything first
+        # only `klm verify` needs the pool, and nothing in the library needs
+        # fractions; site is skipped so that no .pth file imports anything first
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,6 +38,12 @@ class TestIntPoly:
         assert IntPoly([]).degree == -1
         assert IntPoly([1, 2, 0]).coeffs == (1, 2)
         assert IntPoly([5]).degree == 0
+
+    @pytest.mark.parametrize("coeffs", [[1.9, 2.5], [Fraction(1, 2)], ["7"], [3, 2.0]])
+    def test_refuses_non_integer_coefficients(self, coeffs):
+        # int() would read these as 1 + 2t, 0, 7 and 3 + 2t
+        with pytest.raises(TypeError):
+            IntPoly(coeffs)
 
     def test_arithmetic(self):
         p = IntPoly([1, 2])

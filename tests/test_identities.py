@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 
+import klmatroids
 from klmatroids import identities
 from klmatroids.errors import InvalidParameters
 from klmatroids.exactarith import binomial, parity_sign
@@ -30,7 +36,12 @@ from klmatroids.identities import (
     sweep_syt_dual,
 )
 
-from oracles import gf_coefficient, termwise_integral
+from oracles import (
+    gf_coefficient,
+    rational_binomial_altsum,
+    rational_integral_identity,
+    termwise_integral,
+)
 
 
 class TestSytDual:
@@ -133,7 +144,55 @@ class TestBinomialAltsum:
             check_binomial_altsum(1, 3, 3)
 
     def test_sweep(self):
-        assert sweep_binomial_altsum().passed
+        report = sweep_binomial_altsum()
+        assert report.passed and report.points == 180
+
+    @pytest.mark.parametrize("wrong,point", [((2, 2), (1, 3, 1)), ((3, 3), (1, 5, 2))])
+    def test_companion_is_checked(self, monkeypatch, wrong, point):
+        # at (m, d, i) the first identity reads only C(i, k), so a wrong
+        # C(i + 1, i + 1) can fail the point only through the companion
+        real = identities.binomial
+        monkeypatch.setattr(identities, "binomial", lambda n, k: real(n, k) + ((n, k) == wrong))
+        assert point in sweep_binomial_altsum().failures
+
+
+class TestRationalChecksInIntegers:
+    def test_match_the_rational_forms(self):
+        points = 0
+        for a in range(1, 31):
+            for b in range(1, 31):
+                assert check_integral_identity(a, b) == rational_integral_identity(a, b), (a, b)
+                points += 1
+        for m in range(1, 13):
+            for d in range(2, 31):
+                for i in range(1, d):
+                    expected = rational_binomial_altsum(m, d, i)
+                    assert check_binomial_altsum(m, d, i) == expected, (m, d, i)
+                    points += 1
+        assert points == 900 + 12 * 435
+
+    def test_a_perturbed_factor_fails_both(self, monkeypatch):
+        monkeypatch.setattr(identities, "factorial", lambda n: factorial(n) + 1)
+        assert not sweep_integral_identity().passed
+        assert not sweep_binomial_altsum().passed
+
+    def test_sweeps_load_no_fractions(self):
+        # site is skipped so that no .pth file imports anything first
+        script = (
+            "import sys\n"
+            "from klmatroids.identities import run_identity_sweeps\n"
+            "assert all(report.passed for report in run_identity_sweeps())\n"
+            "print('fractions' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(klmatroids.__file__).parents[1])},
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == "False\n"
 
 
 class TestGfTruncation:

@@ -287,6 +287,24 @@ class TestRemovedFamilyCount:
             direct = count_skyt_rho_direct(m, d, i, rho)
             assert direct == count_skyt(m + 1, i, b) - rho * count_overline_skyt(i, b)
 
+    @pytest.mark.parametrize("a,i,b", [(2, 1, 4), (3, 1, 3), (4, 2, 2), (3, 2, 3), (5, 1, 2)])
+    def test_boundary_conditions_on_cell_coordinates(self, a, i, b):
+        # The three conditions read cell by cell from the oracle's fillings:
+        # the top of the right column, its bottom, and the left column's third cell.
+        d = b + 2 * i - 1
+        seen = set()
+        for rho in range(4):
+            for columns in skew_fillings(a, i, b):
+                expected = (
+                    skew_value(a, i, b, columns, -(b - 2), i) == 1
+                    or skew_value(a, i, b, columns, 1, i) > d + rho
+                    or (a >= 3 and skew_value(a, i, b, columns, 2, 0) <= d)
+                )
+                f = Filling.from_columns(a, i, b, columns)
+                assert satisfies_removed_family_conditions(f, d, rho) == expected, (columns, rho)
+                seen.add(expected)
+        assert seen == {True, False}
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameters):
             count_skyt_rho_direct(0, 3, 1, 0)
@@ -482,6 +500,13 @@ class TestFillingContract:
     def test_from_columns_rejects_bad_lengths(self, columns):
         with pytest.raises(InvalidShape):
             Filling.from_columns(2, 1, 2, columns)
+
+    @pytest.mark.parametrize("bad", [1.9, "1", 1.0])
+    def test_from_json_dict_refuses_non_integer_entries(self, bad):
+        # int() would read 1.9, "1" and 1.0 as 1 and return a legal filling
+        payload = {"a": 2, "i": 1, "b": 2, "columns": [[bad, 2], [3, 4]]}
+        with pytest.raises(TypeError):
+            Filling.from_json_dict(payload)
 
     def test_from_columns_rejects_bad_shapes(self):
         with pytest.raises(InvalidShape):
