@@ -61,18 +61,18 @@ fast above it."""
 
 TABLE_MAX = 70
 """The largest ``klm table --m-max`` and ``--d-max``.  On a 2-core VM with
-CPython 3.11 the 70 triangle takes 2.4 s and 43 MB, the 90 triangle 6.1 s
-and the 120 triangle 19 s and 150 MB: the coefficients, and the terms of
-each sum, grow with the side, and so do the integers."""
+CPython 3.11 the 70 triangle takes 1.3 s and 39 MB, the 90 triangle 4.2 s
+and 63 MB, and the 120 triangle 16 s and 123 MB: the coefficients, and the
+terms of each sum, grow with the side, and so do the integers."""
 
 COEFF_MAX_N = 25_000
 """The largest m + d of a ``klm coeff`` by tableau or closed form.  On a 2-core
-VM with CPython 3.11 its slowest query (m = 2, i = 1, rho = 1) takes 1.9 s;
-m + d = 40,003 takes 4.2 s and m = 10^6 takes 26 s."""
+VM with CPython 3.11 its slowest query (m = 2, i = 1, rho = 1) takes 1.4 s;
+m + d = 40,003 takes 3.6 s and m = 10^6 (d = 3, i = 1) takes 25 s."""
 
 KLPOLY_MAX_N = 1_000
 """The largest m + d of a ``klm klpoly`` by tableau, a sum of d / 2 coefficients:
-its slowest query (m = 2, rho = 1) takes 2.1 s there, and d = 2001 takes 11.8 s."""
+its slowest query (m = 2, rho = 1) takes 1.1 s there, and d = 2001 takes 6.1 s."""
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1

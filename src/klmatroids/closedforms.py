@@ -20,10 +20,11 @@ unpack, and compare and hash like the plain tuple of their fields.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
 from .errors import InvalidParameters, NonIntegerResult, NotAFlat
-from .exactarith import IntPoly, binomial, parity_sign
+from .exactarith import IntPoly, binomial
 from .matroid import (
     GroundSubset,
     Matroid,
@@ -140,10 +141,12 @@ def coeff_uniform_klum(m: int, d: int, i: int) -> int:
     computed in exact integers.  The inner sum starts at C(b + i - 1, i + 1),
     and each next term is the one before times
     (b + i + h)(i + h) / ((h + i + 2)(h + 1)), the product of the two
-    binomial steps; both terms are integers and term_h * numerator =
-    term_(h+1) * denominator, so each floor division is exact.  The final
-    division by b + i - 1 must come out integral, and a non-zero remainder
-    raises NonIntegerResult (it would mean an implementation bug).
+    binomial steps, formed in small integers so that the big term is
+    multiplied once and divided once; both terms are integers and
+    term_h * numerator = term_(h+1) * denominator, so each floor division is
+    exact.  The final division by b + i - 1 must come out integral, and a
+    non-zero remainder raises NonIntegerResult (it would mean an
+    implementation bug).
     """
     validate_family_params(m, d, 0)
     if i == 0:
@@ -155,7 +158,7 @@ def coeff_uniform_klum(m: int, d: int, i: int) -> int:
     b = d - 2 * i + 1
     term = inner = binomial(b + i - 1, i + 1)
     for h in range(a - 2):
-        term = term * (b + i + h) * (i + h) // ((h + i + 2) * (h + 1))
+        term = term * ((b + i + h) * (i + h)) // ((h + i + 2) * (h + 1))
         inner += term
     numerator = binomial(b + 2 * i + a - 2, i) * inner
     value, rem = divmod(numerator, b + i - 1)
@@ -170,14 +173,17 @@ def coeff_rho(m: int, d: int, i: int, rho: int) -> int:
     """Coefficient i of the KL polynomial of U(m, d; rho).
 
     count_skyt(m+1, i, d-2i+1) - rho * count_overline_skyt(i, d-2i+1); always
-    non-negative, and equal to the direct filtered count.  Out-of-range i
-    gives 0: past coefficient_range(d) the width b is below 2, where both
-    counts are 0 by their own conventions.
+    non-negative, and equal to the direct filtered count.  At rho = 0 the
+    overline count is not taken.  Out-of-range i gives 0: past
+    coefficient_range(d) the width b is below 2, where both counts are 0 by
+    their own conventions.
     """
     validate_family_params(m, d, rho)
     if i < 0:
         return 0
     b = d - 2 * i + 1
+    if not rho:
+        return count_skyt(m + 1, i, b)
     return count_skyt(m + 1, i, b) - rho * count_overline_skyt(i, b)
 
 
@@ -192,22 +198,19 @@ def char_poly_rho(p: RhoUniformParams) -> IntPoly:
     [t^0] = (-1)^d (C(m+d-1, d-1) - rho), [t^1] = (-1)^(d-1) (C(m+d, d-1) - rho),
     [t^i] = (-1)^(d-i) C(m+d, d-i) for 2 <= i <= d.
 
-    The row C(m+d, k) for k = 0..d-1 is walked from C(m+d, 0) = 1 by
-    C(N, k + 1) = C(N, k) (N - k) / (k + 1); the division is exact because
-    C(N, k) (N - k) = C(N, k + 1) (k + 1).
+    The row C(m+d, d-i) comes from math.comb, the two low coefficients take
+    their corrections, and the sign of every coefficient with d - i odd is
+    flipped in place.
     """
     if p.d < 1:
         raise InvalidParameters("the closed form needs d >= 1")
     m, d, rho = p.m, p.d, p.rho
     n = m + d
-    row = [1]  # row[k] = C(m + d, k) for k = 0..d-1
-    for k in range(d - 1):
-        row.append(row[k] * (n - k) // (k + 1))
-    coeffs = [
-        parity_sign(d) * (binomial(n - 1, d - 1) - rho),
-        parity_sign(d - 1) * (row[d - 1] - rho),
-    ]
-    coeffs += [parity_sign(d - i) * row[d - i] for i in range(2, d + 1)]
+    coeffs = [comb(n, d - i) for i in range(d + 1)]
+    coeffs[0] = comb(n - 1, d - 1) - rho
+    coeffs[1] -= rho
+    for i in range(d - 1, -1, -2):
+        coeffs[i] = -coeffs[i]
     return IntPoly(coeffs)
 
 

@@ -28,7 +28,10 @@ group into a few factorials, so ``count_syt`` is one quotient of factorials
 rather than a loop over the cells.  ``count_skyt`` takes that quotient only
 for its first term: by the hook-length formula, two consecutive
 straight-shape counts differ by a ratio of a few small integers, so each
-later term is the one before times an exact ratio.
+later term is the one before times an exact ratio.  The binomial step and
+the hook-length step share the factor a + 2i + k + 1, which cancels, so the
+ratio is one small numerator over one small denominator: one big-integer
+multiply and one divide per term.
 ``count_skyt_rho_direct`` counts the Theorem 1 set independently of both, by
 a dynamic programme over the order ideals of the cell poset (Stanley's
 transfer-matrix method), so only listing the fillings (``enumerate_skyt``)
@@ -68,6 +71,12 @@ class SkewShape(_ShapeFields):
     __slots__ = ()
 
     def __new__(cls, a: int, i: int, b: int) -> "SkewShape":
+        try:
+            a, i, b = index(a), index(i), index(b)
+        except TypeError:
+            raise InvalidShape(
+                f"shape parameters must be integers, got a={a!r}, i={i!r}, b={b!r}"
+            ) from None
         if i < 1:
             raise InvalidShape(f"shape needs at least one column step, got i={i}")
         if a < 2 or b < 2:
@@ -316,8 +325,15 @@ def count_skyt(a: int, i: int, b: int) -> int:
     before times the binomial step C(n, j - 1) / C(n, j) = j / (n - j + 1)
     and the hook-length step count_syt(a, i, k + 1) / count_syt(a, i, k)
     = (a + 2i + k + 1)(k + 2)(a + i + k) / ((k + 1)(a + i + k + 1)(i + k + 2)),
-    with the sign flipped.  Both terms are integers and term_k * numerator
-    = term_(k+1) * denominator, so each floor division is exact.
+    with the sign flipped.  The two steps share a factor, n - j + 1 =
+    a + 2i + k + 1, so the ratio cancels to
+
+        j (k + 2)(a + i + k) / ((k + 1)(a + i + k + 1)(i + k + 2)),
+
+    whose numerator and denominator are formed in small integers: the big
+    term is multiplied once and divided once.  Both terms are integers and
+    term_k * numerator = term_(k+1) * denominator, so each floor division is
+    exact.
     """
     if i < 0:
         raise InvalidShape(f"negative i={i}")
@@ -328,9 +344,8 @@ def count_skyt(a: int, i: int, b: int) -> int:
     n = a + 2 * i + b - 2
     term = total = binomial(n, b - 2) * count_syt(a, i, 0)
     for k in range(b - 2):
-        j = b - k - 2
-        term = -term * j * (a + 2 * i + k + 1) * (k + 2) * (a + i + k) // (
-            (n - j + 1) * (k + 1) * (a + i + k + 1) * (i + k + 2)
+        term = -term * ((b - k - 2) * (k + 2) * (a + i + k)) // (
+            (k + 1) * (a + i + k + 1) * (i + k + 2)
         )
         total += term
     return total

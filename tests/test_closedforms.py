@@ -227,6 +227,15 @@ class TestUniformCoefficients:
             monkeypatch.setattr(closedforms, name, refuse)
         assert coeff_uniform_klum(4, 9, 3) == expected
 
+    # Past the Hypothesis range (m, d <= 300): the first, a middle and the last i.
+    @pytest.mark.parametrize(
+        "m,d,i",
+        [(2, 2000, 1), (2, 2000, 500), (2, 2000, 999), (1000, 1000, 1), (1000, 1000, 250),
+         (1000, 1000, 499)],
+    )
+    def test_two_formulas_agree_on_large_parameters(self, m, d, i):
+        assert coeff_rho(m, d, i, 0) == coeff_uniform_klum(m, d, i)
+
     # Every i: negative, 0, inside 0 < 2i < d and past it.
     @pytest.mark.parametrize("m", range(1, 70))
     def test_klum_stepped_sum_equals_termwise_sum(self, m):
@@ -265,6 +274,17 @@ class TestRemovedCoefficients:
         assert kl_poly_rho(RhoUniformParams(1, 3, 0)) == IntPoly([1, 2])
         assert kl_poly_rho(RhoUniformParams(2, 3, 1)) == IntPoly([1, 3])
         assert kl_poly_rho(RhoUniformParams(4, 0, 0)) == IntPoly([1])
+
+    def test_rho_zero_takes_no_overline_count(self, monkeypatch):
+        # At rho = 0 the overline term is zero, so its two skew counts are skipped.
+        want = [coeff_uniform_klum(6, 9, i) for i in range(5)]
+
+        def refuse(*args):
+            raise AssertionError("count_overline_skyt called at rho = 0")
+
+        monkeypatch.setattr(closedforms, "count_overline_skyt", refuse)
+        assert [coeff_rho(6, 9, i, 0) for i in range(5)] == want
+        assert kl_poly_rho(RhoUniformParams(6, 9, 0)) == IntPoly(want)
 
     def test_matches_recurrence_oracle(self):
         for p in [

@@ -70,6 +70,11 @@ class TestShapeGeometry:
         with pytest.raises(InvalidShape):
             SkewShape(3, 0, 3)
 
+    @pytest.mark.parametrize("a,i,b", [(2.5, 1, 2), (2, 1.0, 2), (2, 1, "3"), (2, None, 2)])
+    def test_non_integer_parameters_rejected(self, a, i, b):
+        with pytest.raises(InvalidShape, match="must be integers"):
+            SkewShape(a, i, b)
+
     def test_is_a_named_triple(self):
         shape = SkewShape(a=4, i=3, b=3)
         a, i, b = shape
@@ -197,6 +202,11 @@ class TestCountSkyt:
         for i in range(20):
             for b in range(45):
                 assert count_skyt(a, i, b) == termwise_count_skyt(a, i, b), (a, i, b)
+
+    # Past the Hypothesis range: widths b >= 1,000, uncached.
+    @pytest.mark.parametrize("a,i,b", [(2, 1, 1000), (5, 3, 1200), (40, 20, 1000), (300, 100, 1001)])
+    def test_stepped_sum_equals_termwise_sum_on_wide_shapes(self, a, i, b):
+        assert count_skyt.__wrapped__(a, i, b) == termwise_count_skyt(a, i, b)
 
     def test_one_straight_count_per_sum(self, monkeypatch):
         # Only the first term is a hook quotient; the others are stepped.
@@ -506,6 +516,11 @@ class TestFillingContract:
         # int() would read 1.9, "1" and 1.0 as 1 and return a legal filling
         payload = {"a": 2, "i": 1, "b": 2, "columns": [[bad, 2], [3, 4]]}
         with pytest.raises(TypeError):
+            Filling.from_json_dict(payload)
+
+    def test_from_json_dict_refuses_a_non_integer_shape(self):
+        payload = {"a": 2.0, "i": 1, "b": 2, "columns": [[1, 2], [3, 4]]}
+        with pytest.raises(InvalidShape, match=r"a=2\.0"):
             Filling.from_json_dict(payload)
 
     def test_from_columns_rejects_bad_shapes(self):
