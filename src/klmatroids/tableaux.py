@@ -15,12 +15,16 @@ checked when it is built, and a Filling is the immutable pair (shape,
 entries); both are tuple subclasses, so that building, unpacking, comparing
 and hashing them all run in C.  A filling's entries are one flat
 column-major tuple: column 0 top to bottom, then each middle column, then
-column i.  What the enumeration and the legality test need to know
-about a shape is worked out once per shape (``_layout``): where each column
-starts, the bitmask of the cells above and to the left of each cell, and the
-index pairs whose entries must increase; the fillings are not kept, and
-each ``enumerate_skyt`` call lists them afresh.  The half-turn rotation needs
-no table, since in column-major order it is the reversal of the entries.
+column i.  What the enumeration, the legality test and the rotation need
+to know about a shape is worked out once per shape, on first use, and kept
+in one bounded table (``_LAYOUTS``, keyed by the shape): where each column
+starts, the bitmask of the cells above and to the left of each cell, the
+index pairs whose entries must increase, the set 1..n, the mirror shape
+(b, i, a), and the flip table v -> n + 1 - v.  In column-major order the
+half-turn rotation reverses the entries, so a rotation is one reversed
+slice read through the flip table, and a legality test is one set
+comparison and one pass over the pairs.  The fillings are not kept, and
+each ``enumerate_skyt`` call lists them afresh.
 
 Counts need no enumeration.  ``count_skyt`` is an inclusion-exclusion over
 straight-shape counts ``count_syt``, and the hooks of those straight shapes
@@ -59,6 +63,17 @@ Thin shapes such as (a, 1, 2) stay under MAX_FILLINGS with a thousand cells,
 and their fillings would hold a billion entries between them."""
 
 
+def _shape_integers(a: int, i: int, b: int) -> tuple[int, int, int]:
+    """a, i and b through ``operator.index``; InvalidShape, naming all three,
+    if one of them is not an integer."""
+    try:
+        return index(a), index(i), index(b)
+    except TypeError:
+        raise InvalidShape(
+            f"shape parameters must be integers, got a={a!r}, i={i!r}, b={b!r}"
+        ) from None
+
+
 class _ShapeFields(NamedTuple):
     a: int
     i: int
@@ -71,12 +86,7 @@ class SkewShape(_ShapeFields):
     __slots__ = ()
 
     def __new__(cls, a: int, i: int, b: int) -> "SkewShape":
-        try:
-            a, i, b = index(a), index(i), index(b)
-        except TypeError:
-            raise InvalidShape(
-                f"shape parameters must be integers, got a={a!r}, i={i!r}, b={b!r}"
-            ) from None
+        a, i, b = _shape_integers(a, i, b)
         if i < 1:
             raise InvalidShape(f"shape needs at least one column step, got i={i}")
         if a < 2 or b < 2:
@@ -99,14 +109,15 @@ class SkewShape(_ShapeFields):
 
 class _Layout(NamedTuple):
     shape: SkewShape
+    mirror: SkewShape  # (b, i, a), the shape of the half-turn image
     starts: tuple[int, ...]  # column c is entries[starts[c]:starts[c + 1]]
     need: tuple[int, ...]  # bitmask of the cells above and left of each cell
     pairs: tuple[tuple[int, int], ...]  # (smaller, larger) entry indices
-    values: tuple[int, ...]  # 1..n, the sorted entries of a bijective filling
+    values: frozenset[int]  # 1..n, flip's keys as a set: is_legal compares one set with it
+    flip: dict[int, int]  # v -> n + 1 - v for v in 1..n
 
 
-@lru_cache(maxsize=1024)
-def _layout(a: int, i: int, b: int) -> _Layout:
+def _build_layout(a: int, i: int, b: int) -> _Layout:
     shape = SkewShape(a, i, b)
     starts = [0]
     index = {}
@@ -121,7 +132,35 @@ def _layout(a: int, i: int, b: int) -> _Layout:
             if before in index:
                 pairs.append((index[before], k))
                 need[k] |= 1 << index[before]
-    return _Layout(shape, tuple(starts), tuple(need), tuple(pairs), tuple(range(1, len(index) + 1)))
+    n = len(index)
+    return _Layout(
+        shape,
+        SkewShape(b, i, a),
+        tuple(starts),
+        tuple(need),
+        tuple(pairs),
+        frozenset(range(1, n + 1)),
+        {v: n + 1 - v for v in range(1, n + 1)},
+    )
+
+
+class _Layouts(dict):
+    """The layout of each shape, keyed by the shape (any triple equal to it).
+
+    A shape is validated and laid out when it is first looked up, so a
+    lookup of a known shape is one dict subscript.  The table holds at most
+    1,024 shapes: a new shape beyond that empties it first.
+    """
+
+    def __missing__(self, shape) -> _Layout:
+        layout = _build_layout(*shape)
+        if len(self) >= 1024:
+            self.clear()
+        self[layout.shape] = layout
+        return layout
+
+
+_LAYOUTS = _Layouts()
 
 
 class Filling(tuple):
@@ -154,7 +193,7 @@ class Filling(tuple):
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Column c's entries top to bottom, for each column c."""
         shape, entries = self
-        starts = _layout(*shape).starts
+        starts = _LAYOUTS[shape].starts
         return tuple(entries[lo:hi] for lo, hi in zip(starts, starts[1:]))
 
     def value_at(self, r: int, c: int) -> int:
@@ -162,14 +201,18 @@ class Filling(tuple):
         rows = shape.column_rows(c)
         if r not in rows:
             raise InvalidShape(f"cell ({r}, {c}) not in shape {shape}")
-        return entries[_layout(*shape).starts[c] + r - rows.start]
+        return entries[_LAYOUTS[shape].starts[c] + r - rows.start]
 
     def is_legal(self) -> bool:
         """The entries are 1..n once each and increase down every column and
-        rightward along rows 0 and 1."""
+        rightward along rows 0 and 1.
+
+        n entries whose set is {1, ..., n} are 1..n once each; then every
+        (smaller, larger) pair of the shape's layout is compared.
+        """
         shape, entries = self
-        layout = _layout(*shape)
-        if tuple(sorted(entries)) != layout.values:
+        layout = _LAYOUTS[shape]
+        if len(entries) != len(layout.need) or set(entries) != layout.values:
             return False
         for lo, hi in layout.pairs:
             if entries[lo] >= entries[hi]:
@@ -208,11 +251,14 @@ def _legal_entries(layout: _Layout) -> list[tuple[int, ...]]:
     Places 1, 2, ..., n in turn, each into any empty cell whose cells above
     and to the left are filled, so every prefix stays legal.  Which cells are
     open depends only on the set of filled cells; each such set's open cells
-    are listed once.  The recursion is as deep as the shape has cells, at
-    most MAX_CELLS, well inside the interpreter's recursion limit.
+    are listed once.  The last two values go in without a further call:
+    n - 1 into each open cell in turn, and n into the one cell then left
+    empty.  The recursion is as deep as the shape has cells, at most
+    MAX_CELLS, well inside the interpreter's recursion limit.
     """
     need = layout.need
     n = len(need)
+    full = (1 << n) - 1
     values = [0] * n
     out: list[tuple[int, ...]] = []
     open_after: dict[int, list[tuple[int, int]]] = {}
@@ -229,10 +275,13 @@ def _legal_entries(layout: _Layout) -> list[tuple[int, ...]]:
     def place(value: int, filled: int) -> None:
         for k, after in open_after.get(filled) or list_open(filled):
             values[k] = value
-            if value == n:
-                out.append(tuple(values))
-            else:
+            if value < n - 2:
                 place(value + 1, after)
+                continue
+            for k_next, after_next in open_after.get(after) or list_open(after):
+                values[k_next] = n - 1
+                values[(full ^ after_next).bit_length() - 1] = n
+                out.append(tuple(values))
 
     place(1, 0)
     return out
@@ -245,7 +294,9 @@ def enumerate_skyt(a: int, i: int, b: int) -> list[Filling]:
     nothing fillable then).  Raises InvalidParameters, before any enumeration
     work, for a shape with more than MAX_CELLS cells or MAX_FILLINGS fillings.
     Each call builds a new list of new fillings and keeps none of them.
+    Raises InvalidShape for a parameter that is not an integer.
     """
+    a, i, b = _shape_integers(a, i, b)
     if i < 1:
         raise InvalidShape("enumeration needs i >= 1; the i = 0 cases are count-level conventions")
     if a < 0 or b < 0:
@@ -263,7 +314,7 @@ def enumerate_skyt(a: int, i: int, b: int) -> list[Filling]:
         raise InvalidParameters(
             f"shape ({a}, {i}, {b}) has {count} fillings; enumeration is capped at {MAX_FILLINGS}"
         )
-    layout = _layout(a, i, b)
+    layout = _LAYOUTS[a, i, b]
     entries = _legal_entries(layout)
     entries.sort()
     shape = layout.shape
@@ -358,12 +409,26 @@ def involution_rotate(f: Filling) -> Filling:
     it twice gives back the original filling.  Cell (r, c) of the rotated
     shape comes from cell (1 - r, i - c), so column c of the image is column
     i - c reversed, and the column-major entries come out in reverse order.
+
+    The mirror shape and the flip table come from the shape's layout, and
+    the reversed entries are read through the table in one ``itemgetter``
+    call.  The table serves only n entries that are ints in 1..n.  A float
+    or Decimal equal to such an int would find it in the table, but it makes
+    the sum of the entries non-int.  Any other entries (a value outside
+    1..n, a value that is not an int, or a number of entries other than n)
+    go term by term: each v becomes len(entries) + 1 - v, of whatever type
+    that arithmetic gives.
     """
-    (a, i, b), entries = f
+    shape, entries = f
+    layout = _LAYOUTS[shape]
+    try:
+        if len(entries) == len(layout.need) and type(sum(entries)) is int:
+            image = itemgetter(*entries[::-1])(layout.flip)
+            return tuple.__new__(Filling, (layout.mirror, image))
+    except (KeyError, TypeError):
+        pass
     top = len(entries) + 1
-    return tuple.__new__(
-        Filling, (_layout(b, i, a).shape, tuple([top - v for v in reversed(entries)]))
-    )
+    return tuple.__new__(Filling, (layout.mirror, tuple([top - v for v in reversed(entries)])))
 
 
 @lru_cache(maxsize=None)
@@ -475,7 +540,7 @@ def count_skyt_rho_direct(m: int, d: int, i: int, rho: int) -> int:
     b = d - 2 * i + 1
     if b < 2:
         return 0
-    every, misses = _fillings_and_misses(_layout(m + 1, i, b), d, rho)
+    every, misses = _fillings_and_misses(_LAYOUTS[m + 1, i, b], d, rho)
     return every - misses
 
 
@@ -499,4 +564,4 @@ def iota_action(j: int, f: Filling, m: int) -> Filling:
     tail = tuple(v for v in range(n, n + m) if v != n + j)
     # The left column is entries[:2]; the bottom-right cell is the last entry.
     lifted = entries[:2] + tail + entries[2:-1] + (n + j,)
-    return tuple.__new__(Filling, (_layout(m + 1, shape.i, shape.b).shape, lifted))
+    return tuple.__new__(Filling, (_LAYOUTS[m + 1, shape.i, shape.b].shape, lifted))

@@ -1,10 +1,13 @@
 import inspect
+import itertools
 import json
 import os
 import pickle
 import resource
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,10 +19,10 @@ from klmatroids.errors import IndexOutOfRange, InvalidParameters, InvalidShape
 from klmatroids.tableaux import (
     MAX_CELLS,
     MAX_FILLINGS,
+    _LAYOUTS,
     Filling,
     SkewShape,
     _fillings_and_misses,
-    _layout,
     count_overline_skyt,
     count_skyt,
     count_skyt_rho_direct,
@@ -43,6 +46,84 @@ from oracles import (
     straight_rows,
     termwise_count_skyt,
 )
+
+
+class _Index:
+    """An index that is not an int: it converts by __index__ alone."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+    def __rsub__(self, other):
+        return f"{other} - {self.v}"
+
+    def __repr__(self):
+        return f"_Index({self.v})"
+
+
+# Entries the unchecked Filling constructor accepts on shape (2, 1, 2), which
+# has n = 4, and on (4, 3, 3): out of range, repeated, not int, wrong length.
+ODD_ENTRIES = [
+    (0, 5, 3, -1),
+    (-1, -2, -3, -4),
+    (-4, 1, 2, 3),
+    (-12, 1, 2, 3),
+    (0, 0, 0, 0),
+    (1, 2, 3, 5),
+    (1, 2, 2, 3),
+    (100, 2, 3, 4),
+    (2**61 + 1, 2, 3, 4),  # hashes like 2
+    (1, 1, 1, 1),
+    (4, 4, 3, 3),
+    (2, 1, 4, 3),
+    (True, 2, 3, 4),
+    (True, False, True, True),
+    (1.0, 2.0, 3.0, 4.0),
+    (1, 2.0, 3, 4),
+    (1, 2.5, 3, 4),
+    (1, float("inf"), 3, 4),
+    (Decimal(1), 2, 3, 4),
+    (Fraction(2), 1, 3, 4),
+    (1 + 0j, 2, 3, 4),
+    (_Index(1), 2, 3, 4),
+    [1, 2, 3, 4],
+    (),
+    (1,),
+    (3,),
+    (1, 2, 3),
+    (1, 2, 3, 4, 5),
+    (1, 2, 3, 4, 4),
+    tuple(range(1, 12)),
+    tuple(range(11, 0, -1)),
+    (2, 3, 10, 11, 4, 6, 5, 8, 1, 7, 9.0),
+]
+
+
+def termwise_rotate(entries) -> tuple:
+    """n + 1 - v for each entry v, last entry first, with n the number of entries."""
+    top = len(entries) + 1
+    return tuple(top - v for v in reversed(entries))
+
+
+def _accepts(check) -> bool:
+    """check() returns True; entries that cannot be ordered may raise TypeError
+    instead of returning False, in the library and in the oracle alike."""
+    try:
+        return check() is True
+    except TypeError:
+        return False
+
+
+def _split(entries, lengths) -> tuple[tuple, ...]:
+    out, start = [], 0
+    for length in lengths:
+        out.append(tuple(entries[start : start + length]))
+        start += length
+    return tuple(out)
+
 
 # Named fillings reused across tests: a legal filling of shape (4, 3, 3),
 # its half-turn image in (3, 3, 4), and the restricted-family pair linking
@@ -120,6 +201,39 @@ class TestEnumeration:
         assert first == second and len(first) == 10374
         assert first is not second
         assert not any(f is g for f, g in zip(first, second))
+
+    @pytest.mark.parametrize("a,i,b", [(2.0, 1, 2), (3.0, 1, 3), (3, 1.0, 3), (3, 1, "3")])
+    def test_non_integer_parameters_refused_whatever_is_cached(self, a, i, b):
+        # a float equal to an int finds that int's cache entries, so the
+        # check must come before any cache is read
+        whole = (int(a), int(i), int(b))
+        count_skyt.cache_clear()
+        with pytest.raises(InvalidShape, match="must be integers") as cold:
+            enumerate_skyt(a, i, b)
+        assert len(enumerate_skyt(*whole)) == count_skyt(*whole)
+        assert whole in _LAYOUTS
+        with pytest.raises(InvalidShape, match="must be integers") as warm:
+            enumerate_skyt(a, i, b)
+        assert str(cold.value) == str(warm.value)
+        assert f"a={a!r}, i={i!r}, b={b!r}" in str(warm.value)
+
+    def test_layouts_are_built_on_first_use_and_bounded(self):
+        code = "import klmatroids.cli, klmatroids.tableaux as t; print(len(t._LAYOUTS))"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(klmatroids.__file__).parents[1])},
+        )
+        assert done.stdout == "0\n"
+        shapes = [(a, i, b) for a in range(2, 14) for i in range(1, 10) for b in range(2, 14)]
+        assert len(shapes) > 1024
+        for a, i, b in shapes:
+            layout = _LAYOUTS[a, i, b]
+            assert len(_LAYOUTS) <= 1024
+            assert layout.shape == (a, i, b) and layout.mirror == (b, i, a)
+            assert layout.flip == {v: a + 2 * i + b - 1 - v for v in range(1, a + 2 * i + b - 1)}
 
 
 class TestCountSyt:
@@ -239,6 +353,37 @@ class TestInvolution:
         assert all(g.is_legal() for g in images)
         assert all(involution_rotate(g) == f for f, g in zip(fillings, images))
         assert set(images) == set(enumerate_skyt(b, i, a))
+
+    @pytest.mark.parametrize("shape", [SkewShape(2, 1, 2), SkewShape(4, 3, 3), (2, 1, 2)])
+    @pytest.mark.parametrize("entries", ODD_ENTRIES, ids=repr)
+    def test_kernel_equals_the_termwise_formula_on_any_entries(self, shape, entries):
+        # the unchecked constructor takes any entries; each becomes
+        # len(entries) + 1 - v, with the type arithmetic gives it
+        image = involution_rotate(Filling(shape, entries))
+        want = termwise_rotate(entries)
+        assert type(image) is Filling and type(image.entries) is tuple
+        assert image.shape == (shape[2], shape[1], shape[0])
+        assert repr(image.entries) == repr(want)
+        assert [type(v) for v in image.entries] == [type(v) for v in want]
+
+    def test_rotation_and_legality_at_the_cell_cap(self):
+        # 64 cells: the largest flip table, and 1,952 fillings
+        a, i, b = 2, 1, MAX_CELLS - 2
+        fillings = enumerate_skyt(a, i, b)
+        assert len(fillings) == 1952
+        for t, f in enumerate(fillings):
+            cols = f.columns
+            image = involution_rotate(f)
+            assert image.columns == skew_rotate(a, i, b, cols)
+            assert f.is_legal() and skew_is_legal(a, i, b, cols)
+            assert image.is_legal() and skew_is_legal(b, i, a, image.columns)
+            at = f.entries.index
+            for p, q in ((t % 63, t % 63 + 1), (at(t % 62 + 1), at(t % 62 + 2))):
+                bad = _swapped(cols, p, q)
+                assert Filling.from_columns(a, i, b, bad).is_legal() == skew_is_legal(a, i, b, bad)
+                assert involution_rotate(Filling.from_columns(a, i, b, bad)).columns == skew_rotate(
+                    a, i, b, bad
+                )
 
 
 class TestOverline:
@@ -361,7 +506,7 @@ class TestDirectCountByIdeals:
         # The pass's first count is one more independent skew-tableau count.
         if a < 2 or b < 2:
             return
-        every, misses = _fillings_and_misses(_layout(a, i, b), b + 2 * i - 1, 0)
+        every, misses = _fillings_and_misses(_LAYOUTS[a, i, b], b + 2 * i - 1, 0)
         assert every == count_skyt(a, i, b) and misses == 0
 
     def test_reads_no_listing_and_no_formula(self, monkeypatch):
@@ -550,6 +695,22 @@ class TestFillingContract:
     def test_non_bijective_entries_are_illegal(self):
         assert not Filling.from_columns(2, 1, 2, [[1, 2], [2, 4]]).is_legal()
         assert not Filling.from_columns(2, 1, 2, [[1, 2], [3, 5]]).is_legal()
+
+    @pytest.mark.parametrize("a,i,b", [(2, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 2), (4, 1, 2)])
+    def test_is_legal_answers_as_the_cell_oracle_on_every_permutation(self, a, i, b):
+        n = a + 2 * i + b - 2
+        lengths = [len(rows) for rows in skew_column_rows(a, i, b)]
+        candidates = [*itertools.permutations(range(1, n + 1)), *(e for e in ODD_ENTRIES if len(e) == n)]
+        for entries in candidates:
+            cols = _split(entries, lengths)
+            f = Filling(SkewShape(a, i, b), entries)
+            assert _accepts(f.is_legal) == _accepts(lambda: skew_is_legal(a, i, b, cols))
+            if all(type(v) is int for v in entries):
+                assert involution_rotate(f).columns == skew_rotate(a, i, b, cols)
+
+    @pytest.mark.parametrize("entries", [e for e in ODD_ENTRIES if len(e) != 4], ids=repr)
+    def test_entries_of_another_length_are_illegal(self, entries):
+        assert not Filling(SkewShape(2, 1, 2), entries).is_legal()
 
     def test_columns_are_read_only(self):
         with pytest.raises(AttributeError):
