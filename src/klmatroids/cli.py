@@ -183,8 +183,6 @@ def cmd_klpoly(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.i < 1:
-        return _fail_usage("enumeration needs i >= 1 (i = 0 shapes are count conventions)")
     family = args.family
     if family != "rho" and args.rho is not None:
         return _fail_usage(f"--rho applies to --family rho only, not --family {family}")

@@ -35,7 +35,7 @@ from .matroid import (
     mask_from,
     matroid_from_bases,
 )
-from .tableaux import count_overline_skyt, count_skyt, validate_family_params
+from .tableaux import _integers, count_overline_skyt, count_skyt, validate_family_params
 
 
 def family_label(m: int, d: int, rho: int) -> str:
@@ -53,13 +53,12 @@ class _ParamFields(NamedTuple):
 
 class RhoUniformParams(_ParamFields):
     """Parameters (m, d, rho) of the removed-basis uniform matroid U(m, d; rho),
-    checked by ``validate_family_params`` when built."""
+    checked by ``validate_family_params`` when built, and kept as its ints."""
 
     __slots__ = ()
 
     def __new__(cls, m: int, d: int, rho: int = 0) -> "RhoUniformParams":
-        validate_family_params(m, d, rho)
-        return tuple.__new__(cls, (m, d, rho))
+        return tuple.__new__(cls, validate_family_params(m, d, rho))
 
     @property
     def n(self) -> int:
@@ -75,7 +74,7 @@ def valid_rhos(m: int, d: int) -> list[int]:
     For d < 2 only rho = 0 is listed (d = 1 removal is invalid, d = 0 removal
     is a no-op); otherwise rho ranges up to (m + d) // d.
     """
-    validate_family_params(m, d, 0)
+    m, d, _ = validate_family_params(m, d, 0)
     if d < 2:
         return [0]
     return list(range((m + d) // d + 1))
@@ -148,7 +147,9 @@ def coeff_uniform_klum(m: int, d: int, i: int) -> int:
     non-zero remainder raises NonIntegerResult (it would mean an
     implementation bug).
     """
-    validate_family_params(m, d, 0)
+    m, d, _ = validate_family_params(m, d, 0)
+    if type(i) is not int:
+        (i,) = _integers(InvalidParameters, i=i)
     if i == 0:
         return 1
     # past coefficient_range(d) the sum below is not 0
@@ -178,7 +179,9 @@ def coeff_rho(m: int, d: int, i: int, rho: int) -> int:
     coefficient_range(d) the width b is below 2, where both counts are 0 by
     their own conventions.
     """
-    validate_family_params(m, d, rho)
+    m, d, rho = validate_family_params(m, d, rho)
+    if type(i) is not int:
+        (i,) = _integers(InvalidParameters, i=i)
     if i < 0:
         return 0
     b = d - 2 * i + 1

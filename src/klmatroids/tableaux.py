@@ -1,25 +1,23 @@
 """Skew tableaux with three column groups, and their counting formulas.
 
 The shape (a, i, b) consists of a left column of height a, then i - 1 middle
-columns of height 2, then a right column of height b.  All columns share a
-common two-row strip.
+columns of height 2, then a right column of height b, so it is described by
+its column heights (a, 2, ..., 2, b).  All columns share a common two-row
+strip: the top two cells of columns 0..i-1 and the bottom two cells of
+column i.  A legal filling places 1..(a + 2i + b - 2) bijectively so that
+every column increases downward and each of the two shared rows increases
+rightward.
 
-Cell coordinates: rows increase downward and the shared strip occupies rows
-0 and 1.  Column 0 runs from row 0 down to row a - 1, middle columns 1..i-1
-occupy rows 0..1, and column i runs from row -(b - 2) at its top down to
-row 1.  A legal filling places 1..(a + 2i + b - 2) bijectively so that every
-row increases rightward and every column increases downward.
-
-The value types are tuples.  A SkewShape is the named triple (a, i, b),
-checked when it is built, and a Filling is the immutable pair (shape,
-entries); both are tuple subclasses, so that building, unpacking, comparing
-and hashing them all run in C.  A filling's entries are one flat
-column-major tuple: column 0 top to bottom, then each middle column, then
-column i.  What the enumeration, the legality test and the rotation need
-to know about a shape is worked out once per shape, on first use, and kept
-in one bounded table (``_LAYOUTS``, keyed by the shape): where each column
-starts, the bitmask of the cells above and to the left of each cell, the
-index pairs whose entries must increase, the set 1..n, the mirror shape
+The value types are named tuples.  A SkewShape is the triple (a, i, b),
+checked when it is built, and a Filling is the pair (shape, entries); both
+are tuple subclasses, so that building, unpacking, comparing and hashing
+them all run in C.  A filling's entries are one flat column-major tuple:
+column 0 top to bottom, then each middle column, then column i.  What the
+enumeration, the legality test and the rotation need to know about a shape
+is worked out from its column heights once per shape, on first use, and
+kept in one bounded table (``_LAYOUTS``, keyed by the shape): where each
+column starts, the bitmask of the cells above and to the left of each cell,
+the index pairs whose entries must increase, the set 1..n, the mirror shape
 (b, i, a), and the flip table v -> n + 1 - v.  In column-major order the
 half-turn rotation reverses the entries, so a rotation is one reversed
 slice read through the flip table, and a legality test is one set
@@ -50,7 +48,7 @@ from math import factorial
 from operator import index, itemgetter
 from typing import NamedTuple
 
-from .errors import IndexOutOfRange, InvalidParameters, InvalidShape
+from .errors import IndexOutOfRange, InvalidParameters, InvalidShape, KlmatroidsError
 from .exactarith import binomial
 
 MAX_FILLINGS = 10**6
@@ -63,15 +61,21 @@ Thin shapes such as (a, 1, 2) stay under MAX_FILLINGS with a thousand cells,
 and their fillings would hold a billion entries between them."""
 
 
-def _shape_integers(a: int, i: int, b: int) -> tuple[int, int, int]:
-    """a, i and b through ``operator.index``; InvalidShape, naming all three,
-    if one of them is not an integer."""
+def _integers(error: type[KlmatroidsError], **values) -> tuple[int, ...]:
+    """The values through ``operator.index``; ``error``, naming every value, if
+    one is not an integer.  Every entry point passes its parameters through
+    here first, since a float equal to a cached int would find the int's
+    entry; the hot ones call it only when a value's type is not int."""
     try:
-        return index(a), index(i), index(b)
+        return tuple([index(v) for v in values.values()])
     except TypeError:
-        raise InvalidShape(
-            f"shape parameters must be integers, got a={a!r}, i={i!r}, b={b!r}"
-        ) from None
+        named = ", ".join(f"{name}={v!r}" for name, v in values.items())
+        raise error(f"parameters must be integers, got {named}") from None
+
+
+def _column_heights(a: int, i: int, b: int) -> tuple[int, ...]:
+    """The heights of the columns of shape (a, i, b), left to right."""
+    return (a,) + (2,) * (i - 1) + (b,)
 
 
 class _ShapeFields(NamedTuple):
@@ -86,7 +90,7 @@ class SkewShape(_ShapeFields):
     __slots__ = ()
 
     def __new__(cls, a: int, i: int, b: int) -> "SkewShape":
-        a, i, b = _shape_integers(a, i, b)
+        a, i, b = _integers(InvalidShape, a=a, i=i, b=b)
         if i < 1:
             raise InvalidShape(f"shape needs at least one column step, got i={i}")
         if a < 2 or b < 2:
@@ -96,15 +100,6 @@ class SkewShape(_ShapeFields):
     @property
     def cell_count(self) -> int:
         return self.a + 2 * self.i + self.b - 2
-
-    def column_rows(self, c: int) -> range:
-        if c == 0:
-            return range(0, self.a)
-        if c == self.i:
-            return range(-(self.b - 2), 2)
-        if 0 < c < self.i:
-            return range(0, 2)
-        raise InvalidShape(f"column {c} outside 0..{self.i}")
 
 
 class _Layout(NamedTuple):
@@ -118,21 +113,23 @@ class _Layout(NamedTuple):
 
 
 def _build_layout(a: int, i: int, b: int) -> _Layout:
-    shape = SkewShape(a, i, b)
+    """The layout of shape (a, i, b), from its column heights alone."""
+    a, i, b = shape = SkewShape(a, i, b)
     starts = [0]
-    index = {}
-    for c in range(i + 1):
-        for r in shape.column_rows(c):
-            index[(r, c)] = len(index)
-        starts.append(len(index))
+    for height in _column_heights(a, i, b):
+        starts.append(starts[-1] + height)
+    n = starts[-1]
     pairs = []
-    need = [0] * len(index)
-    for (r, c), k in index.items():
-        for before in ((r - 1, c), (r, c - 1)):
-            if before in index:
-                pairs.append((index[before], k))
-                need[k] |= 1 << index[before]
-    n = len(index)
+    need = [0] * n
+    for c in range(i + 1):
+        top, end = starts[c], starts[c + 1]
+        for k in range(top, end):
+            before = [k - 1] if k > top else []
+            if c and k >= end - 2:  # a shared row: the top two cells of column c - 1
+                before.append(starts[c - 1] + k - (end - 2))
+            for j in before:
+                pairs.append((j, k))
+                need[k] |= 1 << j
     return _Layout(
         shape,
         SkewShape(b, i, a),
@@ -163,11 +160,11 @@ class _Layouts(dict):
 _LAYOUTS = _Layouts()
 
 
-class Filling(tuple):
+class Filling(NamedTuple):
     """An assignment of integers to the cells of a SkewShape; see is_legal.
 
-    A filling is the immutable pair ``(shape, entries)``: it unpacks, has
-    length 2, and compares and hashes like the plain tuple ``(shape, entries)``.
+    A filling is the named pair ``(shape, entries)``: it unpacks, has length
+    2, and compares and hashes like the plain tuple ``(shape, entries)``.
     ``entries`` lists the values column by column, each column top to bottom.
     The constructor does not check it against the shape; ``from_columns`` is
     the validated constructor.  The library builds its fillings with
@@ -175,19 +172,8 @@ class Filling(tuple):
     constructor.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, shape: SkewShape, entries: tuple[int, ...]) -> "Filling":
-        return tuple.__new__(cls, (shape, entries))
-
-    def __getnewargs__(self) -> tuple[SkewShape, tuple[int, ...]]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"Filling(shape={self[0]!r}, entries={self[1]!r})"
-
-    shape = property(itemgetter(0), doc="The SkewShape the entries fill.")
-    entries = property(itemgetter(1), doc="The values, column-major, each column top to bottom.")
+    shape: SkewShape
+    entries: tuple[int, ...]
 
     @property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -196,16 +182,9 @@ class Filling(tuple):
         starts = _LAYOUTS[shape].starts
         return tuple(entries[lo:hi] for lo, hi in zip(starts, starts[1:]))
 
-    def value_at(self, r: int, c: int) -> int:
-        shape, entries = self
-        rows = shape.column_rows(c)
-        if r not in rows:
-            raise InvalidShape(f"cell ({r}, {c}) not in shape {shape}")
-        return entries[_LAYOUTS[shape].starts[c] + r - rows.start]
-
     def is_legal(self) -> bool:
         """The entries are 1..n once each and increase down every column and
-        rightward along rows 0 and 1.
+        rightward along the two shared rows.
 
         n entries whose set is {1, ..., n} are 1..n once each; then every
         (smaller, larger) pair of the shape's layout is compared.
@@ -234,9 +213,7 @@ class Filling(tuple):
     def from_columns(cls, a: int, i: int, b: int, columns) -> "Filling":
         shape = SkewShape(a, i, b)
         cols = tuple(tuple(index(v) for v in col) for col in columns)
-        if len(cols) != i + 1 or any(
-            len(cols[c]) != len(shape.column_rows(c)) for c in range(i + 1)
-        ):
+        if tuple(map(len, cols)) != _column_heights(*shape):
             raise InvalidShape("column lengths do not match the shape")
         return tuple.__new__(cls, (shape, tuple(v for col in cols for v in col)))
 
@@ -296,7 +273,7 @@ def enumerate_skyt(a: int, i: int, b: int) -> list[Filling]:
     Each call builds a new list of new fillings and keeps none of them.
     Raises InvalidShape for a parameter that is not an integer.
     """
-    a, i, b = _shape_integers(a, i, b)
+    a, i, b = _integers(InvalidShape, a=a, i=i, b=b)
     if i < 1:
         raise InvalidShape("enumeration needs i >= 1; the i = 0 cases are count-level conventions")
     if a < 0 or b < 0:
@@ -329,7 +306,8 @@ def count_syt(a: int, i: int, k: int) -> int:
     For a >= 2 the rows are [1 + i + k, 1 + i, 1, ..., 1] with a - 2 trailing
     ones, n = a + 2i + k cells in all; for a = 1 and i = 0 the shape is one
     row of 1 + k cells, filled one way.  Any other (a, i, k) is not a
-    partition and raises InvalidShape.
+    partition and raises InvalidShape, as does a parameter that is not an
+    integer.
 
     The hook-length formula (Frame, Robinson and Thrall) divides n! by the
     product of all hooks, and on this shape the hooks group row by row:
@@ -347,6 +325,8 @@ def count_syt(a: int, i: int, k: int) -> int:
 
         n! (k + 1) / ((a + i + k) (a + i - 1) (i + k + 1)! i! (a - 2)!).
     """
+    if not type(a) is type(i) is type(k) is int:
+        a, i, k = _integers(InvalidShape, a=a, i=i, k=k)
     if k < 0 or i < 0:
         raise InvalidShape(f"negative partition parameter (i={i}, k={k})")
     if a == 1 and i == 0:
@@ -363,7 +343,7 @@ def count_syt(a: int, i: int, k: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def count_skyt(a: int, i: int, b: int) -> int:
     """Number of legal fillings of shape (a, i, b).
 
@@ -384,8 +364,10 @@ def count_skyt(a: int, i: int, b: int) -> int:
     whose numerator and denominator are formed in small integers: the big
     term is multiplied once and divided once.  Both terms are integers and
     term_k * numerator = term_(k+1) * denominator, so each floor division is
-    exact.
+    exact.  A parameter that is not an integer raises InvalidShape.
     """
+    if not type(a) is type(i) is type(b) is int:
+        a, i, b = _integers(InvalidShape, a=a, i=i, b=b)
     if i < 0:
         raise InvalidShape(f"negative i={i}")
     if i == 0:
@@ -406,9 +388,9 @@ def involution_rotate(f: Filling) -> Filling:
     """Rotate the shape half a turn and replace every entry v by n + 1 - v.
 
     Sends legal fillings of (a, i, b) to legal fillings of (b, i, a); applying
-    it twice gives back the original filling.  Cell (r, c) of the rotated
-    shape comes from cell (1 - r, i - c), so column c of the image is column
-    i - c reversed, and the column-major entries come out in reverse order.
+    it twice gives back the original filling.  Column c of the image is
+    column i - c, reversed, so the column-major entries come out in reverse
+    order.
 
     The mirror shape and the flip table come from the shape's layout, and
     the reversed entries are read through the table in one ``itemgetter``
@@ -431,7 +413,7 @@ def involution_rotate(f: Filling) -> Filling:
     return tuple.__new__(Filling, (layout.mirror, tuple([top - v for v in reversed(entries)])))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def count_overline_skyt(i: int, b: int) -> int:
     """Fillings of shape (2, i, b) whose top-left entry is 1; zero when i = 0.
 
@@ -443,8 +425,10 @@ def count_overline_skyt(i: int, b: int) -> int:
     top of the right column.  Deleting a top-right 1 and shifting every entry
     down by one bijects those fillings onto the (b - 1)-shape, so the count
     is count_skyt(2, i, b) - count_skyt(2, i, b - 1).  The filtered
-    enumeration serves as the test oracle for this.
+    enumeration serves as the test oracle for this.  A parameter that is not
+    an integer raises InvalidShape.
     """
+    i, b = _integers(InvalidShape, i=i, b=b)
     if i < 0:
         raise InvalidShape(f"negative i={i}")
     if i == 0 or b < 2:
@@ -452,13 +436,17 @@ def count_overline_skyt(i: int, b: int) -> int:
     return count_skyt(2, i, b) - count_skyt(2, i, b - 1)
 
 
-def validate_family_params(m: int, d: int, rho: int) -> None:
-    """Raise InvalidParameters unless U(m, d; rho) is a valid family member.
+def validate_family_params(m: int, d: int, rho: int) -> tuple[int, int, int]:
+    """(m, d, rho) as ints; InvalidParameters unless U(m, d; rho) is a valid
+    family member.
 
-    Valid means m >= 1, d >= 0, rho >= 0, and for rho >= 1 either d = 0
-    (removal is a no-op) or d >= 2 with rho * d <= m + d: removing size-1
-    bases creates loops, and the rho removed bases must be pairwise disjoint.
+    Valid means m, d and rho are integers, m >= 1, d >= 0, rho >= 0, and for
+    rho >= 1 either d = 0 (removal is a no-op) or d >= 2 with
+    rho * d <= m + d: removing size-1 bases creates loops, and the rho
+    removed bases must be pairwise disjoint.
     """
+    if not type(m) is type(d) is type(rho) is int:
+        m, d, rho = _integers(InvalidParameters, m=m, d=d, rho=rho)
     if m < 1:
         raise InvalidParameters(f"m must be at least 1, got {m}")
     if d < 0 or rho < 0:
@@ -469,6 +457,7 @@ def validate_family_params(m: int, d: int, rho: int) -> None:
         raise InvalidParameters(
             f"{rho} disjoint bases of size {d} do not fit in {m + d} elements"
         )
+    return m, d, rho
 
 
 def _boundary_windows(shape: SkewShape, d: int, rho: int) -> list[tuple[int, int, int]]:
@@ -526,9 +515,11 @@ def count_skyt_rho_direct(m: int, d: int, i: int, rho: int) -> int:
     with count_skyt(m+1, i, d-2i+1) - rho * count_overline_skyt(i, d-2i+1),
     but reads neither.  Returns 1 for i = 0 by convention, 0 for i outside
     the coefficient range.  Raises InvalidParameters for more than MAX_CELLS
-    cells (m + d) before any counting work.
+    cells (m + d) before any counting work, and for a parameter that is not
+    an integer.
     """
-    validate_family_params(m, d, rho)
+    m, d, rho = validate_family_params(m, d, rho)
+    (i,) = _integers(InvalidParameters, i=i)
     if m + d > MAX_CELLS:
         raise InvalidParameters(
             f"the direct count is capped at {MAX_CELLS} cells, and m + d = {m + d}"
@@ -553,6 +544,7 @@ def iota_action(j: int, f: Filling, m: int) -> Filling:
     hold the remaining values of {n, ..., n + m - 1} in increasing order.
     j = 0 leaves the bottom-right at n with an untouched tail.
     """
+    j, m = _integers(InvalidParameters, j=j, m=m)
     if f.shape.a != 2:
         raise InvalidShape("the action is defined on fillings with left column of height 2")
     if m < 1:

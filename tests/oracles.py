@@ -416,6 +416,19 @@ def skew_fillings(a: int, i: int, b: int) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(found, key=lambda cols: [v for col in cols for v in col])
 
 
+def skew_order_pairs(a: int, i: int, b: int) -> set[tuple[int, int]]:
+    """The (smaller, larger) pairs of column-major cell indices whose entries
+    must increase: each cell against its upper and its left neighbour."""
+    rows = skew_column_rows(a, i, b)
+    at = {(r, c): k for k, (r, c) in enumerate((r, c) for c in range(i + 1) for r in rows[c])}
+    return {
+        (at[before], k)
+        for (r, c), k in at.items()
+        for before in ((r - 1, c), (r, c - 1))
+        if before in at
+    }
+
+
 def skew_value(a: int, i: int, b: int, columns, r: int, c: int) -> int:
     rows = skew_column_rows(a, i, b)[c]
     return columns[c][r - rows.start]

@@ -157,8 +157,10 @@ class TestEnumerate:
         assert code == 0 and out.strip() == "count: 0"
 
     def test_i_zero_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "enumerate", "--a", "2", "--i", "0", "--b", "4")
-        assert code == 2
+        code, out, err = run_cli(capsys, "enumerate", "--a", "2", "--i", "0", "--b", "4")
+        assert code == 2 and out == ""
+        # the library's own message, through main
+        assert "enumeration needs i >= 1" in err
 
     def test_json_stream_contains_known_filling(self, capsys):
         code, out, _ = run_cli(

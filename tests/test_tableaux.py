@@ -14,7 +14,7 @@ import pytest
 
 import klmatroids
 from klmatroids import tableaux
-from klmatroids.closedforms import coeff_rho
+from klmatroids.closedforms import RhoUniformParams, coeff_rho
 from klmatroids.errors import IndexOutOfRange, InvalidParameters, InvalidShape
 from klmatroids.tableaux import (
     MAX_CELLS,
@@ -41,6 +41,7 @@ from oracles import (
     skew_column_rows,
     skew_fillings,
     skew_is_legal,
+    skew_order_pairs,
     skew_rotate,
     skew_value,
     straight_rows,
@@ -139,12 +140,6 @@ class TestShapeGeometry:
         assert SkewShape(4, 3, 3).cell_count == 11
         assert SkewShape(2, 1, 2).cell_count == 4
 
-    def test_column_rows(self):
-        shape = SkewShape(4, 3, 3)
-        assert list(shape.column_rows(0)) == [0, 1, 2, 3]
-        assert list(shape.column_rows(1)) == [0, 1]
-        assert list(shape.column_rows(3)) == [-1, 0, 1]
-
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(InvalidShape):
             SkewShape(1, 2, 3)
@@ -234,6 +229,74 @@ class TestEnumeration:
             assert len(_LAYOUTS) <= 1024
             assert layout.shape == (a, i, b) and layout.mirror == (b, i, a)
             assert layout.flip == {v: a + 2 * i + b - 1 - v for v in range(1, a + 2 * i + b - 1)}
+
+
+# Every entry point with a non-integer parameter, then the call with ints
+# that fills the caches and layouts such a parameter could otherwise read.
+_GATE_SCRIPT = """
+import json
+from klmatroids import closedforms, tableaux
+from klmatroids.errors import KlmatroidsError
+
+overline = tableaux.Filling.from_columns(2, 1, 2, [[1, 2], [3, 4]])
+shape_calls = [
+    (tableaux.count_skyt, (3.0, 1, 3), (3, 1, 3)),
+    (tableaux.count_skyt, (3, 1, 3.0), (3, 1, 3)),
+    (tableaux.count_syt, (3.0, 1, 0), (3, 1, 0)),
+    (tableaux.count_overline_skyt, (1.0, 3), (1, 3)),
+    (tableaux.enumerate_skyt, (2, 1.0, 2), (2, 1, 2)),
+    (tableaux.SkewShape, (4, 1, 3.0), (4, 1, 3)),
+]
+family_calls = [
+    (tableaux.count_skyt_rho_direct, (3.0, 4, 1, 0), (3, 4, 1, 0)),
+    (tableaux.count_skyt_rho_direct, (3, 4, 1.0, 0), (3, 4, 1, 0)),
+    (tableaux.iota_action, (1, overline, 3.0), (1, overline, 3)),
+    (tableaux.validate_family_params, (2, 3, 1.0), (2, 3, 1)),
+    (closedforms.coeff_rho, (2.0, 3, 1, 0), (2, 3, 1, 0)),
+    (closedforms.coeff_rho, (2, 3, 1.0, 1), (2, 3, 1, 1)),
+    (closedforms.coeff_uniform_klum, (2.0, 3, 1), (2, 3, 1)),
+    (closedforms.coeff_uniform_klum, (2, 3, 1.0), (2, 3, 1)),
+    (closedforms.coeff_uniform_tableau, (2, 3, 1.0), (2, 3, 1)),
+    (closedforms.valid_rhos, (2.0, 3), (2, 3)),
+    (closedforms.RhoUniformParams, (2.0, 3), (2, 3)),
+]
+calls = [(*call, "InvalidShape") for call in shape_calls]
+calls += [(*call, "InvalidParameters") for call in family_calls]
+
+def outcome(func, args):
+    try:
+        func(*args)
+    except KlmatroidsError as exc:
+        return [type(exc).__name__, str(exc)]
+    return None
+
+cold = [outcome(func, bad) for func, bad, _, _ in calls]
+for func, _, good, _ in calls:
+    func(*good)
+warm = [outcome(func, bad) for func, bad, _, _ in calls]
+print(json.dumps([[func.__name__, kind, c, w] for (func, _, _, kind), c, w in zip(calls, cold, warm)]))
+"""
+
+
+def test_non_integer_parameters_fail_alike_cold_and_warm():
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _GATE_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(klmatroids.__file__).parents[1])},
+    )
+    assert done.returncode == 0, done.stderr
+    for name, kind, cold, warm in json.loads(done.stdout):
+        assert cold is not None and cold == warm, name
+        assert cold[0] == kind, name
+        assert "must be integers, got " in cold[1] and ".0" in cold[1], name
+
+
+def test_family_parameters_are_kept_as_ints():
+    assert tableaux.validate_family_params(_Index(2), True, False) == (2, 1, 0)
+    p = RhoUniformParams(_Index(2), 3, True)
+    assert p == (2, 3, 1) and all(type(v) is int for v in p) and type(p.n) is int
 
 
 class TestCountSyt:
@@ -402,7 +465,7 @@ class TestOverline:
         if 2 * i + b > 14:
             return
         filtered = sum(
-            1 for f in enumerate_skyt(2, i, b) if f.value_at(0, 0) == 1
+            1 for f in enumerate_skyt(2, i, b) if f.entries[0] == 1
         )
         assert count_overline_skyt(i, b) == filtered
 
@@ -415,7 +478,7 @@ class TestOverline:
             filtered = [
                 f
                 for f in enumerate_skyt(a, i, b)
-                if f.value_at(0, 0) == 1 and set(f.columns[0][2:]) == largest
+                if f.entries[0] == 1 and set(f.columns[0][2:]) == largest
             ]
             assert len(filtered) == expected
 
@@ -557,7 +620,7 @@ class TestIotaAction:
         # exactly the fillings failing all three boundary conditions.
         m, d, i, rho = 3, 4, 1, 2
         b = d - 2 * i + 1
-        overline = [f for f in enumerate_skyt(2, i, b) if f.value_at(0, 0) == 1]
+        overline = [f for f in enumerate_skyt(2, i, b) if f.entries[0] == 1]
         images = {iota_action(j, f, m) for j in range(rho) for f in overline}
         complement = {
             f
@@ -607,10 +670,6 @@ def _swapped(columns, p, q):
 def test_flat_layout_matches_cell_coordinate_oracles(a, i, b):
     fillings = enumerate_skyt(a, i, b)
     assert [f.columns for f in fillings] == skew_fillings(a, i, b)
-    first = fillings[0]
-    for c, rows in enumerate(skew_column_rows(a, i, b)):
-        for r in rows:
-            assert first.value_at(r, c) == skew_value(a, i, b, first.columns, r, c)
     n = a + 2 * i + b - 2
     for t, f in enumerate(fillings):
         cols = f.columns
@@ -623,6 +682,22 @@ def test_flat_layout_matches_cell_coordinate_oracles(a, i, b):
         for p, q in ((k, k + 1), (at(k + 1), at(k + 2))):
             bad = _swapped(cols, p, q)
             assert Filling.from_columns(a, i, b, bad).is_legal() == skew_is_legal(a, i, b, bad)
+
+
+@pytest.mark.parametrize(
+    "a,i,b",
+    [(a, i, b) for a, i, b in shape_grid() if a >= 2 and b >= 2]
+    + [(2, 1, 62), (62, 1, 2), (3, 1, 61), (2, 31, 2)],  # 64 cells each
+)
+def test_layout_matches_the_cell_coordinate_neighbours(a, i, b):
+    layout = _LAYOUTS[a, i, b]
+    pairs = skew_order_pairs(a, i, b)
+    assert set(layout.pairs) == pairs and len(layout.pairs) == len(pairs)
+    assert layout.need == tuple(
+        sum(1 << lo for lo, hi in pairs if hi == k) for k in range(a + 2 * i + b - 2)
+    )
+    lengths = [len(rows) for rows in skew_column_rows(a, i, b)]
+    assert layout.starts == tuple(sum(lengths[:c]) for c in range(i + 2))
 
 
 @pytest.mark.parametrize("a,i,b", [(a, i, b) for a, i, b in shape_grid() if a >= 2 and b >= 2])
@@ -655,6 +730,24 @@ class TestFillingContract:
     def test_from_columns_rejects_bad_lengths(self, columns):
         with pytest.raises(InvalidShape):
             Filling.from_columns(2, 1, 2, columns)
+
+    @pytest.mark.parametrize("c", range(4))
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_from_columns_rejects_each_column_one_cell_off(self, c, step):
+        # (4, 3, 3) has column heights (4, 2, 2, 3)
+        columns = [list(col) for col in FILLING_433.columns]
+        if step > 0:
+            columns[c].append(12)
+        else:
+            columns[c].pop()
+        with pytest.raises(InvalidShape, match="column lengths"):
+            Filling.from_columns(4, 3, 3, columns)
+
+    def test_from_columns_rejects_a_missing_or_an_extra_column(self):
+        columns = [list(col) for col in FILLING_433.columns]
+        for bad in (columns[:-1], columns[1:], columns + [[12, 13]], columns + [[]]):
+            with pytest.raises(InvalidShape, match="column lengths"):
+                Filling.from_columns(4, 3, 3, bad)
 
     @pytest.mark.parametrize("bad", [1.9, "1", 1.0])
     def test_from_json_dict_refuses_non_integer_entries(self, bad):
@@ -722,6 +815,11 @@ class TestFillingContract:
         assert shape is FILLING_433.shape and shape == SkewShape(4, 3, 3)
         assert entries is FILLING_433.entries and entries == (2, 3, 10, 11, 4, 6, 5, 8, 1, 7, 9)
         assert not hasattr(FILLING_433, "__dict__")
+        assert repr(FILLING_433) == (
+            "Filling(shape=SkewShape(a=4, i=3, b=3), entries=(2, 3, 10, 11, 4, 6, 5, 8, 1, 7, 9))"
+        )
+        assert Filling._fields == ("shape", "entries")
+        assert Filling._make((shape, entries)) == FILLING_433._replace(entries=entries)
         for name in ("shape", "entries"):
             with pytest.raises(AttributeError):
                 setattr(FILLING_433, name, None)
