@@ -53,7 +53,6 @@ from .closedforms import (
     classify_minor,
     coeff_rho,
     coeff_uniform_klum,
-    coeff_uniform_tableau,
     expected_flats,
     kl_poly_rho,
     valid_rhos,
@@ -89,7 +88,6 @@ __all__ = [
     "closure",
     "coeff_rho",
     "coeff_uniform_klum",
-    "coeff_uniform_tableau",
     "contraction",
     "count_overline_skyt",
     "count_skyt",

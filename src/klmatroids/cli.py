@@ -4,15 +4,15 @@ Exit codes: 0 on success, 1 when a verification or cross-method consistency
 check fails, 2 on usage or parameter errors.  All big integers are printed
 as decimal strings; JSON output round-trips losslessly.
 
-The ``oracle`` method is the Z-polynomial solver over the subset cube
-(``klm verify`` cross-checks it against the defining recurrence); the
-``direct`` method counts the Theorem 1 set by a dynamic programme over order
-ideals.  The library caps the oracle at MAX_GROUND = 16 elements and the
-direct count at MAX_CELLS = 64 cells, and past either cap raises
-InvalidParameters, which exits 2; ``--method all`` runs each route whose cap
-admits the query.  The CLI sets the other caps, checked before any
-coefficient: the tableau and closed-form routes at m + d <= COEFF_MAX_N in
-``klm coeff`` and KLPOLY_MAX_N in ``klm klpoly`` (``--method all`` included),
+``klm coeff`` and ``klm klpoly`` offer the routes of one table,
+``closedforms.ROUTES``: the counting formula (``tableau``), the order-ideal
+count of the Theorem 1 set (``direct``, at most MAX_CELLS = 64 cells), the
+older closed form (``closed-form``, rho = 0 only) and the Z-polynomial
+solver (``oracle``, at most MAX_GROUND = 16 elements).  A ``--method`` past
+its route's domain exits 2 with the library's message; ``--method all`` runs
+every route that admits the query, and a polynomial is one route's
+coefficients.  The CLI sets the other caps, checked before any coefficient:
+m + d <= COEFF_MAX_N in ``klm coeff`` and KLPOLY_MAX_N in ``klm klpoly``,
 ``klm verify --max-n`` at VERIFY_MAX_N and ``klm table`` at TABLE_MAX.
 
 Only ``klm verify`` loads ``verification``, and with it the process pool
@@ -28,15 +28,7 @@ import json
 import sys
 import time
 
-from .closedforms import (
-    RhoUniformParams,
-    build_rho_uniform,
-    coeff_rho,
-    coeff_uniform_klum,
-    coefficient_range,
-    kl_poly_rho,
-    valid_rhos,
-)
+from .closedforms import ROUTES, RhoUniformParams, coeff_rho, coefficient_range, valid_rhos
 from .errors import InvalidParameters, KlmatroidsError
 from .exactarith import IntPoly
 from .identities import (
@@ -44,11 +36,8 @@ from .identities import (
     run_identity_sweeps,
     sweep_gf_truncation,
 )
-from .matroid import MAX_GROUND, kl_poly
 from .tableaux import (
-    MAX_CELLS,
     MAX_FILLINGS,
-    count_skyt_rho_direct,
     enumerate_skyt,
     satisfies_removed_family_conditions,
     validate_family_params,
@@ -71,8 +60,9 @@ VM with CPython 3.11 its slowest query (m = 2, i = 1, rho = 1) takes 1.4 s;
 m + d = 40,003 takes 3.6 s and m = 10^6 (d = 3, i = 1) takes 25 s."""
 
 KLPOLY_MAX_N = 1_000
-"""The largest m + d of a ``klm klpoly`` by tableau, a sum of d / 2 coefficients:
-its slowest query (m = 2, rho = 1) takes 1.1 s there, and d = 2001 takes 6.1 s."""
+"""The largest m + d of a ``klm klpoly`` by tableau or closed form, d / 2
+coefficients: its slowest tableau query (m = 2, rho = 1) takes 1.1 s there,
+and d = 2001 takes 6.1 s."""
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -107,37 +97,29 @@ def _envelope(query: dict, result, method: str, elapsed_ms: float) -> str:
     return json.dumps(payload)
 
 
-def _coeff_by_method(method: str, params: RhoUniformParams, i: int) -> int:
-    if method == "tableau":
-        return coeff_rho(params.m, params.d, i, params.rho)
-    if method == "direct":
-        return count_skyt_rho_direct(params.m, params.d, i, params.rho)
-    if method == "closed-form":
-        return coeff_uniform_klum(params.m, params.d, i)
-    if method == "oracle":
-        return kl_poly(build_rho_uniform(params)).coeff(i)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _methods_for(method: str, params: RhoUniformParams) -> list[str]:
-    if method != "all":
-        return [method]
-    methods = ["tableau"]
-    if params.n <= MAX_CELLS:
-        methods.append("direct")
-    if params.rho == 0:
-        methods.append("closed-form")
-    if params.n <= MAX_GROUND:
-        methods.append("oracle")
-    return methods
-
-
-def _report_routes(args, query: dict, values: dict, elapsed_ms: float) -> int:
-    """Print the one route's value, or each route then whether they agree."""
+def _run_routes(args, cap: int, compute) -> int:
+    """Print ``compute(route, params)`` for the ``--method`` route, or for every
+    route that admits the query under ``all``, then whether they agree.  A
+    refused route, or m + d past the command's ``cap``, exits 2 first."""
+    params = RhoUniformParams(args.m, args.d, args.rho)
+    if args.method == "all":
+        routes = [r for r in ROUTES if r.refusal(params) is None]
+    else:
+        routes = [r for r in ROUTES if r.name == args.method]
+        if refusal := routes[0].refusal(params):
+            return _fail_usage(refusal)
+    # the direct and oracle routes refuse far below either cap
+    if params.n > cap:
+        message = f"the formula routes of klm {args.command} are capped at m + d <= {cap}"
+        return _fail_usage(f"{message}, got {params.n}")
+    start = time.perf_counter()
+    values = {route.name: compute(route, params) for route in routes}
+    elapsed = (time.perf_counter() - start) * 1000
     agreed = len(set(values.values())) == 1
     if args.format == "json":
+        query = {key: getattr(args, key) for key in ("m", "d", "i", "rho") if hasattr(args, key)}
         result = values if len(values) > 1 else next(iter(values.values()))
-        print(_envelope(query, result, args.method, elapsed_ms))
+        print(_envelope(query, result, args.method, elapsed))
     elif len(values) == 1:
         print(next(iter(values.values())))
     else:
@@ -147,39 +129,15 @@ def _report_routes(args, query: dict, values: dict, elapsed_ms: float) -> int:
     return EXIT_OK if agreed else EXIT_INCONSISTENT
 
 
-def _fail_formula_cap(command: str, cap: int, n: int) -> int:
-    return _fail_usage(f"the formula routes of klm {command} are capped at m + d <= {cap}, got {n}")
-
-
 def cmd_coeff(args) -> int:
-    params = RhoUniformParams(args.m, args.d, args.rho)
-    if args.method == "closed-form" and params.rho != 0:
-        return _fail_usage("the closed-form method applies to rho = 0 only")
-    methods = _methods_for(args.method, params)
-    if params.n > COEFF_MAX_N and {"tableau", "closed-form"} & set(methods):
-        return _fail_formula_cap("coeff", COEFF_MAX_N, params.n)
-    start = time.perf_counter()
-    values: dict[str, int] = {}
-    for method in methods:
-        values[method] = _coeff_by_method(method, params, args.i)
-    elapsed = (time.perf_counter() - start) * 1000
-    query = {"m": args.m, "d": args.d, "i": args.i, "rho": args.rho}
-    return _report_routes(args, query, values, elapsed)
+    return _run_routes(args, COEFF_MAX_N, lambda route, p: route.coeff(p, args.i))
 
 
 def cmd_klpoly(args) -> int:
-    params = RhoUniformParams(args.m, args.d, args.rho)
-    if params.n > KLPOLY_MAX_N and args.method != "oracle":
-        return _fail_formula_cap("klpoly", KLPOLY_MAX_N, params.n)
-    start = time.perf_counter()
-    polys: dict[str, IntPoly] = {}
-    if args.method in ("tableau", "all"):
-        polys["tableau"] = kl_poly_rho(params)
-    if args.method == "oracle" or (args.method == "all" and params.n <= MAX_GROUND):
-        polys["oracle"] = kl_poly(build_rho_uniform(params))
-    elapsed = (time.perf_counter() - start) * 1000
-    query = {"m": args.m, "d": args.d, "rho": args.rho}
-    return _report_routes(args, query, polys, elapsed)
+    def poly(route, p):
+        return IntPoly(route.coeff(p, i) for i in coefficient_range(p.d))
+
+    return _run_routes(args, KLPOLY_MAX_N, poly)
 
 
 def cmd_enumerate(args) -> int:
@@ -299,19 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Kazhdan-Lusztig polynomials of matroids, three independent ways",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    method = dict(
+        choices=[route.name for route in ROUTES] + ["all"],
+        default="tableau",
+        help="tableau: counting formula; direct: order-ideal count of the Theorem 1 set; "
+        "closed-form: older uniform-only formula; oracle: Z-polynomial solver",
+    )
 
     coeff = sub.add_parser("coeff", help="one KL coefficient of U(m, d; rho)")
     coeff.add_argument("--m", type=int, required=True)
     coeff.add_argument("--d", type=int, required=True)
     coeff.add_argument("--i", type=int, required=True)
     coeff.add_argument("--rho", type=int, default=0)
-    coeff.add_argument(
-        "--method",
-        choices=["tableau", "direct", "closed-form", "oracle", "all"],
-        default="tableau",
-        help="tableau: counting formula; direct: order-ideal count of the Theorem 1 set; "
-        "closed-form: older uniform-only formula; oracle: Z-polynomial solver",
-    )
+    coeff.add_argument("--method", **method)
     coeff.add_argument("--format", choices=["text", "json"], default="text")
     coeff.set_defaults(func=cmd_coeff)
 
@@ -319,9 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     klpoly.add_argument("--m", type=int, required=True)
     klpoly.add_argument("--d", type=int, required=True)
     klpoly.add_argument("--rho", type=int, default=0)
-    klpoly.add_argument(
-        "--method", choices=["tableau", "oracle", "all"], default="tableau"
-    )
+    klpoly.add_argument("--method", **method)
     klpoly.add_argument("--format", choices=["text", "json"], default="text")
     klpoly.set_defaults(func=cmd_klpoly)
 

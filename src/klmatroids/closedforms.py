@@ -12,6 +12,9 @@ rho for one (m, d) (``valid_rhos``) and every valid point up to a size
 and the removed blocks as bitmasks (``removed_block_masks``).  The bases of
 the uniform matroid, all d-subsets, are listed by ``matroid.d_subsets``.
 
+``ROUTES`` is the one table of the routes to a KL coefficient, each with
+its domain; ``klm coeff``, ``klm klpoly`` and the theorem1 sweep read it.
+
 The parameter types are named tuples: RhoUniformParams is (m, d, rho),
 checked when it is built, and MinorClass is (m, d, rho, offset).  They
 unpack, and compare and hash like the plain tuple of their fields.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import InvalidParameters, NonIntegerResult, NotAFlat
 from .exactarith import IntPoly, binomial
@@ -32,10 +35,18 @@ from .matroid import (
     d_subsets,
     elements_of,
     ground_mask,
+    kl_poly,
     mask_from,
     matroid_from_bases,
 )
-from .tableaux import _integers, count_overline_skyt, count_skyt, validate_family_params
+from .tableaux import (
+    _integers,
+    check_cell_count,
+    count_overline_skyt,
+    count_skyt,
+    count_skyt_rho_direct,
+    validate_family_params,
+)
 
 
 def family_label(m: int, d: int, rho: int) -> str:
@@ -103,7 +114,7 @@ def removed_block_masks(d: int, rho: int, offset: int = 0) -> list[GroundSubset]
     return [block << (offset + ell * d) for ell in range(rho if d else 0)]
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def _build_cached(m: int, d: int, rho: int, offset: int) -> Matroid:
     """U(m, d) minus the rho consecutive d-blocks starting after label ``offset``.
 
@@ -118,15 +129,6 @@ def _build_cached(m: int, d: int, rho: int, offset: int) -> Matroid:
 def build_rho_uniform(p: RhoUniformParams) -> Matroid:
     """Construct U(m, d; rho) and validate it through the generic basis checks."""
     return _build_cached(p.m, p.d, p.rho, 0)
-
-
-def coeff_uniform_tableau(m: int, d: int, i: int) -> int:
-    """Coefficient i of the KL polynomial of U(m, d), as a tableau count.
-
-    This is coeff_rho at rho = 0, count_skyt(m + 1, i, d - 2i + 1);
-    out-of-range i gives 0.
-    """
-    return coeff_rho(m, d, i, 0)
 
 
 def coeff_uniform_klum(m: int, d: int, i: int) -> int:
@@ -195,6 +197,46 @@ def kl_poly_rho(p: RhoUniformParams) -> IntPoly:
     return IntPoly(coeff_rho(p.m, p.d, i, p.rho) for i in coefficient_range(p.d))
 
 
+class Route(NamedTuple):
+    """A route to KL coefficient i of U(m, d; rho): ``coeff(p, i)``, and
+    ``refusal(p)``, None where the route applies, else the reason it does not."""
+
+    name: str
+    coeff: Callable[[RhoUniformParams, int], int]
+    refusal: Callable[[RhoUniformParams], str | None]
+
+
+def _cap_message(check: Callable[[int], None], n: int) -> str | None:
+    """The message of the library cap ``check`` when n exceeds it, else None."""
+    try:
+        check(n)
+    except InvalidParameters as exc:
+        return str(exc)
+    return None
+
+
+# In output order.  The routes call the library through this module's
+# globals, so a monkeypatched or traced function is the one that runs.
+ROUTES = (
+    Route("tableau", lambda p, i: coeff_rho(p.m, p.d, i, p.rho), lambda p: None),
+    Route(
+        "direct",
+        lambda p, i: count_skyt_rho_direct(p.m, p.d, i, p.rho),
+        lambda p: _cap_message(check_cell_count, p.n),
+    ),
+    Route(
+        "closed-form",
+        lambda p, i: coeff_uniform_klum(p.m, p.d, i),
+        lambda p: None if p.rho == 0 else "the closed-form method applies to rho = 0 only",
+    ),
+    Route(
+        "oracle",
+        lambda p, i: kl_poly(build_rho_uniform(p)).coeff(i),
+        lambda p: _cap_message(check_ground_size, p.n),
+    ),
+)
+
+
 def char_poly_rho(p: RhoUniformParams) -> IntPoly:
     """Characteristic polynomial of U(m, d; rho), directly from the closed form.
 
@@ -233,13 +275,14 @@ class MinorClass(NamedTuple):
         return family_label(self.m, self.d, self.rho)
 
     def build(self) -> Matroid:
-        if self.rho:
-            validate_family_params(self.m, self.d, self.rho)
-        if min(self.m, self.d, self.offset) < 0 or self.offset + self.rho * self.d > self.m + self.d:
+        m, d, rho, offset = _integers(InvalidParameters, **self._asdict())
+        if rho:
+            validate_family_params(m, d, rho)
+        if min(m, d, offset) < 0 or offset + rho * d > m + d:
             raise InvalidParameters(
                 f"{self} needs m, d and offset non-negative and offset + rho * d <= m + d"
             )
-        return _build_cached(self.m, self.d, self.rho, self.offset)
+        return _build_cached(m, d, rho, offset)
 
 
 def classify_minor(

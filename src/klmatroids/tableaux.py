@@ -506,6 +506,12 @@ def _fillings_and_misses(layout: _Layout, d: int, rho: int) -> tuple[int, int]:
     return level[(1 << n) - 1]
 
 
+def check_cell_count(n: int) -> None:
+    """Raise InvalidParameters when the n = m + d cells of a direct count exceed MAX_CELLS."""
+    if n > MAX_CELLS:
+        raise InvalidParameters(f"the direct count is capped at {MAX_CELLS} cells, and m + d = {n}")
+
+
 def count_skyt_rho_direct(m: int, d: int, i: int, rho: int) -> int:
     """Count fillings of shape (m+1, i, d-2i+1) passing the boundary conditions.
 
@@ -520,10 +526,7 @@ def count_skyt_rho_direct(m: int, d: int, i: int, rho: int) -> int:
     """
     m, d, rho = validate_family_params(m, d, rho)
     (i,) = _integers(InvalidParameters, i=i)
-    if m + d > MAX_CELLS:
-        raise InvalidParameters(
-            f"the direct count is capped at {MAX_CELLS} cells, and m + d = {m + d}"
-        )
+    check_cell_count(m + d)
     if i < 0:
         return 0
     if i == 0:

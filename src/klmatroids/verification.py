@@ -26,13 +26,13 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from .closedforms import (
+    ROUTES,
     RhoUniformParams,
     build_rho_uniform,
     char_poly_rho,
     classify_minor,
     coeff_rho,
     coeff_uniform_klum,
-    coeff_uniform_tableau,
     coefficient_range,
     expected_flats,
     family_grid,
@@ -50,12 +50,7 @@ from .matroid import (
     localization,
     matroid_from_bases,
 )
-from .tableaux import (
-    count_skyt,
-    count_skyt_rho_direct,
-    enumerate_skyt,
-    involution_rotate,
-)
+from .tableaux import count_skyt, enumerate_skyt, involution_rotate
 
 
 def default_jobs() -> int:
@@ -144,16 +139,17 @@ def _theorem1_point(p: RhoUniformParams) -> bool:
     coefficients = coefficient_range(p.d)
     if oracle.coeff(0) != 1 or oracle.degree not in coefficients:
         return False
+    routes = [route for route in ROUTES if route.refusal(p) is None]
     for i in range(coefficients.stop + 1):  # one index past the range must give 0 everywhere
-        formula = coeff_rho(p.m, p.d, i, p.rho)
-        direct = count_skyt_rho_direct(p.m, p.d, i, p.rho)
-        if not formula == direct == oracle.coeff(i):
+        if len({route.coeff(p, i) for route in routes}) != 1:
             return False
     return kl_defining_equation_holds(matroid)
 
 
 def sweep_theorem1(total_max: int = 9, jobs: int = 1) -> IdentityReport:
-    """Counting formula == order-ideal count == Z solver == recurrence, every coefficient."""
+    """Every route of ``closedforms.ROUTES`` that admits the point agrees at
+    every coefficient and one past them (the closed form joins at rho = 0),
+    and the Z solver's polynomial satisfies the defining recurrence."""
     report = IdentityReport("theorem1", f"valid (m, d, rho), m+d<={total_max}")
     return _run_points(report, family_grid(total_max, min_d=0), _theorem1_point, jobs)
 
@@ -161,7 +157,7 @@ def sweep_theorem1(total_max: int = 9, jobs: int = 1) -> IdentityReport:
 def _theorem2_point(p: RhoUniformParams) -> bool:
     oracle = kl_poly(build_rho_uniform(p))
     for i in range(coefficient_range(p.d).stop + 1):
-        tableau = coeff_uniform_tableau(p.m, p.d, i)
+        tableau = coeff_rho(p.m, p.d, i, 0)
         closed = coeff_uniform_klum(p.m, p.d, i)
         if not tableau == closed == oracle.coeff(i):
             return False

@@ -12,7 +12,7 @@ from klmatroids import verification
 from klmatroids.errors import ExchangeAxiomViolation
 from klmatroids.identities import run_identity_sweeps
 from klmatroids.matroid import kl_poly, matroid_from_bases, uniform_matroid
-from klmatroids.closedforms import coeff_uniform_klum, coeff_uniform_tableau
+from klmatroids.closedforms import coeff_rho, coeff_uniform_klum
 
 from oracles import catalan
 
@@ -31,8 +31,8 @@ def test_removed_family_coefficients_three_ways():
 
 def test_uniform_coefficients_three_ways():
     report = verification.sweep_theorem2(9)
-    assert coeff_uniform_tableau(1, 3, 1) == coeff_uniform_klum(1, 3, 1) == 2
-    assert coeff_uniform_tableau(2, 3, 1) == coeff_uniform_klum(2, 3, 1) == 5
+    assert coeff_rho(1, 3, 1, 0) == coeff_uniform_klum(1, 3, 1) == 2
+    assert coeff_rho(2, 3, 1, 0) == coeff_uniform_klum(2, 3, 1) == 5
     assert kl_poly(uniform_matroid(1, 3)).coeff(1) == 2
     assert kl_poly(uniform_matroid(2, 3)).coeff(1) == 5
     _report_ok("uniform coefficient triple agreement", report)

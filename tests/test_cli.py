@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import klmatroids
-from klmatroids import cli
+from klmatroids import cli, closedforms, verification
 from klmatroids.cli import COEFF_MAX_N, KLPOLY_MAX_N, TABLE_MAX, main
 from klmatroids.closedforms import (
+    ROUTES,
     RhoUniformParams,
     coeff_rho,
     coeff_uniform_klum,
@@ -143,6 +144,39 @@ class TestKlpoly:
         )
         payload = json.loads(out)
         assert payload["result"] == ["1", "28", "21"]
+
+    @pytest.mark.parametrize("method", ["tableau", "direct", "closed-form", "oracle"])
+    def test_every_route_gives_the_polynomial(self, capsys, method):
+        code, out, _ = run_cli(capsys, "klpoly", "--m", "2", "--d", "5", "--method", method)
+        assert code == 0 and out.strip() == "1 + 28t + 21t^2"
+
+    @pytest.mark.parametrize(
+        "m,d,rho,names",
+        [
+            (2, 4, 0, ["tableau", "direct", "closed-form", "oracle"]),
+            (2, 4, 1, ["tableau", "direct", "oracle"]),
+            (9, 8, 0, ["tableau", "direct", "closed-form"]),
+            (40, 25, 0, ["tableau", "closed-form"]),
+        ],
+    )
+    def test_all_runs_every_admitted_route(self, capsys, m, d, rho, names):
+        code, out, _ = run_cli(
+            capsys, "klpoly", "--m", str(m), "--d", str(d), "--rho", str(rho), "--method", "all"
+        )
+        want = kl_poly_rho(RhoUniformParams(m, d, rho))
+        assert code == 0 and out.splitlines() == [f"{name}: {want}" for name in names] + ["OK"]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--m", "9", "--d", "8", "--method", "oracle"), "16 element limit"),
+            (("--m", "40", "--d", "25", "--method", "direct"), "capped at 64 cells"),
+            (("--m", "2", "--d", "3", "--rho", "1", "--method", "closed-form"), "rho = 0"),
+        ],
+    )
+    def test_a_route_past_its_domain_is_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "klpoly", *argv)
+        assert code == 2 and out == "" and message in err
 
 
 class TestEnumerate:
@@ -292,8 +326,6 @@ class TestVerify:
         assert code == 2 and "--jobs" in err and out == ""
 
     def test_json_names_a_failed_family_point(self, capsys, monkeypatch):
-        from klmatroids import verification
-
         failing = RhoUniformParams(2, 3, 1)
         monkeypatch.setattr(verification, "_theorem1_point", lambda p: p != failing)
         code, out, _ = run_cli(
@@ -372,6 +404,30 @@ class TestOracleCapSetting:
         ] + ["OK"]
 
 
+class TestRouteTable:
+    """Adding a route is one entry of ``closedforms.ROUTES``: the theorem1
+    sweep compares it, and both commands offer it and run it under ``all``."""
+
+    @pytest.mark.parametrize("name", [route.name for route in ROUTES])
+    def test_a_route_off_by_one_fails_everywhere(self, capsys, monkeypatch, name):
+        def off_by_one(coeff):
+            return lambda p, i: coeff(p, i) + (i == 1)
+
+        routes = tuple(
+            route._replace(coeff=off_by_one(route.coeff)) if route.name == name else route
+            for route in ROUTES
+        )
+        for module in (closedforms, cli, verification):
+            monkeypatch.setattr(module, "ROUTES", routes)
+        assert not verification.sweep_theorem1(6, jobs=1).passed
+        # U(2, 3) is admitted by every route, and its coefficient 1 is 5
+        for argv in (("coeff", "--i", "1"), ("klpoly",)):
+            code, out, _ = run_cli(capsys, *argv, "--m", "2", "--d", "3", "--method", "all")
+            assert code == 1 and f"{name}: " in out and out.endswith("FAIL: methods disagree\n")
+            base = [*argv, "--m", "2", "--d", "3"]
+            assert cli.build_parser().parse_args([*base, "--method", name]).method == name
+
+
 class TestFormulaCap:
     """The tableau and closed-form routes stop at COEFF_MAX_N (klm coeff) and
     KLPOLY_MAX_N (klm klpoly) elements, before any coefficient.
@@ -385,8 +441,8 @@ class TestFormulaCap:
         def refuse(*args):
             raise AssertionError("a formula ran past its cap")
 
-        for name in ("coeff_rho", "coeff_uniform_klum", "kl_poly_rho"):
-            monkeypatch.setattr(cli, name, refuse)
+        for name in ("coeff_rho", "coeff_uniform_klum"):
+            monkeypatch.setattr(closedforms, name, refuse)
 
     @pytest.mark.parametrize("method", ["tableau", "closed-form", "all"])
     def test_coeff_at_the_cap(self, capsys, method):
@@ -406,13 +462,19 @@ class TestFormulaCap:
         assert code == 2 and out == ""
         assert f"capped at m + d <= {COEFF_MAX_N}, got {COEFF_MAX_N + 1}" in err
 
-    @pytest.mark.parametrize("method", ["tableau", "all"])
+    @pytest.mark.parametrize("method", ["tableau", "closed-form"])
     def test_klpoly_at_the_cap(self, capsys, method):
         p = RhoUniformParams(KLPOLY_MAX_N - 3, 3)
         code, out, _ = run_cli(
             capsys, "klpoly", "--m", str(p.m), "--d", "3", "--method", method
         )
         assert code == 0 and out.strip() == str(kl_poly_rho(p))
+
+    def test_klpoly_all_at_the_cap(self, capsys):
+        p = RhoUniformParams(KLPOLY_MAX_N - 3, 3)
+        code, out, _ = run_cli(capsys, "klpoly", "--m", str(p.m), "--d", "3", "--method", "all")
+        want = kl_poly_rho(p)
+        assert code == 0 and out.splitlines() == [f"tableau: {want}", f"closed-form: {want}", "OK"]
 
     @pytest.mark.parametrize("method", ["tableau", "all"])
     def test_klpoly_past_the_cap(self, capsys, monkeypatch, method):

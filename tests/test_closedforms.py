@@ -16,7 +16,6 @@ from klmatroids.closedforms import (
     classify_minor,
     coeff_rho,
     coeff_uniform_klum,
-    coeff_uniform_tableau,
     coefficient_range,
     expected_flats,
     family_grid,
@@ -83,7 +82,6 @@ class TestParams:
                             for call in (
                                 lambda: valid_rhos(m, d),
                                 lambda: coeff_uniform_klum(m, d, 0),
-                                lambda: coeff_uniform_tableau(m, d, 0),
                             ):
                                 with pytest.raises(InvalidParameters, match=message):
                                     call()
@@ -94,7 +92,6 @@ class TestParams:
                         if rho == 0:
                             assert 0 in valid_rhos(m, d)
                             assert coeff_uniform_klum(m, d, 0) == 1
-                            assert coeff_uniform_tableau(m, d, 0) == 1
         assert 0 < rejected < 6 * 8 * 6
 
     def test_parameters_are_named_tuples(self):
@@ -190,23 +187,23 @@ class TestUniformCoefficients:
     def test_constant_term_is_one(self):
         for m in range(1, 5):
             for d in range(0, 6):
-                assert coeff_uniform_tableau(m, d, 0) == 1
+                assert coeff_rho(m, d, 0, 0) == 1
                 assert coeff_uniform_klum(m, d, 0) == 1
 
     def test_spot_values(self):
-        assert coeff_uniform_tableau(1, 3, 1) == 2
-        assert coeff_uniform_tableau(2, 3, 1) == 5
+        assert coeff_rho(1, 3, 1, 0) == 2
+        assert coeff_rho(2, 3, 1, 0) == 5
         assert coeff_uniform_klum(1, 3, 1) == 2
         assert coeff_uniform_klum(2, 3, 1) == 5
 
     def test_out_of_range_gives_zero(self):
-        assert coeff_uniform_tableau(2, 4, 2) == 0
-        assert coeff_uniform_tableau(2, 4, -1) == 0
+        assert coeff_rho(2, 4, 2, 0) == 0
+        assert coeff_rho(2, 4, -1, 0) == 0
         assert coeff_uniform_klum(2, 4, 2) == 0
 
     def test_rejects_bad_m(self):
         with pytest.raises(InvalidParameters):
-            coeff_uniform_tableau(0, 3, 1)
+            coeff_rho(0, 3, 1, 0)
         with pytest.raises(InvalidParameters):
             coeff_uniform_klum(0, 3, 1)
 
@@ -218,7 +215,7 @@ class TestUniformCoefficients:
 
     def test_klum_reads_no_tableau_count(self, monkeypatch):
         # The closed form is the route the tableau counts are checked against.
-        expected = coeff_uniform_tableau(4, 9, 3)
+        expected = coeff_rho(4, 9, 3, 0)
 
         def refuse(*args):
             raise AssertionError("coeff_uniform_klum called a tableau count")
@@ -248,15 +245,13 @@ class TestUniformCoefficients:
     @pytest.mark.parametrize("d", range(1, 31))
     def test_two_formulas_agree(self, m, d):
         for i in range((d - 1) // 2 + 1):
-            assert coeff_uniform_tableau(m, d, i) == coeff_uniform_klum(m, d, i)
+            assert coeff_rho(m, d, i, 0) == coeff_uniform_klum(m, d, i)
 
     @pytest.mark.parametrize("m,d", [(1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (1, 6)])
     def test_symmetry_under_parameter_swap(self, m, d):
         for i in range((d - 1) // 2 + 1):
             if d - 2 * i >= 1:
-                assert coeff_uniform_tableau(m, d, i) == coeff_uniform_tableau(
-                    d - 2 * i, m + 2 * i, i
-                )
+                assert coeff_rho(m, d, i, 0) == coeff_rho(d - 2 * i, m + 2 * i, i, 0)
 
 
 class TestRemovedCoefficients:
@@ -367,6 +362,15 @@ class TestClassifyMinor:
         # two blocks of size 2 fill U(2, 2; 2) from offset 0
         with pytest.raises(InvalidParameters):
             MinorClass(2, 2, 2, offset).build()
+
+    @pytest.mark.parametrize("fields", [(2.0, 3), (2, 3.0), (2, 3, 0.0), (2, 3, 0, 0.0)])
+    def test_build_refuses_a_float_cold_and_after_the_int(self, fields):
+        # a float equal to an int must not find the int's cached matroid
+        closedforms._build_cached.cache_clear()
+        for _ in ("cold", "warm"):
+            with pytest.raises(InvalidParameters, match="must be integers"):
+                MinorClass(*fields).build()
+            assert MinorClass(2, 3).build() == build_rho_uniform(RhoUniformParams(2, 3))
 
     def test_not_a_flat(self):
         with pytest.raises(NotAFlat):

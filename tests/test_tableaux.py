@@ -256,7 +256,7 @@ family_calls = [
     (closedforms.coeff_rho, (2, 3, 1.0, 1), (2, 3, 1, 1)),
     (closedforms.coeff_uniform_klum, (2.0, 3, 1), (2, 3, 1)),
     (closedforms.coeff_uniform_klum, (2, 3, 1.0), (2, 3, 1)),
-    (closedforms.coeff_uniform_tableau, (2, 3, 1.0), (2, 3, 1)),
+    (closedforms.coeff_rho, (2, 3, 1.0, 0), (2, 3, 1, 0)),
     (closedforms.valid_rhos, (2.0, 3), (2, 3)),
     (closedforms.RhoUniformParams, (2.0, 3), (2, 3)),
 ]
