@@ -21,16 +21,18 @@ the oracle that the other and the formula layer are checked against:
 * :func:`kl_poly` solves for P of every contraction at a flat at once, by
   the palindromicity of the Z-polynomial, in one pass over the subset cube.
   It reads only the rank table: no lattice, minor or characteristic polynomial.
-* :func:`kl_poly_recurrence` solves the defining recurrence, building and
-  validating a localization and a contraction at every flat.
+* :func:`kl_poly_recurrence` solves the defining recurrence.  It lists the
+  localization and the contraction of every flat as exact labelled basis
+  families, builds and validates each distinct family once, and weights
+  each distinct pair's term by the number of flats that give it.
 
 Neither route reads the other's results, nor any closed form.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from itertools import combinations, zip_longest
+from collections import Counter, OrderedDict
+from itertools import chain, combinations, zip_longest
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import (
@@ -305,8 +307,10 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
         raise ValueError(f"ground set size must be non-negative, got {n}")
     check_ground_size(n)
     masks: set[GroundSubset] = set()
+    limit = 1 << n
     for b in bases:
-        masks.add(_as_mask(b, n))
+        # an int mask in range needs no conversion; _as_mask checks the rest
+        masks.add(b if type(b) is int and 0 <= b < limit else _as_mask(b, n))
     if not masks:
         raise EmptyBases("a matroid needs at least one basis")
     sizes = {m.bit_count() for m in masks}
@@ -391,29 +395,24 @@ def _minor_bases(
     ]
 
 
-def localization(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matroid:
-    """Restriction to a flat: ground set F, independent sets those of the parent inside F.
-
-    The result is relabelled onto 1..|F| preserving element order.
-    """
+def _flat_mask(matroid: Matroid, flat: Collection[int] | GroundSubset) -> GroundSubset:
+    """The flat as a bitmask; raises NotAFlat unless it is closed."""
     mask = _as_mask(flat, matroid.n)
     if matroid._closure(mask) != mask:
         raise NotAFlat(f"{set(elements_of(mask))} is not a flat")
+    return mask
+
+
+def _localization_family(matroid: Matroid, mask: GroundSubset) -> tuple[int, tuple[int, ...]]:
+    """(n, sorted bases) of the restriction to the flat ``mask``."""
     table = matroid.rank_table()
     r = table[mask]
     kept = tuple(_iter_bits(mask))
-    return matroid_from_bases(len(kept), _minor_bases(table, kept, r, 0, r))
+    return len(kept), tuple(sorted(_minor_bases(table, kept, r, 0, r)))
 
 
-def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matroid:
-    """Quotient by a flat: ground set is the complement, a set is independent
-    when its union with a basis of the flat is independent in the parent.
-
-    The result is relabelled onto 1..(n - |F|) preserving element order.
-    """
-    mask = _as_mask(flat, matroid.n)
-    if matroid._closure(mask) != mask:
-        raise NotAFlat(f"{set(elements_of(mask))} is not a flat")
+def _contraction_family(matroid: Matroid, mask: GroundSubset) -> tuple[int, tuple[int, ...]]:
+    """(n, sorted bases) of the contraction by the flat ``mask``."""
     table = matroid.rank_table()
     r = table[mask]
     anchor = 0
@@ -422,7 +421,24 @@ def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matro
             anchor |= bit
     kept = tuple(_iter_bits(ground_mask(matroid.n) & ~mask))
     k = matroid.rank - r
-    return matroid_from_bases(len(kept), _minor_bases(table, kept, k, anchor, k + r))
+    return len(kept), tuple(sorted(_minor_bases(table, kept, k, anchor, k + r)))
+
+
+def localization(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matroid:
+    """Restriction to a flat: ground set F, independent sets those of the parent inside F.
+
+    The result is relabelled onto 1..|F| preserving element order.
+    """
+    return matroid_from_bases(*_localization_family(matroid, _flat_mask(matroid, flat)))
+
+
+def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matroid:
+    """Quotient by a flat: ground set is the complement, a set is independent
+    when its union with a basis of the flat is independent in the parent.
+
+    The result is relabelled onto 1..(n - |F|) preserving element order.
+    """
+    return matroid_from_bases(*_contraction_family(matroid, _flat_mask(matroid, flat)))
 
 
 # Global result caches, keyed by the exact (n, sorted bases) representation of
@@ -551,7 +567,10 @@ def kl_poly_recurrence(matroid: Matroid) -> IntPoly:
     and t^rank P(1/t) - P(t) equal to the sum over nonempty flats F of
     char_poly(localization at F) * kl_poly_recurrence(contraction at F).
     Since the reversal only produces terms of degree > rank/2, P is
-    recovered by negating the low-degree part of that sum.  Memoized on the
+    recovered by negating the low-degree part of that sum.  Flats whose
+    two minors have the same exact (n, sorted bases) families share one
+    term, taken once and multiplied by their number; isomorphic but
+    differently labelled minors are kept apart.  Memoized on the
     exact (n, bases) representation, together with the sum itself, in a memo
     of its own: this route never reads the results of :func:`kl_poly`.
     """
@@ -580,14 +599,18 @@ def _recurrence_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
         return solved
     if matroid.closure_of(0) != 0:
         raise HasLoops("the recurrence is implemented for loopless matroids only")
-    lat = matroid.lattice()
+    # most flats share their pair of minor families with others, so each
+    # distinct family is built once and each distinct pair's term is counted
+    pairs: Counter[tuple[tuple[int, tuple[int, ...]], ...]] = Counter()
+    for flat in matroid.lattice().flats:
+        if flat:
+            mask = _flat_mask(matroid, flat)
+            pairs[_localization_family(matroid, mask), _contraction_family(matroid, mask)] += 1
+    families = dict.fromkeys(chain.from_iterable(pairs))  # each once, in first-seen order
+    minors = {family: matroid_from_bases(*family) for family in families}
     total = IntPoly()
-    for flat in lat.flats:
-        if flat == 0:
-            continue
-        local = localization(matroid, flat)
-        contracted = contraction(matroid, flat)
-        total = total + char_poly(local) * kl_poly_recurrence(contracted)
+    for (local, contracted), count in pairs.items():
+        total = total + char_poly(minors[local]) * kl_poly_recurrence(minors[contracted]) * count
     solved = (IntPoly(-total.coeff(j) for j in range((d + 1) // 2)), total)
     _RECURRENCE_CACHE[key] = solved
     return solved

@@ -7,19 +7,30 @@ intersections, pairwise set exchange instead of rank tables, Mobius values
 instead of Whitney's subset sum, minors relabelled element by element
 instead of by paired bit combinations, a permutation search for matroid
 isomorphism, and an up-set walk over the lattice of flats instead of the
-subset cube for the Z-polynomial solve, and sums that build every term
-afresh instead of stepping from the one before.  Expected values in the
-tests are frozen from these oracles.
+subset cube for the Z-polynomial solve, the defining recurrence summed one
+flat at a time instead of once per distinct pair of minor families, and
+sums that build every term afresh instead of stepping from the one before.
+Expected values in the tests are frozen from these oracles.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from klmatroids.errors import InvalidShape
-from klmatroids.matroid import elements_of, ground_mask, mask_from
-from klmatroids.tableaux import count_syt
+from klmatroids.exactarith import IntPoly
+from klmatroids.matroid import (
+    char_poly,
+    elements_of,
+    ground_mask,
+    kl_poly_recurrence,
+    mask_from,
+    matroid_from_bases,
+    uniform_matroid,
+)
+from klmatroids.tableaux import count_overline_skyt, count_skyt, count_syt
 
 
 @lru_cache(maxsize=None)
@@ -212,6 +223,49 @@ def element_contraction(matroid, flat: int) -> tuple[int, tuple[int, ...]]:
         if table[cm | anchor] == k + r
     ]
     return len(kept), tuple(sorted(_relabel(good, kept)))
+
+
+def per_flat_recurrence_rhs(matroid) -> IntPoly:
+    """The right-hand side of the defining recurrence, one term per nonempty
+    flat: char_poly of its localization times kl_poly_recurrence of its
+    contraction, each minor built element by element.  The rank-0 sum is
+    empty."""
+    rhs = IntPoly()
+    if not matroid.rank:
+        return rhs
+    for f in matroid.lattice().flats:
+        if f:
+            local = matroid_from_bases(*element_localization(matroid, f))
+            contracted = matroid_from_bases(*element_contraction(matroid, f))
+            rhs = rhs + char_poly(local) * kl_poly_recurrence(contracted)
+    return rhs
+
+
+def sparse_paving(rng: random.Random, n: int, d: int, k: int) -> list[frozenset[int]]:
+    """Up to k random d-subsets of [n] that pairwise meet in at most d - 2 elements."""
+    kept: list[frozenset[int]] = []
+    for _ in range(40):
+        if len(kept) == k:
+            break
+        cand = frozenset(rng.sample(range(1, n + 1), d))
+        if all(len(cand & other) <= d - 2 for other in kept):
+            kept.append(cand)
+    return kept
+
+
+def sparse_paving_matroid(n: int, d: int, family):
+    """U(n - d, d) with the d-subsets of ``family`` (its circuit-hyperplanes) removed."""
+    removed = {mask_from(s, n) for s in family}
+    return matroid_from_bases(n, [b for b in uniform_matroid(n - d, d).bases if b not in removed])
+
+
+def lnr_coeffs(n: int, d: int, k: int) -> list[int]:
+    """KL coefficients of a rank-d sparse paving matroid on n elements with k
+    circuit-hyperplanes, by the Lee-Nasr-Radcliffe tableau count."""
+    return [1] + [
+        count_skyt(n - d + 1, i, d - 2 * i + 1) - k * count_overline_skyt(i, d - 2 * i + 1)
+        for i in range(1, (d - 1) // 2 + 1)
+    ]
 
 
 # the isomorphism search tries up to n! permutations, so it stops early

@@ -35,13 +35,13 @@ from klmatroids.matroid import (
     ground_mask,
     kl_poly,
     kl_poly_recurrence,
+    kl_recurrence_rhs,
     localization,
     mask_from,
     matroid_from_bases,
     rank,
     uniform_matroid,
 )
-from klmatroids.tableaux import count_overline_skyt, count_skyt
 from klmatroids.verification import family_grid
 
 from oracles import (
@@ -51,8 +51,12 @@ from oracles import (
     exchange_axiom_holds,
     is_exchange_violation,
     is_isomorphic,
+    lnr_coeffs,
     mobius_char_coeffs,
     mobius_values,
+    per_flat_recurrence_rhs,
+    sparse_paving,
+    sparse_paving_matroid,
     upset_z_poly,
 )
 
@@ -532,24 +536,13 @@ def fresh_caches():
     clear_caches()
 
 
-def _sparse_paving(rng: random.Random, n: int, d: int, k: int) -> list[frozenset[int]]:
-    """Up to k random d-subsets of [n] that pairwise meet in at most d - 2 elements."""
-    kept: list[frozenset[int]] = []
-    for _ in range(40):
-        if len(kept) == k:
-            break
-        cand = frozenset(rng.sample(range(1, n + 1), d))
-        if all(len(cand & other) <= d - 2 for other in kept):
-            kept.append(cand)
-    return kept
-
-
-def _lnr_coeffs(n: int, d: int, k: int) -> list[int]:
-    """KL coefficients of a rank-d sparse paving matroid on n elements with k
-    circuit-hyperplanes, by the Lee-Nasr-Radcliffe tableau count."""
-    return [1] + [
-        count_skyt(n - d + 1, i, d - 2 * i + 1) - k * count_overline_skyt(i, d - 2 * i + 1)
-        for i in range(1, (d - 1) // 2 + 1)
+def _lnr_families() -> list[tuple[int, int, list[frozenset[int]]]]:
+    """Seeded (n, d, circuit-hyperplanes) at every rank 2..n - 2, n = 5..10."""
+    rng = random.Random(20261018)
+    return [
+        (n, d, sparse_paving(rng, n, d, 1 + (n + d) % 3))
+        for n in range(5, 11)
+        for d in range(2, n - 1)
     ]
 
 
@@ -587,21 +580,13 @@ class TestOracleRoutes:
             assert kl_poly(m) == kl_poly_recurrence(m)
 
     def test_agree_with_lnr_on_random_sparse_paving(self):
-        # ranks above 6 are left out at n = 9, 10: the recurrence alone takes
-        # most of a second there
-        rng = random.Random(20261018)
         several = 0  # matroids with more than one circuit-hyperplane
-        for n in range(5, 11):
-            for d in range(2, min(n - 2, 6) + 1):
-                family = _sparse_paving(rng, n, d, 1 + (n + d) % 3)
-                removed = {mask_from(s, n) for s in family}
-                m = matroid_from_bases(
-                    n, [b for b in uniform_matroid(n - d, d).bases if b not in removed]
-                )
-                want = IntPoly(_lnr_coeffs(n, d, len(family)))
-                assert kl_poly(m) == kl_poly_recurrence(m) == want, (n, d, family)
-                several += len(family) > 1
-        assert several == 16
+        for n, d, family in _lnr_families():
+            m = sparse_paving_matroid(n, d, family)
+            want = IntPoly(lnr_coeffs(n, d, len(family)))
+            assert kl_poly(m) == kl_poly_recurrence(m) == want, (n, d, family)
+            several += len(family) > 1
+        assert several == 18
 
     def test_z_route_builds_no_minor(self, monkeypatch, fresh_caches):
         want = [kl_poly_recurrence(m) for m in ROUTE_SAMPLES]
@@ -634,12 +619,9 @@ class TestOracleRoutes:
         for n in range(5, 13):
             for d in range(2, n - 1):
                 for k in (1, 2, 3):
-                    family = _sparse_paving(rng, n, d, k)
-                    removed = {mask_from(s, n) for s in family}
-                    m = matroid_from_bases(
-                        n, [b for b in uniform_matroid(n - d, d).bases if b not in removed]
-                    )
-                    want = IntPoly(_lnr_coeffs(n, d, len(family)))
+                    family = sparse_paving(rng, n, d, k)
+                    m = sparse_paving_matroid(n, d, family)
+                    want = IntPoly(lnr_coeffs(n, d, len(family)))
                     assert kl_poly(m) == IntPoly(upset_z_poly(m)) == want, (n, d, family)
                     checked += 1
         assert checked == 132
@@ -655,10 +637,7 @@ class TestOracleRoutes:
         # U(4, 8) and the sparse paving point have coefficients far beyond a
         # 4-bit slot, so the solve must refuse its first widths and restart
         # until the bound holds
-        removed = {mask_from(s, n) for s in family}
-        m = matroid_from_bases(
-            n, [b for b in uniform_matroid(n - d, d).bases if b not in removed]
-        )
+        m = sparse_paving_matroid(n, d, family)
         widths = []
         solve = matroid_module._z_solve
 
@@ -668,7 +647,7 @@ class TestOracleRoutes:
 
         monkeypatch.setattr(matroid_module, "_Z_SLOT_BITS", 4)
         monkeypatch.setattr(matroid_module, "_z_solve", spy)
-        assert kl_poly(m) == IntPoly(_lnr_coeffs(n, d, len(family)))
+        assert kl_poly(m) == IntPoly(lnr_coeffs(n, d, len(family)))
         assert widths[:2] == [4, 8] and len(widths) >= 3
 
     def test_recurrence_reads_no_z_result(self, monkeypatch, fresh_caches):
@@ -677,6 +656,54 @@ class TestOracleRoutes:
         monkeypatch.setattr(matroid_module, "_z_solve", _refuse)
         monkeypatch.setattr(matroid_module, "_KL_CACHE", _UnreadableMemo())
         assert [kl_poly_recurrence(m) for m in ROUTE_SAMPLES] == want
+
+    def test_grouped_sum_equals_the_per_flat_sum(self):
+        small = list(_every_loopless_matroid(5))
+        grid = [build_rho_uniform(p) for p in family_grid(8, min_d=0)]
+        paving = [sparse_paving_matroid(n, d, family) for n, d, family in _lnr_families()]
+        assert len(small) == 222 and len(grid) == 70 and len(paving) == 27
+        for m in small + grid + paving:
+            assert kl_recurrence_rhs(m) == per_flat_recurrence_rhs(m), m
+
+    def test_recurrence_builds_each_family_once_by_exact_key(self, monkeypatch, fresh_caches):
+        parent = build_rho_uniform(RhoUniformParams(4, 4, 2))
+        solved = []  # (parent, the families built while it was solved)
+        open_calls = []
+        solve = matroid_module._recurrence_solve
+        build = matroid_module.matroid_from_bases
+
+        def spy_solve(matroid):
+            open_calls.append([])
+            try:
+                return solve(matroid)
+            finally:
+                solved.append((matroid, open_calls.pop()))
+
+        def spy_build(n, bases):
+            built = build(n, bases)
+            if open_calls:
+                open_calls[-1].append(built.key())
+            return built
+
+        monkeypatch.setattr(matroid_module, "_recurrence_solve", spy_solve)
+        monkeypatch.setattr(matroid_module, "matroid_from_bases", spy_build)
+        kl_poly_recurrence(parent)
+        monkeypatch.undo()
+        for matroid, calls in solved:
+            assert len(calls) == len(set(calls)), matroid
+        top, calls = solved[-1]
+        assert top is parent
+        assert set(calls) == {
+            family(parent, f)
+            for f in parent.lattice().flats
+            if f
+            for family in (element_localization, element_contraction)
+        }
+        # U(4, 2; 1) with its block at labels 1, 2 and at labels 5, 6
+        block_1 = element_contraction(parent, mask_from({1, 2}, 8))
+        block_2 = element_contraction(parent, mask_from({5, 6}, 8))
+        assert block_1 != block_2 and {block_1, block_2} <= set(calls)
+        assert is_isomorphic(matroid_from_bases(*block_1), matroid_from_bases(*block_2))
 
 
 class TestIsomorphism:
