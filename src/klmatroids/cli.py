@@ -31,11 +31,7 @@ import time
 from .closedforms import ROUTES, RhoUniformParams, coeff_rho, coefficient_range, valid_rhos
 from .errors import InvalidParameters, KlmatroidsError
 from .exactarith import IntPoly
-from .identities import (
-    IdentityReport,
-    run_identity_sweeps,
-    sweep_gf_truncation,
-)
+from .identities import run_identity_sweeps, sweep_gf_truncation
 from .tableaux import (
     MAX_FILLINGS,
     enumerate_skyt,
@@ -63,6 +59,20 @@ KLPOLY_MAX_N = 1_000
 """The largest m + d of a ``klm klpoly`` by tableau or closed form, d / 2
 coefficients: its slowest tableau query (m = 2, rho = 1) takes 1.1 s there,
 and d = 2001 takes 6.1 s."""
+
+VERIFY_SUITES = {
+    "theorem1": lambda v, max_n, jobs: [v.sweep_theorem1(max_n, jobs)],
+    "theorem2": lambda v, max_n, jobs: [v.sweep_theorem2(max_n, jobs)],
+    "symmetry": lambda v, max_n, jobs: [v.sweep_counting(jobs=jobs), v.sweep_symmetry(jobs=jobs)],
+    "charpoly": lambda v, max_n, jobs: [v.sweep_charpoly(max_n, jobs)],
+    "minors": lambda v, max_n, jobs: [v.sweep_minors(max_n, jobs)],
+    "flats": lambda v, max_n, jobs: [v.sweep_flats(max_n, jobs)],
+    "identities": lambda v, max_n, jobs: run_identity_sweeps(include_gf=False),
+    "gf": lambda v, max_n, jobs: [sweep_gf_truncation()],
+    "monotonicity": lambda v, max_n, jobs: [v.sweep_monotonicity(max_n, jobs)],
+}
+"""The ``klm verify`` suites, in ``--suite all`` order: each maps the
+``verification`` module, ``--max-n`` and the worker count to its reports."""
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -173,15 +183,6 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _print_reports(reports: list[IdentityReport], fmt: str) -> int:
-    if fmt == "json":
-        print(json.dumps([r.to_json_dict() for r in reports]))
-    else:
-        for r in reports:
-            print(r.summary())
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_INCONSISTENT
-
-
 def cmd_verify(args) -> int:
     from . import verification
 
@@ -193,27 +194,14 @@ def cmd_verify(args) -> int:
         return _fail_usage(f"--max-n must be at least 2, got {max_n}")
     if max_n > VERIFY_MAX_N:
         return _fail_usage(f"--max-n must be at most {VERIFY_MAX_N}, got {max_n}")
-    runners = {
-        "theorem1": lambda: [verification.sweep_theorem1(max_n, jobs)],
-        "theorem2": lambda: [verification.sweep_theorem2(max_n, jobs)],
-        "symmetry": lambda: [
-            verification.sweep_counting(jobs=jobs),
-            verification.sweep_symmetry(jobs=jobs),
-        ],
-        "charpoly": lambda: [verification.sweep_charpoly(max_n, jobs)],
-        "minors": lambda: [verification.sweep_minors(max_n, jobs)],
-        "flats": lambda: [verification.sweep_flats(max_n, jobs)],
-        "identities": lambda: run_identity_sweeps(include_gf=False),
-        "gf": lambda: [sweep_gf_truncation()],
-        "monotonicity": lambda: [verification.sweep_monotonicity(max_n, jobs)],
-    }
-    if args.suite == "all":
-        reports = []
-        for name in runners:
-            reports.extend(runners[name]())
+    suites = VERIFY_SUITES if args.suite == "all" else [args.suite]
+    reports = [r for name in suites for r in VERIFY_SUITES[name](verification, max_n, jobs)]
+    if args.format == "json":
+        print(json.dumps([r.to_json_dict() for r in reports]))
     else:
-        reports = runners[args.suite]()
-    return _print_reports(reports, args.format)
+        for r in reports:
+            print(r.summary())
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_INCONSISTENT
 
 
 def cmd_table(args) -> int:
@@ -304,22 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum.set_defaults(func=cmd_enumerate)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument(
-        "--suite",
-        required=True,
-        choices=[
-            "theorem1",
-            "theorem2",
-            "symmetry",
-            "charpoly",
-            "minors",
-            "flats",
-            "identities",
-            "gf",
-            "monotonicity",
-            "all",
-        ],
-    )
+    verify.add_argument("--suite", required=True, choices=[*VERIFY_SUITES, "all"])
     verify.add_argument("--max-n", type=int, default=9, help="cap on m + d for matroid sweeps")
     verify.add_argument("--jobs", type=int, default=0, help="parallel workers (0 = all cores)")
     verify.add_argument("--format", choices=["text", "json"], default="text")

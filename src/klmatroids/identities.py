@@ -9,7 +9,9 @@ matches exactly or is a counterexample.
 
 from __future__ import annotations
 
+from itertools import starmap
 from math import factorial, prod
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .closedforms import (
     RhoUniformParams,
@@ -24,29 +26,24 @@ from .matroid import kl_poly
 from .tableaux import count_overline_skyt, count_skyt, count_syt
 
 
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of sweeping one identity over a parameter grid.
 
-    A mutable record: ``record`` adds a point, and a failed point is kept in
-    ``failures``.  Two reports are equal when all four fields are.
+    A named tuple ``(name, grid, points, failures)``: ``points`` counts the
+    grid points checked and ``failures`` holds the failed ones, in grid order.
+    :meth:`of` builds it from a sweep's results.
     """
 
-    __hash__ = None  # mutable
+    name: str
+    grid: str
+    points: int = 0
+    failures: tuple = ()
 
-    def __init__(self, name: str, grid: str, points: int = 0, failures: list | None = None):
-        self.name = name
-        self.grid = grid
-        self.points = points
-        self.failures = [] if failures is None else failures
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"IdentityReport({fields})"
+    @classmethod
+    def of(cls, name: str, grid: str, points: Sequence, results: Iterable[bool]) -> IdentityReport:
+        """The report of a sweep whose i-th result is the outcome at ``points[i]``."""
+        failures = tuple(point for point, ok in zip(points, results, strict=True) if not ok)
+        return cls(name, grid, len(points), failures)
 
     @property
     def passed(self) -> bool:
@@ -55,11 +52,6 @@ class IdentityReport:
     @property
     def first_counterexample(self):
         return self.failures[0] if self.failures else None
-
-    def record(self, point, ok: bool) -> None:
-        self.points += 1
-        if not ok:
-            self.failures.append(point)
 
     def to_json_dict(self) -> dict:
         return {
@@ -332,71 +324,75 @@ def check_kl_constant_term_porism(m: int, d: int, rho: int) -> bool:
 # -- default-grid sweeps -------------------------------------------------------
 
 
+def _sweep(name: str, grid: str, points: Iterable[tuple], check: Callable) -> IdentityReport:
+    """``check(*point)`` at every point, in order."""
+    points = list(points)
+    return IdentityReport.of(name, grid, points, starmap(check, points))
+
+
 def sweep_syt_dual(m_max: int = 4, d_max: int = 8) -> IdentityReport:
-    report = IdentityReport("syt-dual", f"m<={m_max}, d<={d_max}, all valid k, p")
-    for m in range(1, m_max + 1):
-        for d in range(1, d_max + 1):
-            for k in coefficient_range(d):
-                for p in range(d - 2 * k):
-                    report.record((m, k, d, p), check_syt_dual(m, k, d, p))
-    return report
+    points = (
+        (m, k, d, p)
+        for m in range(1, m_max + 1)
+        for d in range(1, d_max + 1)
+        for k in coefficient_range(d)
+        for p in range(d - 2 * k)
+    )
+    grid = f"m<={m_max}, d<={d_max}, all valid k, p"
+    return _sweep("syt-dual", grid, points, check_syt_dual)
 
 
 def sweep_barskyt_dual(d_max: int = 8) -> IdentityReport:
-    report = IdentityReport("barskyt-dual", f"d<={d_max}, k>=1, all valid p")
-    for d in range(3, d_max + 1):
-        for k in coefficient_range(d)[1:]:
-            for p in range(d - 2 * k):
-                report.record((k, d, p), check_barskyt_dual(k, d, p))
-    return report
+    points = (
+        (k, d, p)
+        for d in range(3, d_max + 1)
+        for k in coefficient_range(d)[1:]
+        for p in range(d - 2 * k)
+    )
+    grid = f"d<={d_max}, k>=1, all valid p"
+    return _sweep("barskyt-dual", grid, points, check_barskyt_dual)
 
 
 def sweep_skyt_identity(m_max: int = 4, d_max: int = 8) -> IdentityReport:
-    report = IdentityReport("skyt-identity", f"m<={m_max}, d<={d_max}, 1<=i<=d/2")
-    for m in range(1, m_max + 1):
-        for d in range(2, d_max + 1):
-            for i in range(1, d // 2 + 1):
-                report.record((m, d, i), check_skyt_identity(m, d, i))
-    return report
+    points = (
+        (m, d, i)
+        for m in range(1, m_max + 1)
+        for d in range(2, d_max + 1)
+        for i in range(1, d // 2 + 1)
+    )
+    grid = f"m<={m_max}, d<={d_max}, 1<=i<=d/2"
+    return _sweep("skyt-identity", grid, points, check_skyt_identity)
 
 
 def sweep_skytbar_identity(d_max: int = 9, i_max: int = 4) -> IdentityReport:
-    report = IdentityReport("skytbar-identity", f"d<={d_max}, 1<=i<=min({i_max}, d/2)")
-    for d in range(2, d_max + 1):
-        for i in range(1, min(i_max, d // 2) + 1):
-            report.record((d, i), check_skytbar_identity(d, i))
-    return report
+    points = ((d, i) for d in range(2, d_max + 1) for i in range(1, min(i_max, d // 2) + 1))
+    grid = f"d<={d_max}, 1<=i<=min({i_max}, d/2)"
+    return _sweep("skytbar-identity", grid, points, check_skytbar_identity)
 
 
 def sweep_integral_identity(a_max: int = 8, b_max: int = 8) -> IdentityReport:
-    report = IdentityReport("integral-identity", f"1<=a<={a_max}, 1<=b<={b_max}")
-    for a in range(1, a_max + 1):
-        for b in range(1, b_max + 1):
-            report.record((a, b), check_integral_identity(a, b))
-    return report
+    points = ((a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1))
+    grid = f"1<=a<={a_max}, 1<=b<={b_max}"
+    return _sweep("integral-identity", grid, points, check_integral_identity)
 
 
 def sweep_binomial_altsum(m_max: int = 5, d_max: int = 9) -> IdentityReport:
-    report = IdentityReport("binomial-altsum", f"m<={m_max}, d<={d_max}, 1<=i<d")
-    for m in range(1, m_max + 1):
-        for d in range(2, d_max + 1):
-            for i in range(1, d):
-                report.record((m, d, i), check_binomial_altsum(m, d, i))
-    return report
+    points = (
+        (m, d, i) for m in range(1, m_max + 1) for d in range(2, d_max + 1) for i in range(1, d)
+    )
+    grid = f"m<={m_max}, d<={d_max}, 1<=i<d"
+    return _sweep("binomial-altsum", grid, points, check_binomial_altsum)
 
 
 def sweep_gf_truncation(i_values: tuple[int, ...] = (1, 2, 3), order: int = 10) -> IdentityReport:
-    report = IdentityReport("gf-truncation", f"i in {list(i_values)}, order {order}")
-    for i in i_values:
-        report.record((i, order), check_gf_truncation(i, order))
-    return report
+    points = ((i, order) for i in i_values)
+    grid = f"i in {list(i_values)}, order {order}"
+    return _sweep("gf-truncation", grid, points, check_gf_truncation)
 
 
 def sweep_kl_constant_term(total_max: int = 7) -> IdentityReport:
-    report = IdentityReport("kl-constant-term", f"valid (m, d, rho), m+d<={total_max}")
-    for p in family_grid(total_max):
-        report.record(p, check_kl_constant_term_porism(*p))
-    return report
+    grid = f"valid (m, d, rho), m+d<={total_max}"
+    return _sweep("kl-constant-term", grid, family_grid(total_max), check_kl_constant_term_porism)
 
 
 def run_identity_sweeps(order: int = 10, include_gf: bool = True) -> list[IdentityReport]:

@@ -412,16 +412,13 @@ def _localization_family(matroid: Matroid, mask: GroundSubset) -> tuple[int, tup
 
 
 def _contraction_family(matroid: Matroid, mask: GroundSubset) -> tuple[int, tuple[int, ...]]:
-    """(n, sorted bases) of the contraction by the flat ``mask``."""
+    """(n, sorted bases) of the contraction by the flat ``mask``: the
+    (rank M - r(F))-subsets S of the complement with r(S | F) == rank M,
+    which is r(S | B) for any basis B of F."""
     table = matroid.rank_table()
-    r = table[mask]
-    anchor = 0
-    for bit in _iter_bits(mask):
-        if table[anchor | bit] > table[anchor]:
-            anchor |= bit
     kept = tuple(_iter_bits(ground_mask(matroid.n) & ~mask))
-    k = matroid.rank - r
-    return len(kept), tuple(sorted(_minor_bases(table, kept, k, anchor, k + r)))
+    k = matroid.rank - table[mask]
+    return len(kept), tuple(sorted(_minor_bases(table, kept, k, mask, matroid.rank)))
 
 
 def localization(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matroid:
@@ -603,9 +600,8 @@ def _recurrence_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
     # distinct family is built once and each distinct pair's term is counted
     pairs: Counter[tuple[tuple[int, tuple[int, ...]], ...]] = Counter()
     for flat in matroid.lattice().flats:
-        if flat:
-            mask = _flat_mask(matroid, flat)
-            pairs[_localization_family(matroid, mask), _contraction_family(matroid, mask)] += 1
+        if flat:  # lattice flats are closed, so they skip the NotAFlat check
+            pairs[_localization_family(matroid, flat), _contraction_family(matroid, flat)] += 1
     families = dict.fromkeys(chain.from_iterable(pairs))  # each once, in first-seen order
     minors = {family: matroid_from_bases(*family) for family in families}
     total = IntPoly()

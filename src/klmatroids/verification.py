@@ -3,9 +3,11 @@
 Every sweep compares two or three logically independent routes to the same
 value (closed form vs. order-ideal count vs. the Z-polynomial solver,
 which the defining recurrence checks in turn) and reports exact agreement.
-Heavy sweeps accept a ``jobs`` argument; grid points are independent pure
-computations, so they parallelize freely and results are aggregated in
-deterministic grid order.
+A sweep is a grid of points and a checker that returns whether a point
+holds; ``_run_points`` checks every point and hands the results, in grid
+order, to :meth:`IdentityReport.of`.  Heavy sweeps accept a ``jobs``
+argument: grid points are independent pure computations, so they
+parallelize freely.
 
 With ``jobs`` > 1 the sweeps share one process pool of min(``jobs``,
 default_jobs()) workers, forked on first use and kept for every later sweep
@@ -90,11 +92,9 @@ def _drop_pool() -> None:
 
 
 def _run_points(
-    report: IdentityReport,
-    points: Sequence,
-    checker: Callable,
-    jobs: int = 1,
+    name: str, grid: str, points: Sequence, checker: Callable, jobs: int = 1
 ) -> IdentityReport:
+    """The report of ``checker`` at every point, on the kept pool when ``jobs`` > 1."""
     if jobs > 1 and len(points) > 1:
         chunk = max(1, len(points) // (jobs * 4))
         pool = _shared_pool(jobs)
@@ -106,9 +106,7 @@ def _run_points(
             raise
     else:
         results = [checker(point) for point in points]
-    for point, ok in zip(points, results):
-        report.record(point, ok)
-    return report
+    return IdentityReport.of(name, grid, points, results)
 
 
 # -- coefficient agreement ------------------------------------------------------
@@ -150,8 +148,8 @@ def sweep_theorem1(total_max: int = 9, jobs: int = 1) -> IdentityReport:
     """Every route of ``closedforms.ROUTES`` that admits the point agrees at
     every coefficient and one past them (the closed form joins at rho = 0),
     and the Z solver's polynomial satisfies the defining recurrence."""
-    report = IdentityReport("theorem1", f"valid (m, d, rho), m+d<={total_max}")
-    return _run_points(report, family_grid(total_max, min_d=0), _theorem1_point, jobs)
+    grid = f"valid (m, d, rho), m+d<={total_max}"
+    return _run_points("theorem1", grid, family_grid(total_max, min_d=0), _theorem1_point, jobs)
 
 
 def _theorem2_point(p: RhoUniformParams) -> bool:
@@ -166,9 +164,9 @@ def _theorem2_point(p: RhoUniformParams) -> bool:
 
 def sweep_theorem2(total_max: int = 9, jobs: int = 1) -> IdentityReport:
     """For the plain uniform family: tableau count == older closed form == Z solver."""
-    report = IdentityReport("theorem2", f"uniform (m, d), m+d<={total_max}")
     points = [p for p in family_grid(total_max) if p.rho == 0]
-    return _run_points(report, points, _theorem2_point, jobs)
+    grid = f"uniform (m, d), m+d<={total_max}"
+    return _run_points("theorem2", grid, points, _theorem2_point, jobs)
 
 
 # -- tableau counting and symmetry ----------------------------------------------
@@ -193,10 +191,9 @@ def sweep_counting(
     a_max: int = 6, b_max: int = 6, i_max: int = 4, cell_max: int = 14, jobs: int = 1
 ) -> IdentityReport:
     """Inclusion-exclusion count == backtracking enumeration, shape by shape."""
-    report = IdentityReport(
-        "counting", f"a<={a_max}, b<={b_max}, i<={i_max}, cells<={cell_max}"
-    )
-    return _run_points(report, shape_grid(a_max, b_max, i_max, cell_max), _counting_point, jobs)
+    grid = f"a<={a_max}, b<={b_max}, i<={i_max}, cells<={cell_max}"
+    points = shape_grid(a_max, b_max, i_max, cell_max)
+    return _run_points("counting", grid, points, _counting_point, jobs)
 
 
 def _symmetry_point(point: tuple[int, int, int]) -> bool:
@@ -223,12 +220,10 @@ def sweep_symmetry(
     One point per mirror pair, (min(a, b), i, max(a, b)): a rotation onto
     F(b, i, a) that is its own inverse on F(a, i, b) proves both directions.
     """
-    report = IdentityReport(
-        "symmetry", f"a<={a_max}, b<={b_max}, i<={i_max}, cells<={cell_max}"
-    )
-    grid = shape_grid(a_max, b_max, i_max, cell_max)
-    points = list(dict.fromkeys((min(a, b), i, max(a, b)) for a, i, b in grid))
-    return _run_points(report, points, _symmetry_point, jobs)
+    shapes = shape_grid(a_max, b_max, i_max, cell_max)
+    points = list(dict.fromkeys((min(a, b), i, max(a, b)) for a, i, b in shapes))
+    grid = f"a<={a_max}, b<={b_max}, i<={i_max}, cells<={cell_max}"
+    return _run_points("symmetry", grid, points, _symmetry_point, jobs)
 
 
 def catalan_numbers(count: int) -> list[int]:
@@ -241,11 +236,10 @@ def catalan_numbers(count: int) -> list[int]:
 
 def sweep_catalan(i_max: int = 6) -> IdentityReport:
     """count_skyt(2, i, 2) runs through the Catalan sequence."""
-    report = IdentityReport("catalan", f"1<=i<={i_max}")
     cats = catalan_numbers(i_max + 2)
-    for i in range(1, i_max + 1):
-        report.record((i,), count_skyt(2, i, 2) == cats[i + 1])
-    return report
+    points = [(i,) for i in range(1, i_max + 1)]
+    results = [count_skyt(2, i, 2) == cats[i + 1] for (i,) in points]
+    return IdentityReport.of("catalan", f"1<=i<={i_max}", points, results)
 
 
 # -- characteristic polynomial ----------------------------------------------------
@@ -259,8 +253,8 @@ def _charpoly_point(p: RhoUniformParams) -> bool:
 
 def sweep_charpoly(total_max: int = 10, jobs: int = 1) -> IdentityReport:
     """Closed-form characteristic polynomial == Whitney subset sum, and vanishing at 1."""
-    report = IdentityReport("charpoly", f"valid (m, d, rho), d>=1, m+d<={total_max}")
-    return _run_points(report, family_grid(total_max), _charpoly_point, jobs)
+    grid = f"valid (m, d, rho), d>=1, m+d<={total_max}"
+    return _run_points("charpoly", grid, family_grid(total_max), _charpoly_point, jobs)
 
 
 # -- minors and flats ---------------------------------------------------------------
@@ -277,8 +271,8 @@ def _minors_point(p: RhoUniformParams) -> bool:
 
 def sweep_minors(total_max: int = 8, jobs: int = 1) -> IdentityReport:
     """Predicted minors equal the computed minors basis for basis, flat by flat."""
-    report = IdentityReport("minors", f"valid (m, d, rho), m+d<={total_max}, every flat")
-    return _run_points(report, family_grid(total_max), _minors_point, jobs)
+    grid = f"valid (m, d, rho), m+d<={total_max}, every flat"
+    return _run_points("minors", grid, family_grid(total_max), _minors_point, jobs)
 
 
 def _flats_point(p: RhoUniformParams) -> bool:
@@ -289,8 +283,8 @@ def _flats_point(p: RhoUniformParams) -> bool:
 
 def sweep_flats(total_max: int = 8, jobs: int = 1) -> IdentityReport:
     """Computed lattice of flats matches the structural description exactly."""
-    report = IdentityReport("flats", f"valid (m, d, rho), m+d<={total_max}")
-    return _run_points(report, family_grid(total_max), _flats_point, jobs)
+    grid = f"valid (m, d, rho), m+d<={total_max}"
+    return _run_points("flats", grid, family_grid(total_max), _flats_point, jobs)
 
 
 # -- monotonicity --------------------------------------------------------------------
@@ -310,9 +304,9 @@ def _monotonicity_point(point: tuple[int, int]) -> bool:
 
 def sweep_monotonicity(total_max: int = 9, jobs: int = 1) -> IdentityReport:
     """Coefficients weakly decrease (and stay non-negative) as bases are removed."""
-    report = IdentityReport("monotonicity", f"(m, d), m+d<={total_max}, all rho")
     points = list(dict.fromkeys((p.m, p.d) for p in family_grid(total_max)))
-    return _run_points(report, points, _monotonicity_point, jobs)
+    grid = f"(m, d), m+d<={total_max}, all rho"
+    return _run_points("monotonicity", grid, points, _monotonicity_point, jobs)
 
 
 # -- exchange-axiom validator ----------------------------------------------------------
@@ -352,6 +346,5 @@ def _exchange_point(point: tuple[int, int]) -> bool:
 
 def sweep_exchange_validator(n_max: int = 8, jobs: int = 1) -> IdentityReport:
     """The validator accepts all d-subsets minus any disjoint family, d >= 2."""
-    report = IdentityReport("exchange-validator", f"n<={n_max}, 2<=d<=n")
     points = [(n, d) for n in range(2, n_max + 1) for d in range(2, n + 1)]
-    return _run_points(report, points, _exchange_point, jobs)
+    return _run_points("exchange-validator", f"n<={n_max}, 2<=d<=n", points, _exchange_point, jobs)

@@ -10,7 +10,7 @@ import pytest
 
 import klmatroids
 from klmatroids import cli, closedforms, verification
-from klmatroids.cli import COEFF_MAX_N, KLPOLY_MAX_N, TABLE_MAX, main
+from klmatroids.cli import COEFF_MAX_N, KLPOLY_MAX_N, TABLE_MAX, VERIFY_SUITES, build_parser, main
 from klmatroids.closedforms import (
     ROUTES,
     RhoUniformParams,
@@ -335,6 +335,27 @@ class TestVerify:
         assert code == 1
         [report] = json.loads(out)
         assert report["passed"] is False and report["counterexample"] == [2, 3, 1]
+
+
+    def test_suite_choices_are_the_table(self):
+        verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+        [suite] = [action for action in verify._actions if action.dest == "suite"]
+        assert suite.choices == [*VERIFY_SUITES, "all"]
+
+    def test_all_runs_every_suite_in_table_order(self, capsys, monkeypatch):
+        # the symmetry suite's shapes do not follow --max-n; shrink them
+        shape_grid = verification.shape_grid
+        monkeypatch.setattr(verification, "shape_grid", lambda *sizes: shape_grid(3, 3, 2, 8))
+        options = ("--max-n", "5", "--jobs", "1", "--format", "json")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", *options)
+        assert code == 0
+        reports = []
+        for suite in VERIFY_SUITES:
+            suite_code, suite_out, _ = run_cli(capsys, "verify", "--suite", suite, *options)
+            assert suite_code == 0
+            reports += json.loads(suite_out)
+        assert json.loads(out) == reports
+        assert len(reports) == 16
 
 
 class TestStartUp:

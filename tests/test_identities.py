@@ -248,9 +248,7 @@ class TestConstantTermPorism:
 
 
 def test_report_json_schema():
-    report = IdentityReport("demo", "d<=3")
-    report.record((1, 2), True)
-    report.record((1, 3), False)
+    report = IdentityReport.of("demo", "d<=3", [(1, 2), (1, 3)], [True, False])
     payload = json.loads(json.dumps(report.to_json_dict()))
     assert payload == {
         "identity": "demo",
@@ -264,14 +262,23 @@ def test_report_json_schema():
 
 
 def test_report_repr_and_equality():
-    report = IdentityReport("demo", "d<=3")
-    report.record((1, 3), False)
-    assert repr(report) == "IdentityReport(name='demo', grid='d<=3', points=1, failures=[(1, 3)])"
-    assert report == IdentityReport("demo", "d<=3", 1, [(1, 3)])
-    assert report != IdentityReport("demo", "d<=3", 1)
-    assert IdentityReport("a", "g").failures is not IdentityReport("a", "g").failures
-    with pytest.raises(TypeError):
-        hash(report)
+    report = IdentityReport.of("demo", "d<=3", [(1, 2), (1, 3), (2, 3)], [True, False, False])
+    assert repr(report) == (
+        "IdentityReport(name='demo', grid='d<=3', points=3, failures=((1, 3), (2, 3)))"
+    )
+    assert report == IdentityReport("demo", "d<=3", 3, ((1, 3), (2, 3)))
+    assert report == ("demo", "d<=3", 3, ((1, 3), (2, 3)))
+    assert report != IdentityReport("demo", "d<=3", 3)
+    assert hash(report) == hash(("demo", "d<=3", 3, ((1, 3), (2, 3))))
+    assert IdentityReport("a", "g") == ("a", "g", 0, ())
+    assert not hasattr(report, "record")
+
+
+def test_report_of_needs_one_result_per_point():
+    with pytest.raises(ValueError):
+        IdentityReport.of("demo", "d<=3", [(1, 2), (1, 3)], [True])
+    passed = IdentityReport.of("demo", "d<=3", [(1, 2)], iter([True]))
+    assert passed.passed and passed.points == 1 and passed.first_counterexample is None
 
 
 def test_run_identity_sweeps_all_pass():

@@ -385,8 +385,17 @@ class TestMinors:
     def test_match_element_by_element_construction(self):
         small = list(_every_loopless_matroid(5))
         grid = [build_rho_uniform(p) for p in family_grid(8)]
-        assert len(small) == 222 and len(grid) == 62
-        for m in small + grid:
+        # circuit-hyperplanes are dependent flats, where the library's contraction
+        # reads r(S | F) and the oracle's r(S | a basis of F)
+        rng = random.Random(20261023)
+        paving = [
+            sparse_paving_matroid(n, d, sparse_paving(rng, n, d, k))
+            for n in range(6, 10)
+            for d in range(2, n - 1)
+            for k in (1, 2, 3)
+        ]
+        assert len(small) == 222 and len(grid) == 62 and len(paving) == 54
+        for m in small + grid + paving:
             for f in m.lattice().flats:
                 assert localization(m, f).key() == element_localization(m, f), (m, f)
                 assert contraction(m, f).key() == element_contraction(m, f), (m, f)

@@ -71,30 +71,27 @@ class TestDefiningEquation:
 
 
 class TestProcessFanOut:
-    @staticmethod
-    def _outcome(report: IdentityReport):
-        return report.name, report.grid, report.points, report.failures
-
     def test_theorem1_matches_serial(self):
         serial = verification.sweep_theorem1(6, jobs=1)
         fanned = verification.sweep_theorem1(6, jobs=2)
         assert serial.passed and serial.points == 36
-        assert self._outcome(fanned) == self._outcome(serial)
+        assert fanned == serial
 
     def test_symmetry_matches_serial(self):
         grid = dict(a_max=3, b_max=3, i_max=2, cell_max=8)
         serial = verification.sweep_symmetry(**grid, jobs=1)
         fanned = verification.sweep_symmetry(**grid, jobs=2)
         assert serial.passed and serial.points > 8
-        assert self._outcome(fanned) == self._outcome(serial)
+        assert fanned == serial
 
     def test_failures_keep_grid_order(self):
         # several chunks per worker, failures spread across all of them
         points = [str(k) if k % 3 else f"x{k}" for k in range(40)]
-        serial = verification._run_points(IdentityReport("t", "g"), points, str.isdigit, 1)
-        fanned = verification._run_points(IdentityReport("t", "g"), points, str.isdigit, 2)
-        assert serial.failures == [f"x{k}" for k in range(0, 40, 3)]
-        assert self._outcome(fanned) == self._outcome(serial)
+        serial = verification._run_points("t", "g", points, str.isdigit, 1)
+        fanned = verification._run_points("t", "g", points, str.isdigit, 2)
+        assert serial == IdentityReport.of("t", "g", points, map(str.isdigit, points))
+        assert serial.failures == tuple(f"x{k}" for k in range(0, 40, 3))
+        assert fanned == serial
 
     def test_sweeps_share_one_pool(self):
         verification.sweep_theorem2(6, jobs=2)
