@@ -24,14 +24,11 @@ from .matroid import (
     FlatLattice,
     Matroid,
     char_poly,
-    closure,
     contraction,
-    flats,
     kl_poly,
     localization,
     mask_from,
     matroid_from_bases,
-    rank,
     uniform_matroid,
 )
 from .tableaux import (
@@ -85,7 +82,6 @@ __all__ = [
     "char_poly",
     "char_poly_rho",
     "classify_minor",
-    "closure",
     "coeff_rho",
     "coeff_uniform_klum",
     "contraction",
@@ -95,7 +91,6 @@ __all__ = [
     "count_syt",
     "enumerate_skyt",
     "expected_flats",
-    "flats",
     "involution_rotate",
     "iota_action",
     "kl_poly",
@@ -104,7 +99,6 @@ __all__ = [
     "mask_from",
     "matroid_from_bases",
     "poly_reverse",
-    "rank",
     "uniform_matroid",
     "valid_rhos",
 ]

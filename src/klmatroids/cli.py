@@ -293,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=[*VERIFY_SUITES, "all"])
-    verify.add_argument("--max-n", type=int, default=9, help="cap on m + d for matroid sweeps")
+    verify.add_argument(
+        "--max-n", type=int, default=9, help="cap on m + d; symmetry, identities and gf ignore it"
+    )
     verify.add_argument("--jobs", type=int, default=0, help="parallel workers (0 = all cores)")
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.set_defaults(func=cmd_verify)

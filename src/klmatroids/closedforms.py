@@ -300,7 +300,8 @@ def classify_minor(
 
     The prediction reads only ``p`` and the flat: it builds no minor and no
     lattice of flats, and verification compares the built class with the
-    computed minor basis for basis.
+    computed minor basis for basis.  Only the NotAFlat guard reads more: the
+    closure of the flat in the built U(m, d; rho).
     """
     if kind not in ("localization", "contraction"):
         raise ValueError(f"kind must be localization or contraction, got {kind!r}")

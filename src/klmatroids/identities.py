@@ -70,20 +70,26 @@ class IdentityReport(NamedTuple):
 # -- dual counting identities -------------------------------------------------
 
 
+def _dual_identity(a: int, top: int, count: Callable, k: int, d: int, p: int) -> bool:
+    """count_syt(a, k, d-2k-p-1)
+        == sum over j of (-1)^(d-1+j) C(top, j-p) count(k, d-j-2k+1)."""
+    if d - 2 * k - p - 1 < 0:
+        raise InvalidParameters("need d - 2k - p - 1 >= 0")
+    lhs = count_syt(a, k, d - 2 * k - p - 1)
+    rhs = sum(
+        parity_sign(d - 1 + j) * binomial(top, j - p) * count(k, d - j - 2 * k + 1)
+        for j in range(d - 2 * k)
+    )
+    return lhs == rhs
+
+
 def check_syt_dual(m: int, k: int, d: int, p: int) -> bool:
     """Straight-shape count as an alternating sum of skew counts.
 
     count_syt(m+1, k, d-2k-p-1)
         == sum over j of (-1)^(d-1+j) C(m+d-p, j-p) count_skyt(m+1, k, d-j-2k+1).
     """
-    if d - 2 * k - p - 1 < 0:
-        raise InvalidParameters("need d - 2k - p - 1 >= 0")
-    lhs = count_syt(m + 1, k, d - 2 * k - p - 1)
-    rhs = sum(
-        parity_sign(d - 1 + j) * binomial(m + d - p, j - p) * count_skyt(m + 1, k, d - j - 2 * k + 1)
-        for j in range(d - 2 * k)
-    )
-    return lhs == rhs
+    return _dual_identity(m + 1, m + d - p, lambda k, b: count_skyt(m + 1, k, b), k, d, p)
 
 
 def check_barskyt_dual(k: int, d: int, p: int) -> bool:
@@ -98,36 +104,30 @@ def check_barskyt_dual(k: int, d: int, p: int) -> bool:
     """
     if k < 1:
         raise InvalidParameters("the restricted family needs k >= 1")
-    if d - 2 * k - p - 1 < 0:
-        raise InvalidParameters("need d - 2k - p - 1 >= 0")
-    lhs = count_syt(2, k, d - 2 * k - p - 1)
-    rhs = sum(
-        parity_sign(d - 1 + j) * binomial(d - p, j - p) * count_overline_skyt(k, d - j - 2 * k + 1)
-        for j in range(d - 2 * k)
-    )
-    return lhs == rhs
+    return _dual_identity(2, d - p, count_overline_skyt, k, d, p)
 
 
 # -- main alternating-sum identities -------------------------------------------
+
+
+def _alternating_double_sum(top: int, first_k: int, count: Callable, d: int, i: int) -> int:
+    """Sum over j < d and first_k <= k <= i of
+    (-1)^(j-i+k) C(j, j-i+k) C(top, j) count(k, d-j-2k+1)."""
+    total = 0
+    for j in range(d):
+        for k in range(first_k, i + 1):
+            c = binomial(j, j - i + k)
+            if c:
+                total += parity_sign(j - i + k) * c * binomial(top, j) * count(k, d - j - 2 * k + 1)
+    return total
 
 
 def skyt_identity_residual(m: int, d: int, i: int) -> int:
     """The quantity that the skew-count alternating identity says vanishes."""
     if i < 1 or m < 1:
         raise InvalidParameters("need i >= 1 and m >= 1")
-    total = parity_sign(d - i) * binomial(m + d, d - i)
-    for j in range(d):
-        for k in range(i + 1):
-            c = binomial(j, j - i + k)
-            if not c:
-                continue
-            total += (
-                parity_sign(j - i + k)
-                * c
-                * binomial(m + d, j)
-                * count_skyt(m + 1, k, d - j - 2 * k + 1)
-            )
-    return total
+    lead = parity_sign(d - i) * binomial(m + d, d - i)
+    return lead + _alternating_double_sum(m + d, 0, lambda k, b: count_skyt(m + 1, k, b), d, i)
 
 
 def check_skyt_identity(m: int, d: int, i: int) -> bool:
@@ -144,20 +144,9 @@ def skytbar_identity_residual(d: int, i: int) -> int:
     """Left side minus right side of the restricted-family alternating identity."""
     if i < 1:
         raise InvalidParameters("need i >= 1")
-    total = parity_sign(d - i - 1) * i * binomial(d, i + 1)
-    for j in range(d):
-        for k in range(1, i + 1):
-            c = binomial(j, j - i + k)
-            if not c:
-                continue
-            total += (
-                parity_sign(j - i + k)
-                * c
-                * binomial(d, j)
-                * count_overline_skyt(k, d - j - 2 * k + 1)
-            )
+    lead = parity_sign(d - i - 1) * i * binomial(d, i + 1)
     rhs = parity_sign(d - 2) if i == 1 else 0
-    return total - rhs
+    return lead + _alternating_double_sum(d, 1, count_overline_skyt, d, i) - rhs
 
 
 def check_skytbar_identity(d: int, i: int) -> bool:
@@ -293,8 +282,9 @@ def check_kl_constant_term_porism(m: int, d: int, rho: int) -> bool:
     """The constant-coefficient bookkeeping of the recurrence collapses to -1.
 
     Evaluates the i = 0 flat-by-flat expansion exactly (with the i = 0 count
-    conventions in place) and confirms it equals -1, then confirms the
-    recurrence oracle indeed gives constant term 1.
+    conventions in place) and confirms it equals -1, then confirms that the
+    Z-polynomial oracle (:func:`kl_poly`) and the tableau formula both give
+    constant term 1.
     """
     params = RhoUniformParams(m, d, rho)
     if d < 1:

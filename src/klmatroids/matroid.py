@@ -60,16 +60,7 @@ def mask_from(elements: Iterable[int], n: int) -> GroundSubset:
 
 
 def elements_of(mask: GroundSubset) -> tuple[int, ...]:
-    if mask < 0:
-        raise ValueError(f"bitmask {mask} is negative")
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+    return tuple(bit.bit_length() for bit in _iter_bits(mask))
 
 
 def ground_mask(n: int) -> GroundSubset:
@@ -344,16 +335,6 @@ def uniform_matroid(m: int, d: int) -> Matroid:
     return matroid_from_bases(n, d_subsets(n, d))
 
 
-def rank(matroid: Matroid, subset: Collection[int] | GroundSubset) -> int:
-    """Largest intersection of the subset with a basis."""
-    return matroid.rank_of(subset)
-
-
-def closure(matroid: Matroid, subset: Collection[int] | GroundSubset) -> GroundSubset:
-    """All elements whose addition does not raise the rank of the subset."""
-    return matroid.closure_of(subset)
-
-
 class FlatLattice(NamedTuple):
     """Closure-closed subsets ordered by inclusion, with their ranks.
 
@@ -372,10 +353,6 @@ def _build_lattice(matroid: Matroid) -> FlatLattice:
     seen = {matroid._closure(s) for s in range(1 << matroid.n)}
     flats = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
     return FlatLattice(matroid.n, flats, tuple(table[f] for f in flats))
-
-
-def flats(matroid: Matroid) -> FlatLattice:
-    return matroid.lattice()
 
 
 def _minor_bases(
@@ -442,12 +419,18 @@ def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matro
 # a matroid, never by isomorphism class: the oracle must stay independent of
 # the minor predictions it is used to verify.  Plain dicts are fine under the
 # GIL; a concurrent duplicate insert just recomputes the same immutable value.
-_CHAR_CACHE: dict[tuple[int, tuple[int, ...]], IntPoly] = {}
 # P from the Z-polynomial solver
 _KL_CACHE: dict[tuple[int, tuple[int, ...]], IntPoly] = {}
 # (P, right-hand side of the recurrence that P was solved from); kept apart
 # from _KL_CACHE so that the two routes never read each other's results
 _RECURRENCE_CACHE: dict[tuple[int, tuple[int, ...]], tuple[IntPoly, IntPoly]] = {}
+
+
+def _check_loopless(matroid: Matroid) -> None:
+    """Raise HasLoops, naming the loops, unless the matroid has none."""
+    loops = matroid._closure(0)
+    if loops:
+        raise HasLoops(f"loops {set(elements_of(loops))} present")
 
 
 def char_poly(matroid: Matroid) -> IntPoly:
@@ -457,19 +440,12 @@ def char_poly(matroid: Matroid) -> IntPoly:
     Only defined for loopless matroids; a loop would silently zero out the
     standard identities, so it is treated as misuse and raises HasLoops.
     """
-    key = matroid.key()
-    cached = _CHAR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if matroid.n > 0 and matroid.closure_of(0) != 0:
-        raise HasLoops(f"loops {set(elements_of(matroid.closure_of(0)))} present")
+    _check_loopless(matroid)
     d = matroid.rank
     coeffs = [0] * (d + 1)
     for s, r in enumerate(matroid.rank_table()):
         coeffs[d - r] += -1 if s.bit_count() & 1 else 1
-    poly = IntPoly(coeffs)
-    _CHAR_CACHE[key] = poly
-    return poly
+    return IntPoly(coeffs)
 
 
 def kl_poly(matroid: Matroid) -> IntPoly:
@@ -510,8 +486,7 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     top = matroid.rank
     if top == 0:
         return IntPoly([1])
-    if matroid.closure_of(0) != 0:
-        raise HasLoops("the Z-polynomial solver is implemented for loopless matroids only")
+    _check_loopless(matroid)
     table = matroid.rank_table()
     n = matroid.n
     # a mask of full rank has only the top flat above it, so it holds nothing
@@ -594,8 +569,7 @@ def _recurrence_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
         solved = (IntPoly([1]), IntPoly())
         _RECURRENCE_CACHE[key] = solved
         return solved
-    if matroid.closure_of(0) != 0:
-        raise HasLoops("the recurrence is implemented for loopless matroids only")
+    _check_loopless(matroid)
     # most flats share their pair of minor families with others, so each
     # distinct family is built once and each distinct pair's term is counted
     pairs: Counter[tuple[tuple[int, tuple[int, ...]], ...]] = Counter()
@@ -614,7 +588,6 @@ def _recurrence_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
 
 def clear_caches() -> None:
     _TABLE_MEMO.clear()
-    _CHAR_CACHE.clear()
     _KL_CACHE.clear()
     _RECURRENCE_CACHE.clear()
 

@@ -207,7 +207,7 @@ class Filling(NamedTuple):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(", ", ": "))
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_columns(cls, a: int, i: int, b: int, columns) -> "Filling":

@@ -30,7 +30,6 @@ from klmatroids.matroid import (
     char_poly,
     contraction,
     elements_of,
-    flats,
     ground_mask,
     kl_poly,
     mask_from,
@@ -393,7 +392,7 @@ class TestClassifyMinor:
         # the offset only places the removed block: at offset 0 the class
         # builds a matroid isomorphic to the prediction
         for p in family_grid(9):
-            for flat in flats(build_rho_uniform(p)).flats:
+            for flat in build_rho_uniform(p).lattice().flats:
                 for kind in ("localization", "contraction"):
                     claimed = classify_minor(p, flat, kind)
                     canonical = MinorClass(claimed.m, claimed.d, claimed.rho)
@@ -406,12 +405,12 @@ class TestExpectedFlats:
     )
     def test_structural_description_matches(self, m, d, rho):
         p = RhoUniformParams(m, d, rho)
-        assert set(flats(build_rho_uniform(p)).flats) == expected_flats(p)
+        assert set(build_rho_uniform(p).lattice().flats) == expected_flats(p)
 
     def test_block_is_a_flat_of_corank_one(self):
         p = RhoUniformParams(2, 3, 1)
         matroid = build_rho_uniform(p)
         block = mask_from({1, 2, 3}, 5)
-        lat = flats(matroid)
+        lat = matroid.lattice()
         assert block in lat.flats
         assert matroid.rank_of(block) == 2

@@ -54,6 +54,22 @@ class TestIntPoly:
         assert 3 * p == IntPoly([3, 6])
         assert (-p)(7) == -15
 
+    def test_immutable(self):
+        p = IntPoly([1, 2])
+        with pytest.raises(AttributeError):
+            p.coeffs = (3,)
+        with pytest.raises(AttributeError):
+            p.degree = 5
+        assert p.coeffs == (1, 2)
+
+    def test_equal_polynomials_hash_equal(self):
+        # klm klpoly --method all decides agreement from a set of route values
+        same = [IntPoly([1, 2]), IntPoly([1, 2, 0]), IntPoly((1, 2))]
+        same.append(IntPoly([3, 2]) - IntPoly([2]))
+        assert len({hash(p) for p in same}) == 1
+        assert len(set(same)) == 1
+        assert len({IntPoly([1, 2]), IntPoly([2, 1]), IntPoly(), IntPoly([0])}) == 3
+
     def test_product_degree_adds(self):
         p = IntPoly([3, 0, 1])
         q = IntPoly([-2, 5])
