@@ -285,6 +285,12 @@ def check_kl_constant_term_porism(m: int, d: int, rho: int) -> bool:
     conventions in place) and confirms it equals -1, then confirms that the
     Z-polynomial oracle (:func:`kl_poly`) and the tableau formula both give
     constant term 1.
+
+    The oracle's half cannot fail: the Z solve sets the constant term of
+    every P_{M/F} to 1 by construction (it is 1 - 0, from R_F[rank M] = 1
+    and R_F[rank F] = 0) and never reads it off the cube.  The recurrence
+    route derives its own constant term, and the defining-equation check of
+    the ``theorem1`` sweep compares it with the Z route at every point.
     """
     params = RhoUniformParams(m, d, rho)
     if d < 1:

@@ -2,25 +2,28 @@
 
 Element e of the ground set corresponds to bit e - 1.  A matroid is stored
 as its full list of bases together with the rank of every subset.  The rank
-table comes from a dynamic programme over subsets: the given bases and their
-subsets are the independent sets, and a dependent set has the largest rank of
-its one-smaller subsets, so r(S) = max |S & B| over the bases.  A family of
-equal-size sets is a basis system exactly when that table is submodular, and
-construction checks this locally at every subset; the pairwise exchange
-search runs only to name a witness for a family that fails.  Each distinct
-family is validated once: the tables that pass are kept in a bounded LRU
-memo keyed by the exact (n, sorted masks), so a family met again, a minor
-above all, skips both the table and the check.  Closure, the
-lattice of flats, minors and the characteristic polynomial (Whitney's sum
-over all subsets) are computed from the table directly; nothing here needs
-Mobius values.
+table is built on bit-packed subset indicators, ints whose bit S marks the
+subset S, so each step is a few big-integer operations rather than a loop
+over subsets: the bases and their subsets are the independent sets, and
+r(S) >= k exactly when S holds an independent k-set, so r(S) = max |S & B|
+over the bases.  A family of equal-size sets is a basis system exactly when
+that table satisfies the local rank axiom, which construction checks on the
+same indicators; the pairwise exchange search runs only to name a witness
+for a family that fails.  Each distinct family is validated once: the
+tables that pass are kept in a bounded LRU memo keyed by the exact
+(n, sorted masks), so a family met again, a minor above all, skips both the
+table and the check.  Closure, the lattice of flats, minors and the
+characteristic polynomial (Whitney's sum over all subsets) are computed
+from the table directly; nothing here needs Mobius values.
 
 The Kazhdan-Lusztig polynomial has two independent routes, each serving as
 the oracle that the other and the formula layer are checked against:
 
 * :func:`kl_poly` solves for P of every contraction at a flat at once, by
   the palindromicity of the Z-polynomial, in one pass over the subset cube.
-  It reads only the rank table: no lattice, minor or characteristic polynomial.
+  It reads only the rank table: no lattice, minor or characteristic
+  polynomial.  Every P has constant term 1, so only the coefficients of
+  degree 1 and up are read off the cube.
 * :func:`kl_poly_recurrence` solves the defining recurrence.  It lists the
   localization and the contraction of every flat as exact labelled basis
   families, builds and validates each distinct family once, and weights
@@ -158,64 +161,99 @@ class Matroid:
         return self._lattice
 
 
-def _dp_rank_table(n: int, masks: Collection[GroundSubset]) -> list[int]:
-    """r(S) = max |S & B| over the given sets B, for every S, in O(2**n * n).
+# per ground-set size n: (without, size), where bit S of without[e] marks
+# the subsets S that lack element e + 1 and bit S of size[k] the k-subsets
+_INDICATORS: dict[int, tuple[list[int], list[int]]] = {}
 
-    S is independent when it lies inside some B; a dependent S has the
-    largest rank of its one-smaller subsets.
+# one byte per subset, 0 or 1, to and from the ASCII digits of a binary string
+_BYTES_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _indicators(n: int) -> tuple[list[int], list[int]]:
+    """The subset indicators of a ground set of size n, built on first use.
+
+    An indicator is an int whose bit S marks the subset S.  Callers check
+    the ground-set cap first, so the dict holds at most MAX_GROUND + 1
+    entries.  Both lists are built by doubling: without[e] repeats 2**e ones
+    and 2**e zeros, and the k-subsets of a ground set one element larger are
+    its old k-subsets and its old (k - 1)-subsets plus the new element.
     """
-    size = 1 << n
-    top = max((b.bit_count() for b in masks), default=0)
-    independent = bytearray(size)
+    known = _INDICATORS.get(n)
+    if known is None:
+        without = []
+        for e in range(n):
+            lacking, period = (1 << (1 << e)) - 1, 2 << e
+            while period < 1 << n:
+                lacking |= lacking << period
+                period <<= 1
+            without.append(lacking)
+        size = [1]  # on the empty ground set, the empty set alone
+        for e in range(n):
+            size = [low | high << (1 << e) for low, high in zip(size + [0], [0] + size)]
+        known = _INDICATORS[n] = (without, size)
+    return known
+
+
+def _dp_rank_table(n: int, masks: Collection[GroundSubset]) -> tuple[tuple[int, ...], list[int]]:
+    """r(S) = max |S & B| over the given sets B, for every S, and the levels
+    L_1, ..., L_top, where bit S of L_k marks r(S) >= k.
+
+    Every step acts on a whole indicator at once, so a table takes
+    O(n * top) big-integer operations.  The independent sets are the
+    subsets of the given sets: each element in turn is taken out of every
+    set holding it.  L_k is the up-closure of the independent k-sets, since
+    r(S) >= k exactly when S holds one, and r(S) counts the levels holding
+    S.  The levels are spread into one byte per subset and added, so the
+    table is read off the bytes of one sum.
+    """
+    without, size = _indicators(n)
+    marks = bytearray(1 << n)
     for b in masks:
-        independent[b] = 1
-    # descending, so every superset has passed its mark down before S is read
-    for s in range(size - 1, 0, -1):
-        if independent[s]:
-            rest = s
-            while rest:
-                low = rest & -rest
-                independent[s ^ low] = 1
-                rest ^= low
-    table = [0] * size
-    for s in range(1, size):
-        count = s.bit_count()
-        if independent[s]:
-            table[s] = count
-            continue
-        # a dependent set has rank below its size, and no rank exceeds top
-        bound = count - 1 if count <= top else top
-        best = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            r = table[s ^ low]
-            if r > best:
-                best = r
-                if r == bound:
-                    break
-            rest ^= low
-        table[s] = best
-    return table
+        marks[b] = 1
+    independent = int(marks[::-1].translate(_BYTES_TO_DIGITS), 2)
+    for e, lacking in enumerate(without):
+        independent |= (independent & ~lacking) >> (1 << e)
+    top = max((b.bit_count() for b in masks), default=0)
+    levels = []
+    for k in range(1, top + 1):
+        level = independent & size[k]
+        for e, lacking in enumerate(without):
+            level |= (level & lacking) << (1 << e)
+        levels.append(level)
+    # bit S of a level becomes byte S of its lane; rank <= 16 keeps each byte exact
+    lanes = sum(
+        int.from_bytes(bin(level)[:1:-1].encode().translate(_DIGITS_TO_BYTES), "little")
+        for level in levels
+    )
+    return tuple(lanes.to_bytes(1 << n, "little")), levels
 
 
-def _is_submodular(n: int, table: list[int]) -> bool:
-    """Local submodularity: every set has the rank of its closure.
+def _is_submodular(n: int, levels: list[int]) -> bool:
+    """The local rank axiom: r(S + x) = r(S + y) = r(S) implies r(S + x + y) = r(S)
+    (Oxley, *Matroid Theory*, section 1.3), on the levels of _dp_rank_table.
 
-    For a monotone rank that rises by at most one per element this is
-    equivalent to submodularity, i.e. to the rank axioms.
+    That table is monotone, has r(empty) = 0 and rises by at most one per
+    element, and for such a table the axiom is equivalent to the rank axioms.
+    It is also equivalent to every set having the rank of its closure: that
+    test gives the axiom, as x and y lie in the closure of S, and the axiom,
+    applied to the elements of the closure one at a time, gives the test.
+    Bit S of same[x] marks x outside S with r(S + x) = r(S), that is, S lies
+    in every level that S + x does.  The axiom fails at S, x, y when S is
+    marked in same[x] and in same[y] but S + x is not marked in same[y].
     """
-    bits = [1 << e for e in range(n)]
-    top = table[-1]
-    for s, r in enumerate(table):
-        if r == top:
-            continue  # the closure is the whole ground set, of rank top
-        closed = s
-        for bit in bits:
-            if table[s | bit] == r:
-                closed |= bit
-        if table[closed] != r:
-            return False
+    without, _ = _indicators(n)
+    same = []
+    for x, lacking in enumerate(without):
+        rises = 0
+        for level in levels:
+            rises |= (level >> (1 << x)) & ~level
+        same.append(lacking & ~rises)
+    for x in range(n):
+        shift = 1 << x
+        for y in range(x + 1, n):
+            if same[x] & same[y] & ~(same[y] >> shift):
+                return False
     return True
 
 
@@ -312,8 +350,8 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
     known = _TABLE_MEMO.get(key)
     if known is not None:
         return Matroid(n, ordered, known)
-    table = _dp_rank_table(n, ordered)
-    if not _is_submodular(n, table):
+    known, levels = _dp_rank_table(n, ordered)
+    if not _is_submodular(n, levels):
         witness = _exchange_witness(ordered)
         if witness is None:
             raise RuntimeError(
@@ -321,7 +359,6 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
                 "of bases satisfies the exchange axiom"
             )
         raise ExchangeAxiomViolation(*witness)
-    known = tuple(table)
     _TABLE_MEMO.put(key, known)
     return Matroid(n, ordered, known)
 
@@ -479,26 +516,38 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     width-bit slot per degree, the sum of t^(rank T) P_{M/T}(t) over the flats
     T below the top with T containing S and |T - S| = k; each such T is met
     through each of its k elements outside S, so k h[S][k] is the sum of
-    h[S + x][k - 1] over x outside S.  A packed sum adds at most n 2^n values,
-    so |c| n 2^n < 2^(width - 1) for every packed c keeps every slot exact;
-    past that bound the solve restarts at twice the width.
+    h[S + x][k - 1] over x outside S.
+
+    The constant term is 1 at every flat and is never read: R_F[rank M] = 1,
+    since only the top flat reaches degree rank M, and R_F[rank F] = 0, since
+    every flat above F holds some F + x, of rank rank F + 1.  So a flat of
+    corank at most 2 reads no slot, and every other coefficient is the
+    difference of two slots, in which their biases cancel.  A packed sum adds
+    at most n 2^n values, so |c| n 2^n < 2^(width - 1) for every packed c
+    keeps every slot exact.  The constant 1 is packed too, so a width too
+    narrow for it restarts at once at twice the width, before any mask is
+    visited; past the bound at a later coefficient the solve restarts the
+    same way.
     """
     top = matroid.rank
     if top == 0:
         return IntPoly([1])
     _check_loopless(matroid)
-    table = matroid.rank_table()
     n = matroid.n
+    width = width or _Z_SLOT_BITS
+    half = 1 << (width - 1)
+    if n << n >= half:
+        return _z_solve(matroid, 2 * width)
+    limit = (half - 1) // (n << n)  # the largest |c| with |c| n 2^n < half
+    table = matroid.rank_table()
     # a mask of full rank has only the top flat above it, so it holds nothing
     levels: list[list[int]] = [[] for _ in range(n + 1)]
     for s, r in enumerate(table):
         if r < top:
             levels[s.bit_count()].append(s)
-    width = width or _Z_SLOT_BITS
-    half = 1 << (width - 1)
     slot = (1 << width) - 1
     # half in each slot keeps a sum of values in (-half, half) from borrowing
-    bias = sum(half << width * d for d in range(top + 1))
+    bias = sum(half << width * d for d in range(top))
     bits = [1 << e for e in range(n)]
     above: dict[int, list[int]] = {}  # h of the masks one element larger
     for size in range(n - 1, -1, -1):
@@ -517,12 +566,15 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
                         uppers.append(upper)
             h = [0] + [sum(col) // k for k, col in enumerate(zip_longest(*uppers, fillvalue=0), 1)]
             if flat:
-                # R_F by degree rank F .. top
-                rest = sum(h) + (1 << width * top) + bias
-                values = [(rest >> width * d & slot) - half for d in range(r, top + 1)]
-                coeffs = [values[top - r - j] - values[j] for j in range((top - r + 1) // 2)]
-                if max(map(abs, coeffs)) * (n << n) >= half:
-                    return _z_solve(matroid, 2 * width)
+                coeffs = [1]
+                if top - r > 2:
+                    rest = sum(h) + bias
+                    coeffs += [
+                        (rest >> width * (top - j) & slot) - (rest >> width * (r + j) & slot)
+                        for j in range(1, (top - r + 1) // 2)
+                    ]
+                    if max(map(abs, coeffs)) > limit:
+                        return _z_solve(matroid, 2 * width)
                 h[0] = sum(c << width * (r + j) for j, c in enumerate(coeffs))
             while h and not h[-1]:
                 h.pop()

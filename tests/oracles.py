@@ -3,13 +3,14 @@
 These deliberately avoid the formulas and data paths of the package: Pascal
 recursion instead of factorials, backtracking placement or hooks taken cell
 by cell instead of grouped hook products, subset search instead of basis
-intersections, pairwise set exchange instead of rank tables, Mobius values
-instead of Whitney's subset sum, minors relabelled element by element
+intersections, a subset-by-subset rank DP and closure test instead of
+bit-packed indicators, pairwise set exchange instead of rank tables, Mobius
+values instead of Whitney's subset sum, minors relabelled element by element
 instead of by paired bit combinations, a permutation search for matroid
 isomorphism, and an up-set walk over the lattice of flats instead of the
 subset cube for the Z-polynomial solve, the defining recurrence summed one
-flat at a time instead of once per distinct pair of minor families, and
-sums that build every term afresh instead of stepping from the one before.
+flat at a time instead of once per distinct pair of minor families, and sums
+that build every term afresh instead of stepping from the one before.
 Expected values in the tests are frozen from these oracles.
 """
 
@@ -137,6 +138,68 @@ def brute_rank(n: int, bases: list[frozenset[int]], subset: frozenset[int]) -> i
     return 0
 
 
+def dp_rank_table(n: int, masks) -> list[int]:
+    """r(S) = max |S & B| over the given sets B, for every S, by a dynamic
+    programme that visits the subsets one at a time.
+
+    S is independent when it lies inside some B; a dependent S has the
+    largest rank of its one-smaller subsets.
+    """
+    size = 1 << n
+    top = max((b.bit_count() for b in masks), default=0)
+    independent = bytearray(size)
+    for b in masks:
+        independent[b] = 1
+    # descending, so every superset has passed its mark down before S is read
+    for s in range(size - 1, 0, -1):
+        if independent[s]:
+            rest = s
+            while rest:
+                low = rest & -rest
+                independent[s ^ low] = 1
+                rest ^= low
+    table = [0] * size
+    for s in range(1, size):
+        count = s.bit_count()
+        if independent[s]:
+            table[s] = count
+            continue
+        # a dependent set has rank below its size, and no rank exceeds top
+        bound = count - 1 if count <= top else top
+        best = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            r = table[s ^ low]
+            if r > best:
+                best = r
+                if r == bound:
+                    break
+            rest ^= low
+        table[s] = best
+    return table
+
+
+def closure_keeps_rank(n: int, table) -> bool:
+    """Every set has the rank of its closure, checked set by set.
+
+    For a monotone rank that rises by at most one per element this is
+    equivalent to submodularity, i.e. to the rank axioms.
+    """
+    bits = [1 << e for e in range(n)]
+    top = table[-1]
+    for s, r in enumerate(table):
+        if r == top:
+            continue  # the closure is the whole ground set, of rank top
+        closed = s
+        for bit in bits:
+            if table[s | bit] == r:
+                closed |= bit
+        if table[closed] != r:
+            return False
+    return True
+
+
 def exchange_axiom_holds(bases: list[frozenset[int]]) -> bool:
     """The basis-exchange axiom, checked pairwise on plain sets: for all
     members B1, B2 of the family and every x in B1 - B2, some y in B2 - B1
@@ -159,6 +222,22 @@ def is_exchange_violation(
     if basis not in family or other not in family or element not in basis - other:
         return False
     return not any((basis - {element}) | {y} in family for y in other - basis)
+
+
+def first_exchange_violation(
+    n: int, bases: list[frozenset[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """The first (basis, other, element) admitting no exchange, on plain
+    sets: bases in the order of their bitmasks, elements in increasing order.
+    """
+    ordered = sorted(set(bases), key=lambda b: mask_from(b, n))
+    family = set(ordered)
+    for b1 in ordered:
+        for b2 in ordered:
+            for x in sorted(b1 - b2):
+                if not any((b1 - {x}) | {y} in family for y in b2 - b1):
+                    return tuple(sorted(b1)), tuple(sorted(b2)), x
+    return None
 
 
 def mobius_values(flats) -> list[int]:

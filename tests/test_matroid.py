@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -43,9 +44,12 @@ from klmatroids.verification import family_grid
 
 from oracles import (
     brute_rank,
+    closure_keeps_rank,
+    dp_rank_table,
     element_contraction,
     element_localization,
     exchange_axiom_holds,
+    first_exchange_violation,
     is_exchange_violation,
     is_isomorphic,
     lnr_coeffs,
@@ -213,13 +217,14 @@ def _max_intersections(n: int, family: list[frozenset[int]]) -> list[int]:
 
 
 def _check_against_pairwise(n: int, family: list[frozenset[int]]) -> None:
-    """matroid_from_bases accepts exactly when the pairwise oracle does, any
-    witness it raises is a real violation, and an accepted matroid's rank
-    table is r(S) = max |S & B|."""
+    """matroid_from_bases accepts exactly when the pairwise oracle does, the
+    witness it raises is the first real violation, and an accepted matroid's
+    rank table is r(S) = max |S & B|."""
     try:
         m = matroid_from_bases(n, family)
     except ExchangeAxiomViolation as err:
         assert not exchange_axiom_holds(family)
+        assert (err.basis, err.other, err.element) == first_exchange_violation(n, family)
         assert is_exchange_violation(
             family, frozenset(err.basis), frozenset(err.other), err.element
         )
@@ -228,13 +233,27 @@ def _check_against_pairwise(n: int, family: list[frozenset[int]]) -> None:
         assert list(m.rank_table()) == _max_intersections(n, family)
 
 
+def _check_packed_against_reference(n: int, family: list[frozenset[int]]) -> bool:
+    """The packed rank table equals the subset-by-subset DP and the local
+    rank axiom gives the closure test's verdict; returns that verdict."""
+    masks = sorted(mask_from(b, n) for b in family)
+    table, levels = matroid_module._dp_rank_table(n, masks)
+    want = dp_rank_table(n, masks)
+    assert type(table) is tuple and list(table) == want
+    verdict = closure_keeps_rank(n, want)
+    assert matroid_module._is_submodular(n, levels) == verdict
+    return verdict
+
+
 class TestValidatorEquivalence:
     def test_every_family_up_to_five_elements(self):
-        checked = 0
+        checked = valid = 0
         for n, family in _every_family(5):
             _check_against_pairwise(n, family)
+            valid += _check_packed_against_reference(n, family)
             checked += 1
-        assert checked == 2229
+        # 1 + 2 + 5 + 16 + 68 + 406 labelled matroids on 0..5 elements
+        assert checked == 2229 and valid == 498
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -253,9 +272,44 @@ class TestValidatorEquivalence:
         family = sorted(chosen, key=sorted)
         if not family:
             return
-        table = matroid_module._dp_rank_table(n, [mask_from(b, n) for b in family])
-        assert table == _max_intersections(n, family)
+        table, _ = matroid_module._dp_rank_table(n, [mask_from(b, n) for b in family])
+        assert list(table) == _max_intersections(n, family)
         _check_against_pairwise(n, family)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_packed_kernel_matches_the_reference_up_to_ten_elements(self, data):
+        n = data.draw(st.integers(0, 10), label="n")
+        d = data.draw(st.integers(0, n), label="d")
+        pool = _d_subsets(n, d)
+        chosen = data.draw(
+            st.sets(st.sampled_from(pool), min_size=1, max_size=20)
+            | st.sets(st.sampled_from(pool), max_size=6).map(
+                lambda dropped: set(pool) - dropped
+            ),
+            label="family",
+        )
+        if chosen:
+            _check_packed_against_reference(n, sorted(chosen, key=sorted))
+
+    def test_packed_kernel_on_the_smallest_and_largest_ground_sets(self):
+        assert matroid_module._dp_rank_table(0, [0]) == ((0,), [])
+        assert _check_packed_against_reference(0, [frozenset()])
+        assert _check_packed_against_reference(16, [frozenset(range(3, 11))])
+        assert _check_packed_against_reference(16, _d_subsets(16, 8)[1:])
+
+    def test_indicators_mark_the_subsets_they_name(self):
+        for n in range(7):
+            without, size = matroid_module._indicators(n)
+            for s in range(1 << n):
+                assert [w >> s & 1 for w in without] == [1 - (s >> e & 1) for e in range(n)]
+                assert [ind >> s & 1 for ind in size] == [
+                    int(s.bit_count() == k) for k in range(n + 1)
+                ]
+        without, size = matroid_module._indicators(16)
+        assert [w.bit_count() for w in without] == [1 << 15] * 16
+        assert [ind.bit_count() for ind in size] == [comb(16, k) for k in range(17)]
+        assert set(matroid_module._INDICATORS) <= set(range(matroid_module.MAX_GROUND + 1))
 
 
 class TestRankClosure:
@@ -661,6 +715,28 @@ class TestOracleRoutes:
         monkeypatch.setattr(matroid_module, "_z_solve", spy)
         assert kl_poly(m) == IntPoly(lnr_coeffs(n, d, len(family)))
         assert widths[:2] == [4, 8] and len(widths) >= 3
+
+    def test_coranks_up_to_two_restart_only_for_the_constant(self, monkeypatch, fresh_caches):
+        # in rank 1 and 2 every flat has corank <= 2, so P_{M/F} = 1 and the
+        # solve reads no slot: it widens only until n 2^n < 2^(width - 1),
+        # which the packed constant 1 needs, and never past that
+        low = [m for m in _every_loopless_matroid(5) if m.rank in (1, 2)]
+        assert len(low) == 75  # rank 1: one per n; rank 2: Bell(n) - 1 partitions
+        widths = []
+        solve = matroid_module._z_solve
+
+        def spy(matroid, width=None):
+            widths.append(width or matroid_module._Z_SLOT_BITS)
+            return solve(matroid, width)
+
+        monkeypatch.setattr(matroid_module, "_Z_SLOT_BITS", 4)
+        monkeypatch.setattr(matroid_module, "_z_solve", spy)
+        for m in low:
+            widths.clear()
+            want = [4]
+            while m.n << m.n >= 1 << (want[-1] - 1):
+                want.append(2 * want[-1])
+            assert kl_poly(m) == IntPoly([1]) and widths == want, m
 
     def test_recurrence_reads_no_z_result(self, monkeypatch, fresh_caches):
         want = [kl_poly(m) for m in ROUTE_SAMPLES]
