@@ -9,21 +9,23 @@ r(S) >= k exactly when S holds an independent k-set, so r(S) = max |S & B|
 over the bases.  A family of equal-size sets is a basis system exactly when
 that table satisfies the local rank axiom, which construction checks on the
 same indicators; the pairwise exchange search runs only to name a witness
-for a family that fails.  Each distinct family is validated once: the
-tables that pass are kept in a bounded LRU memo keyed by the exact
-(n, sorted masks), so a family met again, a minor above all, skips both the
-table and the check.  Closure, the lattice of flats, minors and the
-characteristic polynomial (Whitney's sum over all subsets) are computed
-from the table directly; nothing here needs Mobius values.
+for a family that fails.  The same indicators give the flats, the sets
+that every element outside raises in rank, and the matroid keeps their
+indicator beside the table.  Each distinct family is validated once: the
+matroids that pass are kept in a bounded LRU memo keyed by the exact
+(n, sorted masks), so a family met again, a minor above all, returns the
+same matroid.  The lattice of flats, minors and the characteristic
+polynomial (Whitney's sum over all subsets) are read from the table and
+the flat indicator; nothing here needs Mobius values.
 
 The Kazhdan-Lusztig polynomial has two independent routes, each serving as
 the oracle that the other and the formula layer are checked against:
 
 * :func:`kl_poly` solves for P of every contraction at a flat at once, by
   the palindromicity of the Z-polynomial, in one pass over the subset cube.
-  It reads only the rank table: no lattice, minor or characteristic
-  polynomial.  Every P has constant term 1, so only the coefficients of
-  degree 1 and up are read off the cube.
+  It reads only the rank table and the flat indicator: no lattice, minor
+  or characteristic polynomial.  Every P has constant term 1, so only the
+  coefficients of degree 1 and up are read off the cube.
 * :func:`kl_poly_recurrence` solves the defining recurrence.  It lists the
   localization and the contraction of every flat as exact labelled basis
   families, builds and validates each distinct family once, and weights
@@ -35,7 +37,7 @@ Neither route reads the other's results, nor any closed form.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from itertools import chain, combinations, zip_longest
+from itertools import chain, combinations, compress, zip_longest
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import (
@@ -94,22 +96,21 @@ def _iter_bits(mask: int):
 
 
 class Matroid:
-    """Immutable matroid with an explicit, validated basis list and rank table.
+    """Immutable matroid with an explicit, validated basis list, rank table
+    and flat indicator, whose bit S marks the flat S.
 
     Use :func:`matroid_from_bases` to construct one; the constructor itself
-    assumes masks and a rank table that already passed validation.
+    assumes masks, a rank table and flats that already passed validation.
     """
 
-    __slots__ = ("n", "bases", "rank", "_rank_table", "_lattice")
+    __slots__ = ("n", "bases", "rank", "_rank_table", "_flats")
 
-    def __init__(
-        self, n: int, base_masks: tuple[GroundSubset, ...], rank_table: tuple[int, ...]
-    ):
+    def __init__(self, n: int, bases: tuple[GroundSubset, ...], table: tuple[int, ...], flats: int):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bases", base_masks)
-        object.__setattr__(self, "rank", base_masks[0].bit_count() if base_masks else 0)
-        object.__setattr__(self, "_rank_table", rank_table)
-        object.__setattr__(self, "_lattice", None)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "rank", bases[0].bit_count() if bases else 0)
+        object.__setattr__(self, "_rank_table", table)
+        object.__setattr__(self, "_flats", flats)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid is immutable")
@@ -142,11 +143,8 @@ class Matroid:
 
     def closure_of(self, subset: Collection[int] | GroundSubset) -> GroundSubset:
         """All elements whose addition does not raise the rank of the subset."""
-        return self._closure(_as_mask(subset, self.n))
-
-    def _closure(self, mask: GroundSubset) -> GroundSubset:
-        # closure_of without the range check, for a mask known to be in range
-        table = self.rank_table()
+        mask = _as_mask(subset, self.n)
+        table = self._rank_table
         r = table[mask]
         closed = mask
         for e in range(self.n):
@@ -156,9 +154,10 @@ class Matroid:
         return closed
 
     def lattice(self) -> "FlatLattice":
-        if self._lattice is None:
-            object.__setattr__(self, "_lattice", _build_lattice(self))
-        return self._lattice
+        """The flats by (cardinality, mask): a stable sort keeps the mask order."""
+        marked = compress(range(1 << self.n), _spread(self._flats, self.n))
+        flats = tuple(sorted(marked, key=int.bit_count))
+        return FlatLattice(self.n, flats, tuple(map(self._rank_table.__getitem__, flats)))
 
 
 # per ground-set size n: (without, size), where bit S of without[e] marks
@@ -195,6 +194,11 @@ def _indicators(n: int) -> tuple[list[int], list[int]]:
     return known
 
 
+def _spread(indicator: int, n: int) -> bytes:
+    """Byte S is bit S of the indicator, 0 or 1, for each of the 2**n subsets S."""
+    return bin(indicator)[:1:-1].encode().translate(_DIGITS_TO_BYTES).ljust(1 << n, b"\0")
+
+
 def _dp_rank_table(n: int, masks: Collection[GroundSubset]) -> tuple[tuple[int, ...], list[int]]:
     """r(S) = max |S & B| over the given sets B, for every S, and the levels
     L_1, ..., L_top, where bit S of L_k marks r(S) >= k.
@@ -222,16 +226,15 @@ def _dp_rank_table(n: int, masks: Collection[GroundSubset]) -> tuple[tuple[int, 
             level |= (level & lacking) << (1 << e)
         levels.append(level)
     # bit S of a level becomes byte S of its lane; rank <= 16 keeps each byte exact
-    lanes = sum(
-        int.from_bytes(bin(level)[:1:-1].encode().translate(_DIGITS_TO_BYTES), "little")
-        for level in levels
-    )
+    lanes = sum(int.from_bytes(_spread(level, n), "little") for level in levels)
     return tuple(lanes.to_bytes(1 << n, "little")), levels
 
 
-def _is_submodular(n: int, levels: list[int]) -> bool:
-    """The local rank axiom: r(S + x) = r(S + y) = r(S) implies r(S + x + y) = r(S)
-    (Oxley, *Matroid Theory*, section 1.3), on the levels of _dp_rank_table.
+def _validated_flats(n: int, levels: list[int]) -> int | None:
+    """The flat indicator of the table that _dp_rank_table gave with these
+    levels, or None when the table fails the local rank axiom:
+    r(S + x) = r(S + y) = r(S) implies r(S + x + y) = r(S)
+    (Oxley, *Matroid Theory*, section 1.3).
 
     That table is monotone, has r(empty) = 0 and rises by at most one per
     element, and for such a table the axiom is equivalent to the rank axioms.
@@ -241,6 +244,8 @@ def _is_submodular(n: int, levels: list[int]) -> bool:
     Bit S of same[x] marks x outside S with r(S + x) = r(S), that is, S lies
     in every level that S + x does.  The axiom fails at S, x, y when S is
     marked in same[x] and in same[y] but S + x is not marked in same[y].
+    A set is a flat exactly when no element outside it keeps its rank, that
+    is, when it is marked in no same[x].
     """
     without, _ = _indicators(n)
     same = []
@@ -249,12 +254,14 @@ def _is_submodular(n: int, levels: list[int]) -> bool:
         for level in levels:
             rises |= (level >> (1 << x)) & ~level
         same.append(lacking & ~rises)
+    kept = 0
     for x in range(n):
         shift = 1 << x
+        kept |= same[x]
         for y in range(x + 1, n):
             if same[x] & same[y] & ~(same[y] >> shift):
-                return False
-    return True
+                return None
+    return ((1 << (1 << n)) - 1) & ~kept
 
 
 def _exchange_witness(
@@ -275,34 +282,34 @@ def _exchange_witness(
 
 
 class _TableMemo:
-    """Validated rank tables by exact (n, sorted masks), least recently used
-    first out once the tables held exceed ``budget`` entries in all.
+    """Validated matroids by exact (n, sorted masks), least recently used
+    first out once their rank tables exceed ``budget`` entries in all.
 
-    It holds tables, not matroids, so that no lattice of flats stays alive.
+    A matroid holds no lattice of flats, so its table bounds what it keeps alive.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self.held = 0
-        self._tables: OrderedDict[tuple[int, tuple[int, ...]], tuple[int, ...]] = OrderedDict()
+        self._matroids: OrderedDict[tuple[int, tuple[int, ...]], Matroid] = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._tables)
+        return len(self._matroids)
 
-    def get(self, key: tuple[int, tuple[int, ...]]) -> tuple[int, ...] | None:
-        table = self._tables.get(key)
-        if table is not None:
-            self._tables.move_to_end(key)
-        return table
+    def get(self, key: tuple[int, tuple[int, ...]]) -> Matroid | None:
+        matroid = self._matroids.get(key)
+        if matroid is not None:
+            self._matroids.move_to_end(key)
+        return matroid
 
-    def put(self, key: tuple[int, tuple[int, ...]], table: tuple[int, ...]) -> None:
-        self._tables[key] = table
-        self.held += len(table)
+    def put(self, key: tuple[int, tuple[int, ...]], matroid: Matroid) -> None:
+        self._matroids[key] = matroid
+        self.held += 1 << matroid.n
         while self.held > self.budget:
-            self.held -= len(self._tables.popitem(last=False)[1])
+            self.held -= 1 << self._matroids.popitem(last=False)[1].n
 
     def clear(self) -> None:
-        self._tables.clear()
+        self._matroids.clear()
         self.held = 0
 
 
@@ -329,8 +336,8 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
     Raises InvalidParameters when n exceeds MAX_GROUND, and EmptyBases,
     MixedCardinality, or ExchangeAxiomViolation (with a witnessing pair and
     element) when the family is not a basis system.  A family that passed
-    before, in any order or form, reuses its memoized rank table; a family
-    that failed is checked again and raises again.
+    before, in any order or form, returns the memoized matroid itself; a
+    family that failed is checked again and raises again.
     """
     if n < 0:
         raise ValueError(f"ground set size must be non-negative, got {n}")
@@ -349,9 +356,10 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
     key = (n, ordered)
     known = _TABLE_MEMO.get(key)
     if known is not None:
-        return Matroid(n, ordered, known)
-    known, levels = _dp_rank_table(n, ordered)
-    if not _is_submodular(n, levels):
+        return known
+    table, levels = _dp_rank_table(n, ordered)
+    flats = _validated_flats(n, levels)
+    if flats is None:
         witness = _exchange_witness(ordered)
         if witness is None:
             raise RuntimeError(
@@ -359,8 +367,9 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
                 "of bases satisfies the exchange axiom"
             )
         raise ExchangeAxiomViolation(*witness)
+    known = Matroid(n, ordered, table, flats)
     _TABLE_MEMO.put(key, known)
-    return Matroid(n, ordered, known)
+    return known
 
 
 def uniform_matroid(m: int, d: int) -> Matroid:
@@ -385,13 +394,6 @@ class FlatLattice(NamedTuple):
     ranks: tuple[int, ...]
 
 
-def _build_lattice(matroid: Matroid) -> FlatLattice:
-    table = matroid.rank_table()
-    seen = {matroid._closure(s) for s in range(1 << matroid.n)}
-    flats = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
-    return FlatLattice(matroid.n, flats, tuple(table[f] for f in flats))
-
-
 def _minor_bases(
     table: tuple[int, ...], kept: tuple[int, ...], size: int, anchor: int, want: int
 ) -> list[GroundSubset]:
@@ -412,7 +414,7 @@ def _minor_bases(
 def _flat_mask(matroid: Matroid, flat: Collection[int] | GroundSubset) -> GroundSubset:
     """The flat as a bitmask; raises NotAFlat unless it is closed."""
     mask = _as_mask(flat, matroid.n)
-    if matroid._closure(mask) != mask:
+    if not matroid._flats >> mask & 1:
         raise NotAFlat(f"{set(elements_of(mask))} is not a flat")
     return mask
 
@@ -465,9 +467,8 @@ _RECURRENCE_CACHE: dict[tuple[int, tuple[int, ...]], tuple[IntPoly, IntPoly]] = 
 
 def _check_loopless(matroid: Matroid) -> None:
     """Raise HasLoops, naming the loops, unless the matroid has none."""
-    loops = matroid._closure(0)
-    if loops:
-        raise HasLoops(f"loops {set(elements_of(loops))} present")
+    if not matroid._flats & 1:  # the empty set is closed exactly when there are no loops
+        raise HasLoops(f"loops {set(elements_of(matroid.closure_of(0)))} present")
 
 
 def char_poly(matroid: Matroid) -> IntPoly:
@@ -540,6 +541,7 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
         return _z_solve(matroid, 2 * width)
     limit = (half - 1) // (n << n)  # the largest |c| with |c| n 2^n < half
     table = matroid.rank_table()
+    flags = _spread(matroid._flats, n)
     # a mask of full rank has only the top flat above it, so it holds nothing
     levels: list[list[int]] = [[] for _ in range(n + 1)]
     for s, r in enumerate(table):
@@ -553,19 +555,15 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     for size in range(n - 1, -1, -1):
         here: dict[int, list[int]] = {}
         for s in levels[size]:
-            r = table[s]
-            flat = True
             uppers = []
             for bit in bits:
                 if not s & bit:
-                    t = s | bit
-                    if table[t] == r:
-                        flat = False
-                    upper = above.get(t)
+                    upper = above.get(s | bit)
                     if upper:
                         uppers.append(upper)
             h = [0] + [sum(col) // k for k, col in enumerate(zip_longest(*uppers, fillvalue=0), 1)]
-            if flat:
+            if flags[s]:
+                r = table[s]
                 coeffs = [1]
                 if top - r > 2:
                     rest = sum(h) + bias

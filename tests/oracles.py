@@ -4,7 +4,8 @@ These deliberately avoid the formulas and data paths of the package: Pascal
 recursion instead of factorials, backtracking placement or hooks taken cell
 by cell instead of grouped hook products, subset search instead of basis
 intersections, a subset-by-subset rank DP and closure test instead of
-bit-packed indicators, pairwise set exchange instead of rank tables, Mobius
+bit-packed indicators, flats as the closures of all subsets instead of the
+packed flat indicator, pairwise set exchange instead of rank tables, Mobius
 values instead of Whitney's subset sum, minors relabelled element by element
 instead of by paired bit combinations, a permutation search for matroid
 isomorphism, and an up-set walk over the lattice of flats instead of the
@@ -198,6 +199,21 @@ def closure_keeps_rank(n: int, table) -> bool:
         if table[closed] != r:
             return False
     return True
+
+
+def closure_lattice(n: int, table) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(n, flats, ranks) of the lattice of flats: the closure of every subset,
+    each closed element by element, sorted by (cardinality, mask)."""
+    bits = [1 << e for e in range(n)]
+    seen = set()
+    for s, r in enumerate(table):
+        closed = s
+        for bit in bits:
+            if table[s | bit] == r:
+                closed |= bit
+        seen.add(closed)
+    flats = tuple(sorted(seen, key=lambda f: (f.bit_count(), f)))
+    return n, flats, tuple(table[f] for f in flats)
 
 
 def exchange_axiom_holds(bases: list[frozenset[int]]) -> bool:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import klmatroids
 from klmatroids import closedforms, tableaux
 from klmatroids import matroid as matroid_module
-from klmatroids.closedforms import RhoUniformParams, build_rho_uniform
+from klmatroids.closedforms import RhoUniformParams, build_rho_uniform, kl_poly_rho
 from klmatroids.errors import (
     EmptyBases,
     ExchangeAxiomViolation,
@@ -27,6 +27,7 @@ from klmatroids.errors import (
 from klmatroids.exactarith import IntPoly, poly_reverse
 from klmatroids.matroid import (
     char_poly,
+    FlatLattice,
     clear_caches,
     contraction,
     d_subsets,
@@ -45,6 +46,7 @@ from klmatroids.verification import family_grid
 from oracles import (
     brute_rank,
     closure_keeps_rank,
+    closure_lattice,
     dp_rank_table,
     element_contraction,
     element_localization,
@@ -219,7 +221,7 @@ def _max_intersections(n: int, family: list[frozenset[int]]) -> list[int]:
 def _check_against_pairwise(n: int, family: list[frozenset[int]]) -> None:
     """matroid_from_bases accepts exactly when the pairwise oracle does, the
     witness it raises is the first real violation, and an accepted matroid's
-    rank table is r(S) = max |S & B|."""
+    rank table is r(S) = max |S & B| and its lattice the closure sweep's."""
     try:
         m = matroid_from_bases(n, family)
     except ExchangeAxiomViolation as err:
@@ -231,17 +233,26 @@ def _check_against_pairwise(n: int, family: list[frozenset[int]]) -> None:
     else:
         assert exchange_axiom_holds(family)
         assert list(m.rank_table()) == _max_intersections(n, family)
+        assert m.lattice() == closure_lattice(n, m.rank_table())
 
 
 def _check_packed_against_reference(n: int, family: list[frozenset[int]]) -> bool:
-    """The packed rank table equals the subset-by-subset DP and the local
-    rank axiom gives the closure test's verdict; returns that verdict."""
+    """The packed rank table equals the subset-by-subset DP, the local rank
+    axiom gives the closure test's verdict, and on a basis system the flat
+    indicator and the lattice hold the closure sweep's flats; returns the
+    verdict."""
     masks = sorted(mask_from(b, n) for b in family)
     table, levels = matroid_module._dp_rank_table(n, masks)
     want = dp_rank_table(n, masks)
     assert type(table) is tuple and list(table) == want
     verdict = closure_keeps_rank(n, want)
-    assert matroid_module._is_submodular(n, levels) == verdict
+    flats = matroid_module._validated_flats(n, levels)
+    assert (flats is not None) == verdict
+    if verdict:
+        reference = closure_lattice(n, want)
+        assert flats == sum(1 << f for f in reference[1])
+        lattice = matroid_from_bases(n, masks).lattice()
+        assert type(lattice) is FlatLattice and lattice == reference
     return verdict
 
 
@@ -402,6 +413,36 @@ class TestFlats:
         assert lat.flats == (ground_mask(3),)
         assert mobius_values(lat.flats) == [1]
 
+    def test_lattice_matches_the_closure_sweep_on_sparse_paving(self):
+        rng = random.Random(20261026)
+        checked = 0
+        for n in range(6, 13):
+            for d in range(2, n - 1):
+                for k in (1, 2, 3):
+                    m = sparse_paving_matroid(n, d, sparse_paving(rng, n, d, k))
+                    assert m.lattice() == closure_lattice(n, m.rank_table()), (n, d, m)
+                    checked += 1
+        assert checked == 126
+
+    def test_minors_refuse_every_non_flat_and_loops_leave_out_the_empty_set(self):
+        matroids = looped = 0
+        for n, family in _every_family(5):
+            try:
+                m = matroid_from_bases(n, family)
+            except ExchangeAxiomViolation:
+                continue
+            _, flats, _ = closure_lattice(n, m.rank_table())
+            for s in set(range(1 << n)) - set(flats):
+                with pytest.raises(NotAFlat):
+                    localization(m, s)
+                with pytest.raises(NotAFlat):
+                    contraction(m, s)
+            loops = m.closure_of(0)
+            assert m.lattice().flats[0] == loops and (0 in m.lattice().flats) == (not loops)
+            matroids += 1
+            looped += loops != 0
+        assert matroids == 498 and looped == 498 - 222
+
     @pytest.mark.parametrize("m", [U12, U12_MINUS, uniform_matroid(2, 3)])
     def test_mobius_sums_vanish_above_bottom(self, m):
         lat = m.lattice()
@@ -477,7 +518,7 @@ class TestTableMemo:
         ]
         assert tables.built == 1
         for m in again:
-            assert m == first and m.rank_table() is first.rank_table()
+            assert m is first
 
     def test_another_ground_set_is_another_entry(self, monkeypatch, fresh_caches):
         tables = _CountedTables(monkeypatch)
@@ -516,8 +557,8 @@ class TestTableMemo:
         matroid_from_bases(*keys[0])  # a hit: keys[1] is now the oldest
         matroid_from_bases(*keys[16])
         assert memo.held <= memo.budget and len(memo) == 16
-        assert keys[1] not in memo._tables
-        assert all(key in memo._tables for key in keys[:1] + keys[2:])
+        assert keys[1] not in memo._matroids
+        assert all(key in memo._matroids for key in keys[:1] + keys[2:])
 
 
 class TestCharPoly:
@@ -638,6 +679,20 @@ ROUTE_SAMPLES = [
 ]
 
 
+def _record_widths(monkeypatch, first: int) -> list[int]:
+    """Start the cube solve at ``first``-bit slots; the list records every width it visits."""
+    widths = []
+    solve = matroid_module._z_solve
+
+    def spy(matroid, width=None):
+        widths.append(width or matroid_module._Z_SLOT_BITS)
+        return solve(matroid, width)
+
+    monkeypatch.setattr(matroid_module, "_Z_SLOT_BITS", first)
+    monkeypatch.setattr(matroid_module, "_z_solve", spy)
+    return widths
+
+
 class TestOracleRoutes:
     def test_agree_on_every_small_basis_system(self):
         matroids = list(_every_loopless_matroid(5))
@@ -704,15 +759,7 @@ class TestOracleRoutes:
         # 4-bit slot, so the solve must refuse its first widths and restart
         # until the bound holds
         m = sparse_paving_matroid(n, d, family)
-        widths = []
-        solve = matroid_module._z_solve
-
-        def spy(matroid, width=None):
-            widths.append(width or matroid_module._Z_SLOT_BITS)
-            return solve(matroid, width)
-
-        monkeypatch.setattr(matroid_module, "_Z_SLOT_BITS", 4)
-        monkeypatch.setattr(matroid_module, "_z_solve", spy)
+        widths = _record_widths(monkeypatch, 4)
         assert kl_poly(m) == IntPoly(lnr_coeffs(n, d, len(family)))
         assert widths[:2] == [4, 8] and len(widths) >= 3
 
@@ -722,21 +769,33 @@ class TestOracleRoutes:
         # which the packed constant 1 needs, and never past that
         low = [m for m in _every_loopless_matroid(5) if m.rank in (1, 2)]
         assert len(low) == 75  # rank 1: one per n; rank 2: Bell(n) - 1 partitions
-        widths = []
-        solve = matroid_module._z_solve
-
-        def spy(matroid, width=None):
-            widths.append(width or matroid_module._Z_SLOT_BITS)
-            return solve(matroid, width)
-
-        monkeypatch.setattr(matroid_module, "_Z_SLOT_BITS", 4)
-        monkeypatch.setattr(matroid_module, "_z_solve", spy)
+        widths = _record_widths(monkeypatch, 4)
         for m in low:
             widths.clear()
             want = [4]
             while m.n << m.n >= 1 << (want[-1] - 1):
                 want.append(2 * want[-1])
             assert kl_poly(m) == IntPoly([1]) and widths == want, m
+
+    def test_a_coefficient_past_the_limit_restarts_wider(self, monkeypatch, fresh_caches):
+        # at n = 12 from 17-bit slots the up-front check passes and the limit
+        # is 1; four parallel classes of three in rank 3 (a basis takes at
+        # most one element of each of {1, 2, 3}, ..., {10, 11, 12}) give
+        # P = 1 + 2t, so the 2 must restart the solve, and only the
+        # per-coefficient guard sees it
+        bases = [b for b in d_subsets(12, 3) if all((b >> 3 * c & 7).bit_count() < 2 for c in range(4))]
+        m = matroid_from_bases(12, bases)
+        widths = _record_widths(monkeypatch, 17)
+        assert kl_poly(m) == IntPoly([1, 2]) and widths == [17, 34]
+
+    def test_seventeen_bit_slots_stay_exact_at_twelve_elements(self, monkeypatch, fresh_caches):
+        # from 17-bit slots the limit at n = 12 is 1, so each larger
+        # coefficient restarts the solve; past the limit a slot can wrap
+        points = [p for p in family_grid(12, min_d=0) if p.m + p.d == 12]
+        assert len(points) == 34
+        monkeypatch.setattr(matroid_module, "_Z_SLOT_BITS", 17)
+        for p in points:
+            assert kl_poly(build_rho_uniform(p)) == kl_poly_rho(p), p
 
     def test_recurrence_reads_no_z_result(self, monkeypatch, fresh_caches):
         want = [kl_poly(m) for m in ROUTE_SAMPLES]
