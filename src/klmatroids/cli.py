@@ -11,9 +11,10 @@ older closed form (``closed-form``, rho = 0 only) and the Z-polynomial
 solver (``oracle``, at most MAX_GROUND = 16 elements).  A ``--method`` past
 its route's domain exits 2 with the library's message; ``--method all`` runs
 every route that admits the query, and a polynomial is one route's
-coefficients.  The CLI sets the other caps, checked before any coefficient:
-m + d <= COEFF_MAX_N in ``klm coeff`` and KLPOLY_MAX_N in ``klm klpoly``,
-``klm verify --max-n`` at VERIFY_MAX_N and ``klm table`` at TABLE_MAX.
+coefficients, assembled by ``Route.poly``.  The CLI sets the other caps,
+checked before any coefficient: m + d <= COEFF_MAX_N in ``klm coeff`` and
+KLPOLY_MAX_N in ``klm klpoly``, ``klm verify --max-n`` at VERIFY_MAX_N and
+``klm table`` at TABLE_MAX.
 
 Only ``klm verify`` loads ``verification``, and with it the process pool
 (``concurrent.futures`` and ``multiprocessing``); every other command starts
@@ -28,7 +29,7 @@ import json
 import sys
 import time
 
-from .closedforms import ROUTES, RhoUniformParams, coeff_rho, coefficient_range, valid_rhos
+from .closedforms import ROUTES, RhoUniformParams, Route, coeff_rho, coefficient_range, valid_rhos
 from .errors import InvalidParameters, KlmatroidsError
 from .exactarith import IntPoly
 from .identities import run_identity_sweeps, sweep_gf_truncation
@@ -42,8 +43,9 @@ from .tableaux import (
 VERIFY_MAX_N = 12
 """The largest ``klm verify --max-n``, for every suite.  With 2 workers on a
 2-core VM, ``--suite all`` takes 4.9 s at 12 and 9.8 s at 13; at 14 the two
-sweeps that build minors lead: ``minors`` (both minors of every flat) 9.9 s,
-``theorem1`` (the defining recurrence) 6.2 s, every other suite under 3.5 s."""
+sweeps that walk every flat lead: ``minors`` (both minor families of every
+flat) 8.8 s, ``theorem1`` (the defining recurrence) 6.2 s, every other suite
+under 3.5 s."""
 
 TABLE_MAX = 70
 """The largest ``klm table --m-max`` and ``--d-max``.  On a 2-core VM with
@@ -145,10 +147,7 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_klpoly(args) -> int:
-    def poly(route, p):
-        return IntPoly(route.coeff(p, i) for i in coefficient_range(p.d))
-
-    return _run_routes(args, KLPOLY_MAX_N, poly)
+    return _run_routes(args, KLPOLY_MAX_N, Route.poly)
 
 
 def cmd_enumerate(args) -> int:

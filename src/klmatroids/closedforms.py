@@ -7,13 +7,14 @@ is what makes the removal produce a matroid at all, and it needs
 rho * d <= m + d elements of room.
 
 The family's rules are written once, here, and read from here: the valid
-rho for one (m, d) (``valid_rhos``) and every valid point up to a size
-(``family_grid``), the indices of the KL coefficients (``coefficient_range``)
-and the removed blocks as bitmasks (``removed_block_masks``).  The bases of
-the uniform matroid, all d-subsets, are listed by ``matroid.d_subsets``.
+rho for one (m, d) (``valid_rhos``), every valid point up to a size
+(``family_grid``) and the indices of the KL coefficients
+(``coefficient_range``).  The matroids come from the cached family builder
+of ``matroid``, beside the removed blocks as bitmasks (``removed_block_masks``).
 
 ``ROUTES`` is the one table of the routes to a KL coefficient, each with
-its domain; ``klm coeff``, ``klm klpoly`` and the theorem1 sweep read it.
+its domain, and ``Route.poly`` assembles a route's polynomial; every
+comparison of routes reads the table, and ``kl_poly_rho`` is its tableau row.
 
 The parameter types are named tuples: RhoUniformParams is (m, d, rho),
 checked when it is built, and MinorClass is (m, d, rho, offset).  They
@@ -22,7 +23,6 @@ unpack, and compare and hash like the plain tuple of their fields.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -31,13 +31,14 @@ from .exactarith import IntPoly, binomial
 from .matroid import (
     GroundSubset,
     Matroid,
+    _build_cached,
     check_ground_size,
     d_subsets,
     elements_of,
     ground_mask,
     kl_poly,
     mask_from,
-    matroid_from_bases,
+    removed_block_masks,
 )
 from .tableaux import (
     _integers,
@@ -107,25 +108,6 @@ def coefficient_range(d: int) -> range:
     return range(max(d - 1, 0) // 2 + 1)
 
 
-def removed_block_masks(d: int, rho: int, offset: int = 0) -> list[GroundSubset]:
-    """The rho removed d-blocks after label ``offset``: block l holds the
-    labels offset + l d + 1 .. offset + (l + 1) d.  Rank 0 removes none."""
-    block = (1 << d) - 1
-    return [block << (offset + ell * d) for ell in range(rho if d else 0)]
-
-
-@lru_cache(maxsize=128, typed=True)
-def _build_cached(m: int, d: int, rho: int, offset: int) -> Matroid:
-    """U(m, d) minus the rho consecutive d-blocks starting after label ``offset``.
-
-    The caller has validated (m, d, rho, offset).
-    """
-    n = m + d
-    check_ground_size(n)
-    removed = set(removed_block_masks(d, rho, offset))
-    return matroid_from_bases(n, [b for b in d_subsets(n, d) if b not in removed])
-
-
 def build_rho_uniform(p: RhoUniformParams) -> Matroid:
     """Construct U(m, d; rho) and validate it through the generic basis checks."""
     return _build_cached(p.m, p.d, p.rho, 0)
@@ -192,11 +174,6 @@ def coeff_rho(m: int, d: int, i: int, rho: int) -> int:
     return count_skyt(m + 1, i, b) - rho * count_overline_skyt(i, b)
 
 
-def kl_poly_rho(p: RhoUniformParams) -> IntPoly:
-    """The full KL polynomial of U(m, d; rho), assembled coefficient by coefficient."""
-    return IntPoly(coeff_rho(p.m, p.d, i, p.rho) for i in coefficient_range(p.d))
-
-
 class Route(NamedTuple):
     """A route to KL coefficient i of U(m, d; rho): ``coeff(p, i)``, and
     ``refusal(p)``, None where the route applies, else the reason it does not."""
@@ -204,6 +181,10 @@ class Route(NamedTuple):
     name: str
     coeff: Callable[[RhoUniformParams, int], int]
     refusal: Callable[[RhoUniformParams], str | None]
+
+    def poly(self, p: RhoUniformParams) -> IntPoly:
+        """The route's coefficients over ``coefficient_range(p.d)``, as one polynomial."""
+        return IntPoly(self.coeff(p, i) for i in coefficient_range(p.d))
 
 
 def _cap_message(check: Callable[[int], None], n: int) -> str | None:
@@ -215,7 +196,7 @@ def _cap_message(check: Callable[[int], None], n: int) -> str | None:
     return None
 
 
-# In output order.  The routes call the library through this module's
+# In output order, the tableau route first.  The routes call the library through this module's
 # globals, so a monkeypatched or traced function is the one that runs.
 ROUTES = (
     Route("tableau", lambda p, i: coeff_rho(p.m, p.d, i, p.rho), lambda p: None),
@@ -235,6 +216,11 @@ ROUTES = (
         lambda p: _cap_message(check_ground_size, p.n),
     ),
 )
+
+
+def kl_poly_rho(p: RhoUniformParams) -> IntPoly:
+    """The full KL polynomial of U(m, d; rho): the tableau route's polynomial."""
+    return ROUTES[0].poly(p)
 
 
 def char_poly_rho(p: RhoUniformParams) -> IntPoly:

@@ -13,16 +13,9 @@ from itertools import starmap
 from math import factorial, prod
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .closedforms import (
-    RhoUniformParams,
-    build_rho_uniform,
-    coefficient_range,
-    family_grid,
-    kl_poly_rho,
-)
+from .closedforms import ROUTES, RhoUniformParams, coefficient_range, family_grid
 from .errors import InvalidParameters
 from .exactarith import binomial, parity_sign
-from .matroid import kl_poly
 from .tableaux import count_overline_skyt, count_skyt, count_syt
 
 
@@ -282,15 +275,18 @@ def check_kl_constant_term_porism(m: int, d: int, rho: int) -> bool:
     """The constant-coefficient bookkeeping of the recurrence collapses to -1.
 
     Evaluates the i = 0 flat-by-flat expansion exactly (with the i = 0 count
-    conventions in place) and confirms it equals -1, then confirms that the
-    Z-polynomial oracle (:func:`kl_poly`) and the tableau formula both give
+    conventions in place) and confirms it equals -1, then confirms that
+    every route of ``closedforms.ROUTES`` that admits the point gives
     constant term 1.
 
-    The oracle's half cannot fail: the Z solve sets the constant term of
-    every P_{M/F} to 1 by construction (it is 1 - 0, from R_F[rank M] = 1
-    and R_F[rank F] = 0) and never reads it off the cube.  The recurrence
-    route derives its own constant term, and the defining-equation check of
-    the ``theorem1`` sweep compares it with the Z route at every point.
+    Only the expansion can fail: every route gives 1 at i = 0 by its own
+    convention.  The tableau route has it from count_skyt(., 0, .) = 1, the
+    closed form and the direct count from an explicit i = 0 branch, and the
+    Z solve by construction: it sets the constant term of every P_{M/F} to
+    1 (it is 1 - 0, from R_F[rank M] = 1 and R_F[rank F] = 0) and never
+    reads it off the cube.  The recurrence route derives its own constant
+    term, and the defining-equation check of the ``theorem1`` sweep
+    compares it with the Z route at every point.
     """
     params = RhoUniformParams(m, d, rho)
     if d < 1:
@@ -313,8 +309,7 @@ def check_kl_constant_term_porism(m: int, d: int, rho: int) -> bool:
         )
     if chain != -1:
         return False
-    oracle = kl_poly(build_rho_uniform(params))
-    return oracle.coeff(0) == 1 and kl_poly_rho(params).coeff(0) == 1
+    return all(route.coeff(params, 0) == 1 for route in ROUTES if route.refusal(params) is None)
 
 
 # -- default-grid sweeps -------------------------------------------------------

@@ -37,6 +37,7 @@ Neither route reads the other's results, nor any closed form.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
+from functools import lru_cache
 from itertools import chain, combinations, compress, zip_longest
 from typing import Collection, Iterable, NamedTuple
 
@@ -285,7 +286,9 @@ class _TableMemo:
     """Validated matroids by exact (n, sorted masks), least recently used
     first out once their rank tables exceed ``budget`` entries in all.
 
-    A matroid holds no lattice of flats, so its table bounds what it keeps alive.
+    A matroid holds no lattice of flats, so its table bounds what it keeps
+    alive.  The family builder ``_build_cached`` keeps at most 128 more
+    matroids of its own, outside the budget.
     """
 
     def __init__(self, budget: int):
@@ -372,13 +375,28 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
     return known
 
 
+def removed_block_masks(d: int, rho: int, offset: int = 0) -> list[GroundSubset]:
+    """The rho removed d-blocks after label ``offset``: block l holds the
+    labels offset + l d + 1 .. offset + (l + 1) d.  Rank 0 removes none."""
+    block = (1 << d) - 1
+    return [block << (offset + ell * d) for ell in range(rho if d else 0)]
+
+
+@lru_cache(maxsize=128, typed=True)
+def _build_cached(m: int, d: int, rho: int, offset: int) -> Matroid:
+    """U(m, d) minus the rho consecutive d-blocks starting after label
+    ``offset``; the caller has validated (m, d, rho, offset)."""
+    n = m + d
+    check_ground_size(n)
+    removed = set(removed_block_masks(d, rho, offset))
+    return matroid_from_bases(n, [b for b in d_subsets(n, d) if b not in removed])
+
+
 def uniform_matroid(m: int, d: int) -> Matroid:
     """Rank-d matroid on m + d elements whose bases are all d-subsets."""
     if m < 0 or d < 0:
         raise ValueError(f"uniform matroid needs m, d >= 0 (got m={m}, d={d})")
-    n = m + d
-    check_ground_size(n)
-    return matroid_from_bases(n, d_subsets(n, d))
+    return _build_cached(m, d, 0, 0)
 
 
 class FlatLattice(NamedTuple):
@@ -638,6 +656,7 @@ def _recurrence_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
 
 def clear_caches() -> None:
     _TABLE_MEMO.clear()
+    _build_cached.cache_clear()
     _KL_CACHE.clear()
     _RECURRENCE_CACHE.clear()
 

@@ -1,8 +1,9 @@
 """Cross-checks between the formula layer and the brute-force matroid oracles.
 
-Every sweep compares two or three logically independent routes to the same
-value (closed form vs. order-ideal count vs. the Z-polynomial solver,
-which the defining recurrence checks in turn) and reports exact agreement.
+Every sweep compares logically independent routes to the same value and
+reports exact agreement.  KL coefficients are compared only through
+``closedforms.ROUTES`` (``theorem2`` is theorem1's route check on the rho = 0
+grid), and minors only as labelled basis families.
 A sweep is a grid of points and a checker that returns whether a point
 holds; ``_run_points`` checks every point and hands the results, in grid
 order, to :meth:`IdentityReport.of`.  Heavy sweeps accept a ``jobs``
@@ -34,7 +35,6 @@ from .closedforms import (
     char_poly_rho,
     classify_minor,
     coeff_rho,
-    coeff_uniform_klum,
     coefficient_range,
     expected_flats,
     family_grid,
@@ -43,13 +43,13 @@ from .closedforms import (
 from .exactarith import IntPoly, poly_reverse
 from .identities import IdentityReport
 from .matroid import (
+    _contraction_family,
+    _localization_family,
     char_poly,
-    contraction,
     d_subsets,
     kl_poly,
     kl_poly_recurrence,
     kl_recurrence_rhs,
-    localization,
     matroid_from_bases,
 )
 from .tableaux import count_skyt, enumerate_skyt, involution_rotate
@@ -131,17 +131,21 @@ def kl_defining_equation_holds(matroid) -> bool:
     return poly_reverse(p, matroid.rank) - p == kl_recurrence_rhs(matroid)
 
 
+def _routes_agree(p: RhoUniformParams) -> bool:
+    """Every route of ``ROUTES`` that admits ``p`` gives one value at each
+    coefficient and at one index past them."""
+    routes = [route for route in ROUTES if route.refusal(p) is None]
+    indices = range(coefficient_range(p.d).stop + 1)
+    return all(len({route.coeff(p, i) for route in routes}) == 1 for i in indices)
+
+
 def _theorem1_point(p: RhoUniformParams) -> bool:
     matroid = build_rho_uniform(p)
     oracle = kl_poly(matroid)
-    coefficients = coefficient_range(p.d)
-    if oracle.coeff(0) != 1 or oracle.degree not in coefficients:
+    # with the degree bound, agreement puts 0 one past the range on every route
+    if oracle.coeff(0) != 1 or oracle.degree not in coefficient_range(p.d):
         return False
-    routes = [route for route in ROUTES if route.refusal(p) is None]
-    for i in range(coefficients.stop + 1):  # one index past the range must give 0 everywhere
-        if len({route.coeff(p, i) for route in routes}) != 1:
-            return False
-    return kl_defining_equation_holds(matroid)
+    return _routes_agree(p) and kl_defining_equation_holds(matroid)
 
 
 def sweep_theorem1(total_max: int = 9, jobs: int = 1) -> IdentityReport:
@@ -152,21 +156,13 @@ def sweep_theorem1(total_max: int = 9, jobs: int = 1) -> IdentityReport:
     return _run_points("theorem1", grid, family_grid(total_max, min_d=0), _theorem1_point, jobs)
 
 
-def _theorem2_point(p: RhoUniformParams) -> bool:
-    oracle = kl_poly(build_rho_uniform(p))
-    for i in range(coefficient_range(p.d).stop + 1):
-        tableau = coeff_rho(p.m, p.d, i, 0)
-        closed = coeff_uniform_klum(p.m, p.d, i)
-        if not tableau == closed == oracle.coeff(i):
-            return False
-    return True
-
-
 def sweep_theorem2(total_max: int = 9, jobs: int = 1) -> IdentityReport:
-    """For the plain uniform family: tableau count == older closed form == Z solver."""
+    """Theorem1's route comparison on the plain uniform family, d >= 1: the
+    tableau count, the order-ideal count, the older closed form and the Z
+    solver agree at every coefficient and one past them."""
     points = [p for p in family_grid(total_max) if p.rho == 0]
     grid = f"uniform (m, d), m+d<={total_max}"
-    return _run_points("theorem2", grid, points, _theorem2_point, jobs)
+    return _run_points("theorem2", grid, points, _routes_agree, jobs)
 
 
 # -- tableau counting and symmetry ----------------------------------------------
@@ -262,15 +258,17 @@ def sweep_charpoly(total_max: int = 10, jobs: int = 1) -> IdentityReport:
 
 def _minors_point(p: RhoUniformParams) -> bool:
     matroid = build_rho_uniform(p)
+    families = (("localization", _localization_family), ("contraction", _contraction_family))
     for flat in matroid.lattice().flats:
-        for kind, make in (("localization", localization), ("contraction", contraction)):
-            if make(matroid, flat) != classify_minor(p, flat, kind).build():
+        for kind, family in families:
+            if family(matroid, flat) != classify_minor(p, flat, kind).build().key():
                 return False
     return True
 
 
 def sweep_minors(total_max: int = 8, jobs: int = 1) -> IdentityReport:
-    """Predicted minors equal the computed minors basis for basis, flat by flat."""
+    """Predicted minors equal the computed labelled basis families, flat by
+    flat; only the predicted class is built as a matroid."""
     grid = f"valid (m, d, rho), m+d<={total_max}, every flat"
     return _run_points("minors", grid, family_grid(total_max), _minors_point, jobs)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import klmatroids
-from klmatroids import cli, closedforms, verification
+from klmatroids import cli, closedforms, identities, verification
 from klmatroids.cli import COEFF_MAX_N, KLPOLY_MAX_N, TABLE_MAX, VERIFY_SUITES, build_parser, main
 from klmatroids.closedforms import (
     ROUTES,
@@ -426,8 +426,9 @@ class TestOracleCapSetting:
 
 
 class TestRouteTable:
-    """Adding a route is one entry of ``closedforms.ROUTES``: the theorem1
-    sweep compares it, and both commands offer it and run it under ``all``."""
+    """Adding a route is one entry of ``closedforms.ROUTES``: the theorem1 and
+    theorem2 sweeps compare it, both commands offer it and run it under
+    ``all``, and ``kl_poly_rho`` is the tableau route's polynomial."""
 
     @pytest.mark.parametrize("name", [route.name for route in ROUTES])
     def test_a_route_off_by_one_fails_everywhere(self, capsys, monkeypatch, name):
@@ -438,15 +439,34 @@ class TestRouteTable:
             route._replace(coeff=off_by_one(route.coeff)) if route.name == name else route
             for route in ROUTES
         )
-        for module in (closedforms, cli, verification):
+        p = RhoUniformParams(2, 3)
+        tableau_poly = kl_poly_rho(p)
+        binding = [
+            module
+            for module_name, module in sys.modules.items()
+            if module_name.startswith("klmatroids") and getattr(module, "ROUTES", None) is ROUTES
+        ]
+        assert {closedforms, cli, verification, identities} <= set(binding)
+        for module in binding:
             monkeypatch.setattr(module, "ROUTES", routes)
         assert not verification.sweep_theorem1(6, jobs=1).passed
+        assert not verification.sweep_theorem2(6, jobs=1).passed
+        assert (kl_poly_rho(p) != tableau_poly) == (name == "tableau")
         # U(2, 3) is admitted by every route, and its coefficient 1 is 5
         for argv in (("coeff", "--i", "1"), ("klpoly",)):
             code, out, _ = run_cli(capsys, *argv, "--m", "2", "--d", "3", "--method", "all")
             assert code == 1 and f"{name}: " in out and out.endswith("FAIL: methods disagree\n")
             base = [*argv, "--m", "2", "--d", "3"]
             assert cli.build_parser().parse_args([*base, "--method", name]).method == name
+
+    def test_a_route_wrong_only_past_the_range_fails_both_sweeps(self, monkeypatch):
+        def past(coeff):
+            return lambda p, i: coeff(p, i) + (i == closedforms.coefficient_range(p.d).stop)
+
+        routes = (ROUTES[0]._replace(coeff=past(ROUTES[0].coeff)), *ROUTES[1:])
+        monkeypatch.setattr(verification, "ROUTES", routes)
+        assert not verification.sweep_theorem1(5, jobs=1).passed
+        assert not verification.sweep_theorem2(5, jobs=1).passed
 
 
 class TestFormulaCap:

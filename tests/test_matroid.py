@@ -545,6 +545,13 @@ class TestTableMemo:
         clear_caches()
         assert len(memo) == 0 and memo.held == 0
 
+    def test_clear_caches_empties_the_family_builder(self, fresh_caches):
+        # a family matroid built before the clear must not outlive it
+        p = RhoUniformParams(8, 8, 1)
+        build_rho_uniform(p)
+        clear_caches()
+        assert build_rho_uniform(p) is matroid_from_bases(p.n, build_rho_uniform(p).bases)
+
     def test_held_tables_stay_within_budget(self, fresh_caches):
         # seventeen distinct 16-element tables, 2**16 entries each, exceed the
         # 2**20 budget by one table; the least recently used one goes

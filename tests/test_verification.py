@@ -26,17 +26,16 @@ class TestDefiningEquation:
         [uniform_matroid(2, 4), build_rho_uniform(RhoUniformParams(2, 4, 1))],
     )
     def test_check_builds_no_minor(self, monkeypatch, fresh_caches, matroid):
+        # warm, the check builds no matroid at all: the recurrence memoized its sum
         kl_poly_recurrence(matroid)
         built = []
-        for name in ("localization", "contraction"):
-            original = getattr(matroid_module, name)
+        original = matroid_module.matroid_from_bases
 
-            def counted(*args, _original=original, _name=name):
-                built.append(_name)
-                return _original(*args)
+        def counted(*args):
+            built.append(args)
+            return original(*args)
 
-            for module in (matroid_module, verification):
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(matroid_module, "matroid_from_bases", counted)
         assert kl_defining_equation_holds(matroid)
         assert built == []
 
@@ -68,6 +67,18 @@ class TestDefiningEquation:
         monkeypatch.setattr(matroid_module, "_z_solve", original)
         clear_caches()
         assert kl_defining_equation_holds(matroid)
+
+
+class TestMinorsSweep:
+    def test_a_misplaced_prediction_fails(self, monkeypatch):
+        # without its offset, the contraction inside the second block of
+        # U(3, 3; 2) is isomorphic to the computed one, but labelled otherwise
+        original = verification.classify_minor
+        monkeypatch.setattr(
+            verification, "classify_minor", lambda *args: original(*args)._replace(offset=0)
+        )
+        report = verification.sweep_minors(6, jobs=1)
+        assert report.failures == (RhoUniformParams(3, 3, 2),)
 
 
 class TestProcessFanOut:
