@@ -287,7 +287,7 @@ def classify_minor(
     The prediction reads only ``p`` and the flat: it builds no minor and no
     lattice of flats, and verification compares the built class with the
     computed minor basis for basis.  Only the NotAFlat guard reads more: the
-    closure of the flat in the built U(m, d; rho).
+    flat indicator of the built U(m, d; rho).
     """
     if kind not in ("localization", "contraction"):
         raise ValueError(f"kind must be localization or contraction, got {kind!r}")
@@ -296,7 +296,7 @@ def classify_minor(
     full = ground_mask(p.n)
     if not 0 <= flat <= full:
         raise NotAFlat(f"bitmask {flat} outside the ground set of {p.label()}")
-    if build_rho_uniform(p).closure_of(flat) != flat:
+    if not build_rho_uniform(p)._flats >> flat & 1:
         raise NotAFlat(f"{set(elements_of(flat))} is not a flat of {p.label()}")
     blocks = removed_block_masks(p.d, p.rho)
     size = flat.bit_count()

@@ -11,12 +11,12 @@ that table satisfies the local rank axiom, which construction checks on the
 same indicators; the pairwise exchange search runs only to name a witness
 for a family that fails.  The same indicators give the flats, the sets
 that every element outside raises in rank, and the matroid keeps their
-indicator beside the table.  Each distinct family is validated once: the
-matroids that pass are kept in a bounded LRU memo keyed by the exact
-(n, sorted masks), so a family met again, a minor above all, returns the
-same matroid.  The lattice of flats, minors and the characteristic
-polynomial (Whitney's sum over all subsets) are read from the table and
-the flat indicator; nothing here needs Mobius values.
+indicator beside its table of one byte per subset.  Each distinct family is
+validated once: one bounded LRU memo keeps the matroids that pass by exact
+(n, sorted masks), and family members by (m, d, rho, offset) too, so a
+family met again, a minor above all, returns the same matroid.  The lattice
+of flats, minors and the characteristic polynomial (Whitney's sum over all
+subsets) are read from the table and the flat indicator, not Mobius values.
 
 The Kazhdan-Lusztig polynomial has two independent routes, each serving as
 the oracle that the other and the formula layer are checked against:
@@ -37,7 +37,6 @@ Neither route reads the other's results, nor any closed form.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from functools import lru_cache
 from itertools import chain, combinations, compress, zip_longest
 from typing import Collection, Iterable, NamedTuple
 
@@ -50,6 +49,7 @@ from .errors import (
     NotAFlat,
 )
 from .exactarith import IntPoly
+from .tableaux import _integers
 
 GroundSubset = int  # bitmask over {1..n}
 
@@ -106,7 +106,7 @@ class Matroid:
 
     __slots__ = ("n", "bases", "rank", "_rank_table", "_flats")
 
-    def __init__(self, n: int, bases: tuple[GroundSubset, ...], table: tuple[int, ...], flats: int):
+    def __init__(self, n: int, bases: tuple[GroundSubset, ...], table: bytes, flats: int):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "rank", bases[0].bit_count() if bases else 0)
@@ -134,8 +134,8 @@ class Matroid:
 
     # -- rank machinery -----------------------------------------------------
 
-    def rank_table(self) -> tuple[int, ...]:
-        """rank of every subset, indexed by bitmask (2**n entries)."""
+    def rank_table(self) -> bytes:
+        """rank of every subset, indexed by bitmask: one byte per subset, 2**n in all."""
         return self._rank_table
 
     def rank_of(self, subset: Collection[int] | GroundSubset) -> int:
@@ -200,7 +200,7 @@ def _spread(indicator: int, n: int) -> bytes:
     return bin(indicator)[:1:-1].encode().translate(_DIGITS_TO_BYTES).ljust(1 << n, b"\0")
 
 
-def _dp_rank_table(n: int, masks: Collection[GroundSubset]) -> tuple[tuple[int, ...], list[int]]:
+def _dp_rank_table(n: int, masks: Collection[GroundSubset]) -> tuple[bytes, list[int]]:
     """r(S) = max |S & B| over the given sets B, for every S, and the levels
     L_1, ..., L_top, where bit S of L_k marks r(S) >= k.
 
@@ -228,7 +228,7 @@ def _dp_rank_table(n: int, masks: Collection[GroundSubset]) -> tuple[tuple[int, 
         levels.append(level)
     # bit S of a level becomes byte S of its lane; rank <= 16 keeps each byte exact
     lanes = sum(int.from_bytes(_spread(level, n), "little") for level in levels)
-    return tuple(lanes.to_bytes(1 << n, "little")), levels
+    return lanes.to_bytes(1 << n, "little"), levels
 
 
 def _validated_flats(n: int, levels: list[int]) -> int | None:
@@ -283,29 +283,29 @@ def _exchange_witness(
 
 
 class _TableMemo:
-    """Validated matroids by exact (n, sorted masks), least recently used
-    first out once their rank tables exceed ``budget`` entries in all.
+    """Validated matroids by exact (n, sorted masks), and family members by
+    (m, d, rho, offset), least recently used first out once their rank
+    tables exceed ``budget`` bytes in all.
 
     A matroid holds no lattice of flats, so its table bounds what it keeps
-    alive.  The family builder ``_build_cached`` keeps at most 128 more
-    matroids of its own, outside the budget.
+    alive.  Every entry counts its table, a member under both keys twice.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self.held = 0
-        self._matroids: OrderedDict[tuple[int, tuple[int, ...]], Matroid] = OrderedDict()
+        self._matroids: OrderedDict[tuple, Matroid] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._matroids)
 
-    def get(self, key: tuple[int, tuple[int, ...]]) -> Matroid | None:
+    def get(self, key: tuple) -> Matroid | None:
         matroid = self._matroids.get(key)
         if matroid is not None:
             self._matroids.move_to_end(key)
         return matroid
 
-    def put(self, key: tuple[int, tuple[int, ...]], matroid: Matroid) -> None:
+    def put(self, key: tuple, matroid: Matroid) -> None:
         self._matroids[key] = matroid
         self.held += 1 << matroid.n
         while self.held > self.budget:
@@ -316,7 +316,7 @@ class _TableMemo:
         self.held = 0
 
 
-# 2**20 entries is about 8 MB of slots: sixteen 16-element tables
+# 2**20 bytes, about 1 MB of tables: sixteen 16-element ones
 _TABLE_MEMO = _TableMemo(1 << 20)
 
 
@@ -336,12 +336,15 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
     """Validate a basis system and build the matroid.
 
     Bases may be given as collections of elements in 1..n or as bitmasks.
-    Raises InvalidParameters when n exceeds MAX_GROUND, and EmptyBases,
-    MixedCardinality, or ExchangeAxiomViolation (with a witnessing pair and
-    element) when the family is not a basis system.  A family that passed
-    before, in any order or form, returns the memoized matroid itself; a
-    family that failed is checked again and raises again.
+    Raises InvalidParameters when n is not an integer or exceeds MAX_GROUND,
+    ValueError when it is negative, and EmptyBases, MixedCardinality, or
+    ExchangeAxiomViolation (with a witnessing pair and element) when the
+    family is not a basis system.  A family that passed before, in any order
+    or form, returns the memoized matroid itself; a family that failed is
+    checked again and raises again.
     """
+    if type(n) is not int:
+        (n,) = _integers(InvalidParameters, n=n)
     if n < 0:
         raise ValueError(f"ground set size must be non-negative, got {n}")
     check_ground_size(n)
@@ -382,18 +385,21 @@ def removed_block_masks(d: int, rho: int, offset: int = 0) -> list[GroundSubset]
     return [block << (offset + ell * d) for ell in range(rho if d else 0)]
 
 
-@lru_cache(maxsize=128, typed=True)
 def _build_cached(m: int, d: int, rho: int, offset: int) -> Matroid:
-    """U(m, d) minus the rho consecutive d-blocks starting after label
-    ``offset``; the caller has validated (m, d, rho, offset)."""
-    n = m + d
-    check_ground_size(n)
-    removed = set(removed_block_masks(d, rho, offset))
-    return matroid_from_bases(n, [b for b in d_subsets(n, d) if b not in removed])
+    """U(m, d) minus the rho consecutive d-blocks after label ``offset``, kept
+    in the memo under (m, d, rho, offset) too; the caller validated the ints."""
+    known = _TABLE_MEMO.get((m, d, rho, offset))
+    if known is None:
+        check_ground_size(n := m + d)
+        removed = set(removed_block_masks(d, rho, offset))
+        known = matroid_from_bases(n, [b for b in d_subsets(n, d) if b not in removed])
+        _TABLE_MEMO.put((m, d, rho, offset), known)
+    return known
 
 
 def uniform_matroid(m: int, d: int) -> Matroid:
     """Rank-d matroid on m + d elements whose bases are all d-subsets."""
+    m, d = _integers(InvalidParameters, m=m, d=d)
     if m < 0 or d < 0:
         raise ValueError(f"uniform matroid needs m, d >= 0 (got m={m}, d={d})")
     return _build_cached(m, d, 0, 0)
@@ -413,7 +419,7 @@ class FlatLattice(NamedTuple):
 
 
 def _minor_bases(
-    table: tuple[int, ...], kept: tuple[int, ...], size: int, anchor: int, want: int
+    table: bytes, kept: tuple[int, ...], size: int, anchor: int, want: int
 ) -> list[GroundSubset]:
     """The size-subsets S of the kept bits with r(S | anchor) == want, each
     relabelled onto bits 1, 2, 4, ... in the kept bits' order.
@@ -656,7 +662,6 @@ def _recurrence_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
 
 def clear_caches() -> None:
     _TABLE_MEMO.clear()
-    _build_cached.cache_clear()
     _KL_CACHE.clear()
     _RECURRENCE_CACHE.clear()
 

@@ -28,6 +28,7 @@ from klmatroids.exactarith import IntPoly
 from klmatroids.matroid import (
     Matroid,
     char_poly,
+    clear_caches,
     contraction,
     elements_of,
     ground_mask,
@@ -365,7 +366,7 @@ class TestClassifyMinor:
     @pytest.mark.parametrize("fields", [(2.0, 3), (2, 3.0), (2, 3, 0.0), (2, 3, 0, 0.0)])
     def test_build_refuses_a_float_cold_and_after_the_int(self, fields):
         # a float equal to an int must not find the int's cached matroid
-        closedforms._build_cached.cache_clear()
+        clear_caches()
         for _ in ("cold", "warm"):
             with pytest.raises(InvalidParameters, match="must be integers"):
                 MinorClass(*fields).build()

@@ -3,6 +3,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -139,6 +140,23 @@ class TestConstruction:
             "ground set of size 40 exceeds the 16 element limit for matroids"
         ] * 2
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [(uniform_matroid, (2.0, 3)), (uniform_matroid, (2, 3.0)), (matroid_from_bases, (4.0, [3, 5]))],
+    )
+    def test_a_float_is_refused_cold_and_after_the_int(self, fresh_caches, build, args):
+        # a float equal to an int must not find the int's memo entry
+        exact = [int(a) if type(a) is float else a for a in args]
+        for _ in ("cold", "warm"):
+            with pytest.raises(InvalidParameters, match="must be integers"):
+                build(*args)
+            build(*exact)  # the int's entry, for the warm pass
+
+    def test_negative_sizes_are_a_value_error(self):
+        for build in (lambda: uniform_matroid(-1, 3), lambda: matroid_from_bases(-1, [0])):
+            with pytest.raises(ValueError, match=">= 0|non-negative"):
+                build()
+
     def test_missing_witness_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(matroid_module, "_exchange_witness", lambda ordered: None)
         with pytest.raises(RuntimeError):
@@ -244,7 +262,7 @@ def _check_packed_against_reference(n: int, family: list[frozenset[int]]) -> boo
     masks = sorted(mask_from(b, n) for b in family)
     table, levels = matroid_module._dp_rank_table(n, masks)
     want = dp_rank_table(n, masks)
-    assert type(table) is tuple and list(table) == want
+    assert type(table) is bytes and list(table) == want
     verdict = closure_keeps_rank(n, want)
     flats = matroid_module._validated_flats(n, levels)
     assert (flats is not None) == verdict
@@ -304,7 +322,7 @@ class TestValidatorEquivalence:
             _check_packed_against_reference(n, sorted(chosen, key=sorted))
 
     def test_packed_kernel_on_the_smallest_and_largest_ground_sets(self):
-        assert matroid_module._dp_rank_table(0, [0]) == ((0,), [])
+        assert matroid_module._dp_rank_table(0, [0]) == (b"\0", [])
         assert _check_packed_against_reference(0, [frozenset()])
         assert _check_packed_against_reference(16, [frozenset(range(3, 11))])
         assert _check_packed_against_reference(16, _d_subsets(16, 8)[1:])
@@ -423,6 +441,11 @@ class TestFlats:
                     assert m.lattice() == closure_lattice(n, m.rank_table()), (n, d, m)
                     checked += 1
         assert checked == 126
+
+    @pytest.mark.parametrize("p", [(8, 8), (8, 8, 1), (4, 12), (1, 15)])
+    def test_lattice_matches_the_closure_sweep_at_sixteen_elements(self, p):
+        m = build_rho_uniform(RhoUniformParams(*p))
+        assert m.lattice() == closure_lattice(16, m.rank_table())
 
     def test_minors_refuse_every_non_flat_and_loops_leave_out_the_empty_set(self):
         matroids = looped = 0
@@ -551,6 +574,23 @@ class TestTableMemo:
         build_rho_uniform(p)
         clear_caches()
         assert build_rho_uniform(p) is matroid_from_bases(p.n, build_rho_uniform(p).bases)
+
+    def test_the_sixteen_element_family_stays_within_budget(self, fresh_caches):
+        # every family member is kept in the memo alone, so building all 49
+        # points keeps at most sixteen 2**16-byte tables alive
+        points = [p for p in family_grid(16, min_d=0) if p.n == 16]
+        assert len(points) == 49
+        tracemalloc.start()
+        try:
+            for p in points:
+                build_rho_uniform(p)
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        memo = matroid_module._TABLE_MEMO
+        assert memo.held <= memo.budget and traced < 8 << 20
+        last = points[-1]
+        assert build_rho_uniform(last) is matroid_from_bases(last.n, build_rho_uniform(last).bases)
 
     def test_held_tables_stay_within_budget(self, fresh_caches):
         # seventeen distinct 16-element tables, 2**16 entries each, exceed the
