@@ -8,9 +8,10 @@ rho * d <= m + d elements of room.
 
 The family's rules are written once, here, and read from here: the valid
 rho for one (m, d) (``valid_rhos``), every valid point up to a size
-(``family_grid``) and the indices of the KL coefficients
-(``coefficient_range``).  The matroids come from the cached family builder
-of ``matroid``, beside the removed blocks as bitmasks (``removed_block_masks``).
+(``family_grid``), the indices of the KL coefficients (``coefficient_range``)
+and the flats (``_is_flat``).  The matroids come from the cached family
+builder of ``matroid``, beside the removed blocks as bitmasks
+(``removed_block_masks``).
 
 ``ROUTES`` is the one table of the routes to a KL coefficient, each with
 its domain, and ``Route.poly`` assembles a route's polynomial; every
@@ -27,7 +28,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .errors import InvalidParameters, NonIntegerResult, NotAFlat
-from .exactarith import IntPoly, binomial
+from .exactarith import IntPoly, _integers, binomial
 from .matroid import (
     GroundSubset,
     Matroid,
@@ -41,7 +42,6 @@ from .matroid import (
     removed_block_masks,
 )
 from .tableaux import (
-    _integers,
     check_cell_count,
     count_overline_skyt,
     count_skyt,
@@ -271,6 +271,15 @@ class MinorClass(NamedTuple):
         return _build_cached(m, d, rho, offset)
 
 
+def _is_flat(p: RhoUniformParams, blocks: list[GroundSubset], mask: GroundSubset) -> bool:
+    """The flat rule of U(m, d; rho) with removed ``blocks``: the sets of at most
+    d - 2 elements, the (d - 1)-sets inside no block, the blocks and E."""
+    size = mask.bit_count()
+    if size == p.d - 1:
+        return not any(mask & block == mask for block in blocks)
+    return size < p.d - 1 or mask in blocks or mask == ground_mask(p.n)
+
+
 def classify_minor(
     p: RhoUniformParams, flat, kind: str
 ) -> MinorClass:
@@ -284,10 +293,9 @@ def classify_minor(
     minors relabel in element order and the image of the block minus F
     follows the l * d labels before it.  Every other class has offset 0.
 
-    The prediction reads only ``p`` and the flat: it builds no minor and no
-    lattice of flats, and verification compares the built class with the
-    computed minor basis for basis.  Only the NotAFlat guard reads more: the
-    flat indicator of the built U(m, d; rho).
+    It reads only ``p`` and the flat, its NotAFlat guard too (``_is_flat``),
+    and builds no matroid; verification compares the built class with the
+    computed minor basis for basis.
     """
     if kind not in ("localization", "contraction"):
         raise ValueError(f"kind must be localization or contraction, got {kind!r}")
@@ -296,9 +304,9 @@ def classify_minor(
     full = ground_mask(p.n)
     if not 0 <= flat <= full:
         raise NotAFlat(f"bitmask {flat} outside the ground set of {p.label()}")
-    if not build_rho_uniform(p)._flats >> flat & 1:
-        raise NotAFlat(f"{set(elements_of(flat))} is not a flat of {p.label()}")
     blocks = removed_block_masks(p.d, p.rho)
+    if not _is_flat(p, blocks, flat):
+        raise NotAFlat(f"{set(elements_of(flat))} is not a flat of {p.label()}")
     size = flat.bit_count()
     if kind == "localization":
         if flat == full:
@@ -319,17 +327,8 @@ def classify_minor(
 
 
 def expected_flats(p: RhoUniformParams) -> set[GroundSubset]:
-    """The flats of U(m, d; rho) predicted structurally.
-
-    Every subset of size at most d - 2, the size d - 1 subsets contained in
-    no removed block, the removed blocks themselves, and the full ground set.
-    """
-    n, d = p.n, p.d
-    blocks = removed_block_masks(d, p.rho)
-    out: set[GroundSubset] = {ground_mask(n), *blocks}
-    for size in range(d):
-        for mask in d_subsets(n, size):
-            if size == d - 1 and any(mask & block == mask for block in blocks):
-                continue
-            out.add(mask)
-    return out
+    """The flats of U(m, d; rho) by the rule ``_is_flat``, which admits only
+    sets of fewer than d elements, the removed blocks and the ground set."""
+    blocks = removed_block_masks(p.d, p.rho)
+    small = [mask for size in range(p.d) for mask in d_subsets(p.n, size)]
+    return {mask for mask in [ground_mask(p.n), *blocks, *small] if _is_flat(p, blocks, mask)}

@@ -1,4 +1,4 @@
-"""Exact arithmetic primitives: binomials, signs and integer polynomials.
+"""Exact arithmetic: the integer gate, binomials, signs and integer polynomials.
 
 Everything in this module (and in the package built on top of it) is exact:
 Python integers for counts, polynomial coefficients and every identity
@@ -11,6 +11,20 @@ from __future__ import annotations
 import math
 from operator import index
 from typing import Iterable
+
+from .errors import KlmatroidsError
+
+
+def _integers(error: type[KlmatroidsError], **values) -> tuple[int, ...]:
+    """The values through ``operator.index``; ``error``, naming every value, if
+    one is not an integer.  Every entry point passes its parameters through
+    here first, since a float equal to a cached int would find the int's
+    entry; the hot ones call it only when a value's type is not int."""
+    try:
+        return tuple([index(v) for v in values.values()])
+    except TypeError:
+        named = ", ".join(f"{name}={v!r}" for name, v in values.items())
+        raise error(f"parameters must be integers, got {named}") from None
 
 
 def binomial(n: int, k: int) -> int:

@@ -48,8 +48,7 @@ from .errors import (
     MixedCardinality,
     NotAFlat,
 )
-from .exactarith import IntPoly
-from .tableaux import _integers
+from .exactarith import IntPoly, _integers
 
 GroundSubset = int  # bitmask over {1..n}
 
@@ -387,13 +386,16 @@ def removed_block_masks(d: int, rho: int, offset: int = 0) -> list[GroundSubset]
 
 def _build_cached(m: int, d: int, rho: int, offset: int) -> Matroid:
     """U(m, d) minus the rho consecutive d-blocks after label ``offset``, kept
-    in the memo under (m, d, rho, offset) too; the caller validated the ints."""
+    in the memo under (m, d, rho, offset) too; the caller validated the ints.
+    A hit refreshes both entries, so the (n, bases) one never ages out first."""
     known = _TABLE_MEMO.get((m, d, rho, offset))
     if known is None:
         check_ground_size(n := m + d)
         removed = set(removed_block_masks(d, rho, offset))
         known = matroid_from_bases(n, [b for b in d_subsets(n, d) if b not in removed])
         _TABLE_MEMO.put((m, d, rho, offset), known)
+    elif _TABLE_MEMO.get(known.key()) is None:
+        _TABLE_MEMO.put(known.key(), known)
     return known
 
 

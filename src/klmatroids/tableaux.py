@@ -48,8 +48,8 @@ from math import factorial
 from operator import index, itemgetter
 from typing import NamedTuple
 
-from .errors import IndexOutOfRange, InvalidParameters, InvalidShape, KlmatroidsError
-from .exactarith import binomial
+from .errors import IndexOutOfRange, InvalidParameters, InvalidShape
+from .exactarith import _integers, binomial
 
 MAX_FILLINGS = 10**6
 """Enumeration refuses a shape with more legal fillings than this: it holds
@@ -59,18 +59,6 @@ MAX_CELLS = 64
 """Enumeration and the direct count refuse a shape with more cells than this.
 Thin shapes such as (a, 1, 2) stay under MAX_FILLINGS with a thousand cells,
 and their fillings would hold a billion entries between them."""
-
-
-def _integers(error: type[KlmatroidsError], **values) -> tuple[int, ...]:
-    """The values through ``operator.index``; ``error``, naming every value, if
-    one is not an integer.  Every entry point passes its parameters through
-    here first, since a float equal to a cached int would find the int's
-    entry; the hot ones call it only when a value's type is not int."""
-    try:
-        return tuple([index(v) for v in values.values()])
-    except TypeError:
-        named = ", ".join(f"{name}={v!r}" for name, v in values.items())
-        raise error(f"parameters must be integers, got {named}") from None
 
 
 def _column_heights(a: int, i: int, b: int) -> tuple[int, ...]:

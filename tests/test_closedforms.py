@@ -377,17 +377,40 @@ class TestClassifyMinor:
             classify_minor(self.P231, {1, 2}, "localization")
 
     def test_reads_only_the_parameters_and_the_flat(self, monkeypatch):
-        p = RhoUniformParams(3, 3, 2)
+        # the predictions and the matroid they are checked against stay apart
         kinds = ("localization", "contraction")
-        want = {(f, k): classify_minor(p, f, k) for f in expected_flats(p) for k in kinds}
+        lattices = {p: build_rho_uniform(p).lattice().flats for p in family_grid(8, min_d=0)}
+        want = {
+            p: {(f, k): classify_minor(p, f, k) for f in flats for k in kinds}
+            for p, flats in lattices.items()
+        }
 
         def refuse(*args):
-            raise AssertionError("classify_minor built a minor, a lattice or a KL polynomial")
+            raise AssertionError("a prediction built a matroid, a minor, a lattice or a KL polynomial")
 
         monkeypatch.setattr(Matroid, "lattice", refuse)
         for name in ("localization", "contraction", "kl_poly", "kl_poly_recurrence"):
             monkeypatch.setattr(matroid_module, name, refuse)
-        assert {(f, k): classify_minor(p, f, k) for f, k in want} == want
+        for name in ("build_rho_uniform", "_build_cached"):
+            monkeypatch.setattr(closedforms, name, refuse)
+        for p, flats in lattices.items():
+            assert {(f, k): classify_minor(p, f, k) for f in flats for k in kinds} == want[p]
+            assert expected_flats(p) == set(flats), p
+
+    def test_refuses_exactly_the_sets_the_oracle_does_not_close(self):
+        calls = 0
+        for p in family_grid(9, min_d=0):
+            flats = build_rho_uniform(p)._flats
+            for mask in range(1 << p.n):
+                for kind in ("localization", "contraction"):
+                    calls += 1
+                    try:
+                        classify_minor(p, mask, kind)
+                        refused = False
+                    except NotAFlat:
+                        refused = True
+                    assert refused == (not flats >> mask & 1), (p, mask, kind)
+        assert calls == 38644
 
     def test_claims_verified_by_isomorphism(self):
         # the offset only places the removed block: at offset 0 the class

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import resource
@@ -607,6 +608,17 @@ class TestTableMemo:
         assert keys[1] not in memo._matroids
         assert all(key in memo._matroids for key in keys[:1] + keys[2:])
 
+    def test_a_family_hit_keeps_the_bases_entry_alive(self, fresh_caches):
+        # sixteen other 16-element tables go through the memo while the family
+        # point is met under its (m, d, rho, offset) key between each one
+        p = RhoUniformParams(8, 8, 1)
+        first = build_rho_uniform(p)
+        for e in range(16):
+            matroid_from_bases(16, [1 << e])
+            assert build_rho_uniform(p) is first
+        assert first.key() in matroid_module._TABLE_MEMO._matroids
+        assert matroid_from_bases(16, first.bases) is first
+
 
 class TestCharPoly:
     def test_examples(self):
@@ -898,6 +910,19 @@ class TestOracleRoutes:
         block_2 = element_contraction(parent, mask_from({5, 6}, 8))
         assert block_1 != block_2 and {block_1, block_2} <= set(calls)
         assert is_isomorphic(matroid_from_bases(*block_1), matroid_from_bases(*block_2))
+
+
+class TestImports:
+    @pytest.mark.parametrize("module", ["matroid", "tableaux"])
+    def test_the_core_reads_only_errors_and_exactarith(self, module):
+        # neither core module reads the other: the oracle never sees a tableau count
+        tree = ast.parse((Path(klmatroids.__file__).parent / f"{module}.py").read_text())
+        imported = {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+        }
+        assert imported <= {"errors", "exactarith"}, imported
 
 
 class TestIsomorphism:
