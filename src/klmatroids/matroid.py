@@ -288,6 +288,7 @@ class _TableMemo:
 
     A matroid holds no lattice of flats, so its table bounds what it keeps
     alive.  Every entry counts its table, a member under both keys twice.
+    An evicted key takes its Z-route result (``_KL_CACHE``) with it.
     """
 
     def __init__(self, budget: int):
@@ -297,6 +298,9 @@ class _TableMemo:
 
     def __len__(self) -> int:
         return len(self._matroids)
+
+    def __contains__(self, key: tuple) -> bool:
+        return key in self._matroids
 
     def get(self, key: tuple) -> Matroid | None:
         matroid = self._matroids.get(key)
@@ -308,7 +312,9 @@ class _TableMemo:
         self._matroids[key] = matroid
         self.held += 1 << matroid.n
         while self.held > self.budget:
-            self.held -= 1 << self._matroids.popitem(last=False)[1].n
+            old_key, old = self._matroids.popitem(last=False)
+            self.held -= 1 << old.n
+            _KL_CACHE.pop(old_key, None)
 
     def clear(self) -> None:
         self._matroids.clear()
@@ -484,10 +490,11 @@ def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matro
 # a matroid, never by isomorphism class: the oracle must stay independent of
 # the minor predictions it is used to verify.  Plain dicts are fine under the
 # GIL; a concurrent duplicate insert just recomputes the same immutable value.
-# P from the Z-polynomial solver
+# P from the Z-polynomial solver, kept only while _TABLE_MEMO holds the matroid
 _KL_CACHE: dict[tuple[int, tuple[int, ...]], IntPoly] = {}
 # (P, right-hand side of the recurrence that P was solved from); kept apart
-# from _KL_CACHE so that the two routes never read each other's results
+# from _KL_CACHE so that the two routes never read each other's results.
+# Unbounded: each solve reads its minors' entries, which a bound would drop
 _RECURRENCE_CACHE: dict[tuple[int, tuple[int, ...]], tuple[IntPoly, IntPoly]] = {}
 
 
@@ -520,13 +527,16 @@ def kl_poly(matroid: Matroid) -> IntPoly:
     makes it so (Proudfoot, Xu and Young, "The Z-polynomial of a matroid").
     Applied to every contraction M/F, from the largest subsets of the ground
     set down, this gives P_{M/F} for every flat F from the rank table alone.
-    Memoized on the exact (n, bases) representation.  Rank 0 gives 1, loops
-    or not; a loop in positive rank raises HasLoops.
+    Memoized on the exact (n, bases) representation while ``_TABLE_MEMO``
+    holds the matroid.  Rank 0 gives 1, loops or not; a loop in positive rank
+    raises HasLoops.
     """
     key = matroid.key()
     cached = _KL_CACHE.get(key)
     if cached is None:
-        cached = _KL_CACHE[key] = _z_solve(matroid)
+        cached = _z_solve(matroid)
+        if key in _TABLE_MEMO:
+            _KL_CACHE[key] = cached
     return cached
 
 

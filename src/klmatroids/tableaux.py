@@ -17,12 +17,14 @@ enumeration, the legality test and the rotation need to know about a shape
 is worked out from its column heights once per shape, on first use, and
 kept in one bounded table (``_LAYOUTS``, keyed by the shape): where each
 column starts, the bitmask of the cells above and to the left of each cell,
-the index pairs whose entries must increase, the set 1..n, the mirror shape
-(b, i, a), and the flip table v -> n + 1 - v.  In column-major order the
-half-turn rotation reverses the entries, so a rotation is one reversed
-slice read through the flip table, and a legality test is one set
-comparison and one pass over the pairs.  The fillings are not kept, and
-each ``enumerate_skyt`` call lists them afresh.
+the index pairs whose entries must increase, the set 1..n, and the mirror
+shape (b, i, a).  In column-major order the half-turn rotation reverses the
+entries, so a rotation is one pass over the reversed entries that maps each
+v to n + 1 - v, and a legality test is one set comparison and one pass over
+the pairs.  A cell can take the next value once every cell of its bitmask is
+filled; that rule is written once (``_addable``), and both the enumeration
+and the direct count grow their order ideals by it.  The fillings are not
+kept, and each ``enumerate_skyt`` call lists them afresh.
 
 Counts need no enumeration.  ``count_skyt`` is an inclusion-exclusion over
 straight-shape counts ``count_syt``, and the hooks of those straight shapes
@@ -45,7 +47,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from math import factorial
-from operator import index, itemgetter
+from operator import index
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InvalidParameters, InvalidShape
@@ -96,8 +98,7 @@ class _Layout(NamedTuple):
     starts: tuple[int, ...]  # column c is entries[starts[c]:starts[c + 1]]
     need: tuple[int, ...]  # bitmask of the cells above and left of each cell
     pairs: tuple[tuple[int, int], ...]  # (smaller, larger) entry indices
-    values: frozenset[int]  # 1..n, flip's keys as a set: is_legal compares one set with it
-    flip: dict[int, int]  # v -> n + 1 - v for v in 1..n
+    values: frozenset[int]  # 1..n: is_legal compares one set with it
 
 
 def _build_layout(a: int, i: int, b: int) -> _Layout:
@@ -125,7 +126,6 @@ def _build_layout(a: int, i: int, b: int) -> _Layout:
         tuple(need),
         tuple(pairs),
         frozenset(range(1, n + 1)),
-        {v: n + 1 - v for v in range(1, n + 1)},
     )
 
 
@@ -210,16 +210,26 @@ class Filling(NamedTuple):
         return cls.from_columns(payload["a"], payload["i"], payload["b"], payload["columns"])
 
 
+def _addable(need: tuple[int, ...], filled: int) -> list[tuple[int, int]]:
+    """(k, filled | 1 << k) for each empty cell k whose cells above and to the
+    left, ``need[k]``, are all filled: each way the order ideal ``filled``
+    of the cell poset grows by one cell."""
+    return [
+        (k, filled | 1 << k)
+        for k, needed in enumerate(need)
+        if not filled >> k & 1 and filled & needed == needed
+    ]
+
+
 def _legal_entries(layout: _Layout) -> list[tuple[int, ...]]:
     """The entries of every legal filling, in no particular order.
 
-    Places 1, 2, ..., n in turn, each into any empty cell whose cells above
-    and to the left are filled, so every prefix stays legal.  Which cells are
-    open depends only on the set of filled cells; each such set's open cells
-    are listed once.  The last two values go in without a further call:
-    n - 1 into each open cell in turn, and n into the one cell then left
-    empty.  The recursion is as deep as the shape has cells, at most
-    MAX_CELLS, well inside the interpreter's recursion limit.
+    Places 1, 2, ..., n in turn, each into any cell ``_addable`` offers, so
+    every prefix stays legal.  Those cells depend only on the set of filled
+    cells; each such set's are listed once.  The last two values go in
+    without a further call: n - 1 into each open cell in turn, and n into
+    the one cell then left empty.  The recursion is as deep as the shape has
+    cells, at most MAX_CELLS, well inside the interpreter's recursion limit.
     """
     need = layout.need
     n = len(need)
@@ -229,12 +239,7 @@ def _legal_entries(layout: _Layout) -> list[tuple[int, ...]]:
     open_after: dict[int, list[tuple[int, int]]] = {}
 
     def list_open(filled: int) -> list[tuple[int, int]]:
-        cells = [
-            (k, filled | 1 << k)
-            for k in range(n)
-            if not filled >> k & 1 and filled & need[k] == need[k]
-        ]
-        open_after[filled] = cells
+        cells = open_after[filled] = _addable(need, filled)
         return cells
 
     def place(value: int, filled: int) -> None:
@@ -378,27 +383,13 @@ def involution_rotate(f: Filling) -> Filling:
     Sends legal fillings of (a, i, b) to legal fillings of (b, i, a); applying
     it twice gives back the original filling.  Column c of the image is
     column i - c, reversed, so the column-major entries come out in reverse
-    order.
-
-    The mirror shape and the flip table come from the shape's layout, and
-    the reversed entries are read through the table in one ``itemgetter``
-    call.  The table serves only n entries that are ints in 1..n.  A float
-    or Decimal equal to such an int would find it in the table, but it makes
-    the sum of the entries non-int.  Any other entries (a value outside
-    1..n, a value that is not an int, or a number of entries other than n)
-    go term by term: each v becomes len(entries) + 1 - v, of whatever type
-    that arithmetic gives.
+    order.  n is the number of entries, and n + 1 - v has whatever type that
+    arithmetic gives.
     """
     shape, entries = f
-    layout = _LAYOUTS[shape]
-    try:
-        if len(entries) == len(layout.need) and type(sum(entries)) is int:
-            image = itemgetter(*entries[::-1])(layout.flip)
-            return tuple.__new__(Filling, (layout.mirror, image))
-    except (KeyError, TypeError):
-        pass
     top = len(entries) + 1
-    return tuple.__new__(Filling, (layout.mirror, tuple([top - v for v in reversed(entries)])))
+    image = tuple([top - v for v in reversed(entries)])
+    return tuple.__new__(Filling, (_LAYOUTS[shape].mirror, image))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -481,12 +472,9 @@ def _fillings_and_misses(layout: _Layout, d: int, rho: int) -> tuple[int, int]:
         meets = {k for k, lo, hi in windows if lo <= step <= hi}
         after: dict[int, tuple[int, int]] = {}
         for filled, (every, misses) in level.items():
-            for k in range(n):
-                bit = 1 << k
-                if filled & bit or filled & need[k] != need[k]:
-                    continue
-                old_every, old_misses = after.get(filled | bit, (0, 0))
-                after[filled | bit] = (
+            for k, grown in _addable(need, filled):
+                old_every, old_misses = after.get(grown, (0, 0))
+                after[grown] = (
                     old_every + every,
                     old_misses if k in meets else old_misses + misses,
                 )

@@ -619,6 +619,17 @@ class TestTableMemo:
         assert first.key() in matroid_module._TABLE_MEMO._matroids
         assert matroid_from_bases(16, first.bases) is first
 
+    def test_z_results_leave_with_their_matroids(self, monkeypatch, fresh_caches):
+        # a 2**12-byte budget holds at most two 10-element family members, so
+        # most of the grid's matroids are evicted while their results are used
+        memo = matroid_module._TABLE_MEMO
+        monkeypatch.setattr(memo, "budget", 1 << 12)
+        for p in family_grid(10, min_d=0):
+            assert kl_poly(build_rho_uniform(p)) == kl_poly_rho(p), p
+        results = matroid_module._KL_CACHE
+        unheld = [key for key in results if key not in memo._matroids]
+        assert results and not unheld, f"{len(unheld)} of {len(results)} results outlive their matroid"
+
 
 class TestCharPoly:
     def test_examples(self):
