@@ -16,9 +16,12 @@ checked before any coefficient: m + d <= COEFF_MAX_N in ``klm coeff`` and
 KLPOLY_MAX_N in ``klm klpoly``, ``klm verify --max-n`` at VERIFY_MAX_N and
 ``klm table`` at TABLE_MAX.
 
-Only ``klm verify`` loads ``verification``, and with it the process pool
-(``concurrent.futures`` and ``multiprocessing``); every other command starts
-without them.
+Only ``klm verify`` loads ``verification``, and with it the sweep pool: with
+``--jobs`` above 1, worker processes made with ``os.fork`` that take pickled
+chunks of points over pipes.  A checker's error reaches ``klm verify`` as
+itself, a worker that dies as ``verification.BrokenPool``; where ``os.fork``
+is missing, every sweep runs in the one process.  No module loads
+``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -40,12 +43,14 @@ from .tableaux import (
     validate_family_params,
 )
 
-VERIFY_MAX_N = 12
+VERIFY_MAX_N = 14
 """The largest ``klm verify --max-n``, for every suite.  With 2 workers on a
-2-core VM, ``--suite all`` takes 4.9 s at 12 and 9.8 s at 13; at 14 the two
-sweeps that walk every flat lead: ``minors`` (both minor families of every
-flat) 8.8 s, ``theorem1`` (the defining recurrence) 6.2 s, every other suite
-under 3.5 s."""
+2-core VM with CPython 3.11, ``--suite all`` takes 6.7 s at 12 and 22.8 s at
+14.  At 14 the two sweeps that walk every flat lead: ``minors`` (both minor
+families of every flat) 10.0 s and ``theorem1`` (the defining recurrence)
+8.0 s, then ``symmetry`` 3.8 s (its grid is fixed), ``theorem2`` 0.6 s and
+every other suite under 0.3 s; at 12 they take 1.2, 1.8, 3.5 and 0.1 s.
+The cap keeps the whole battery under half a minute."""
 
 TABLE_MAX = 70
 """The largest ``klm table --m-max`` and ``--d-max``.  On a 2-core VM with

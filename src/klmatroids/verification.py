@@ -10,23 +10,31 @@ order, to :meth:`IdentityReport.of`.  Heavy sweeps accept a ``jobs``
 argument: grid points are independent pure computations, so they
 parallelize freely.
 
-With ``jobs`` > 1 the sweeps share one process pool of min(``jobs``,
-default_jobs()) workers, forked on first use and kept for every later sweep
-that comes to the same worker count; another worker count shuts it down
-before a new pool is forked, and any error from a sweep drops it.  The
-workers keep their memos from sweep to sweep, and they run the library as it
-was at the fork: a test that monkeypatches library code must sweep with
-``jobs=1``.
+With ``jobs`` > 1 the sweeps share one pool of min(``jobs``, default_jobs())
+worker processes, made with ``os.fork`` on the first sweep that fans out and
+kept for every later sweep that comes to the same worker count; another
+worker count kills and reaps it before a new pool is forked.  The parent
+hands out chunks of points on demand, each a whole pickled message on one
+pipe per worker, and reads the answers with ``select``.  Any error from a
+sweep kills, reaps and drops the pool: a checker's exception reaches the
+caller as itself (as a ``RuntimeError`` naming its type and message if it
+does not survive pickling), and a worker that ends before it answers raises
+:class:`BrokenPool`.  The workers keep their memos from sweep to sweep, and
+they run the library as it was at the fork: a test that monkeypatches
+library code must sweep with ``jobs=1``.  Where ``os.fork`` is missing,
+every sweep runs in this process.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
-# Imported here, not in _shared_pool: importing this module is set-up, and a
-# deferred import would bill its 25-40 ms to whichever sweep first fans out.
-# The CLI imports this module only for `klm verify`.
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence
+# Imported here, not where the pool forks: importing this module is set-up,
+# and the CLI imports it only for `klm verify`.
+import pickle
+import select
+import signal
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from .closedforms import (
     ROUTES,
@@ -62,25 +70,152 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-_pool: ProcessPoolExecutor | None = None
-_pool_workers = 0
+class BrokenPool(RuntimeError):
+    """A worker of the sweep pool ended before it answered."""
 
 
-def _shared_pool(jobs: int) -> ProcessPoolExecutor:
-    """The kept pool of min(jobs, default_jobs()) workers, forked now if there is none.
+def _write_message(fd: int, message: bytes) -> None:
+    view = memoryview(len(message).to_bytes(8, "little") + message)
+    while view:
+        view = view[os.write(fd, view):]
 
-    The pool forks every worker on its first task, so it gets at most
-    default_jobs() of them, however many were asked for; a ``jobs`` that
-    comes to the same worker count keeps the pool.
+
+def _read_exactly(fd: int, size: int) -> bytearray | None:
+    data = bytearray()
+    while len(data) < size:
+        part = os.read(fd, size - len(data))
+        if not part:
+            return None
+        data += part
+    return data
+
+
+def _read_message(fd: int) -> bytearray | None:
+    """The next whole message on ``fd``, or None if its writer closed it first."""
+    header = _read_exactly(fd, 8)
+    return None if header is None else _read_exactly(fd, int.from_bytes(header, "little"))
+
+
+def _error_reply(error: Exception) -> bytes:
+    """``error`` and its traceback, pickled; an error that would not unpickle
+    is sent as a ``RuntimeError`` that names its type and message."""
+    import traceback
+
+    trace = "".join(traceback.format_exception(error))
+    try:
+        reply = pickle.dumps((False, (error, trace)))
+        pickle.loads(reply)
+    except Exception:
+        stand_in = RuntimeError(f"{type(error).__name__}: {error}")
+        reply = pickle.dumps((False, (stand_in, trace)))
+    return reply
+
+
+def _worker(tasks: int, results: int, inherited: list[int]) -> NoReturn:
+    """Answer each ``(checker, points)`` message on ``tasks`` with the checker's
+    results on ``results``, until the parent closes ``tasks``."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while (message := _read_message(tasks)) is not None:
+            checker, points = pickle.loads(message)
+            try:
+                reply = pickle.dumps((True, [checker(point) for point in points]))
+            except Exception as error:
+                reply = _error_reply(error)
+            _write_message(results, reply)
+        code = 0
+    finally:
+        # never the parent's exit path: no atexit hooks, no inherited buffers flushed
+        os._exit(code)
+
+
+class _ForkPool:
+    """``size`` forked workers, each with a task pipe and a result pipe.
+
+    Building one forks nothing; the first :meth:`map` forks the workers, and
+    :meth:`close` kills and reaps them.
     """
-    global _pool, _pool_workers
+
+    def __init__(self, size: int):
+        self.size = size
+        self.pids: list[int] = []
+        self._tasks: list[int] = []  # write ends, one per worker
+        self._results: list[int] = []  # read ends, one per worker
+
+    def _fork(self) -> None:
+        for _ in range(self.size):
+            task_read, task_write = os.pipe()
+            result_read, result_write = os.pipe()
+            self._tasks.append(task_write)
+            self._results.append(result_read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(task_read, result_write, self._tasks + self._results)
+            finally:
+                os.close(task_read)
+                os.close(result_write)
+            self.pids.append(pid)
+
+    def map(self, checker: Callable, points: Sequence, chunk: int) -> list:
+        """``checker`` at every point, in order; each chunk of ``chunk`` points
+        goes to whichever worker is free first."""
+        if not self.pids:
+            self._fork()
+        chunks = [points[start:start + chunk] for start in range(0, len(points), chunk)]
+        answers: list = [None] * len(chunks)
+        idle = list(range(self.size))
+        busy: dict[int, tuple[int, int]] = {}  # result fd -> (worker, chunk index)
+        sent = 0
+        while busy or sent < len(chunks):
+            while idle and sent < len(chunks):
+                worker = idle.pop()
+                message = pickle.dumps((checker, chunks[sent]))
+                try:
+                    _write_message(self._tasks[worker], message)
+                except BrokenPipeError:
+                    pass  # the worker is dead, so its result pipe reads as closed below
+                busy[self._results[worker]] = (worker, sent)
+                sent += 1
+            for fd in select.select(list(busy), [], [])[0]:
+                worker, index = busy.pop(fd)
+                reply = _read_message(fd)
+                if reply is None:
+                    raise BrokenPool(f"worker {self.pids[worker]} ended before it answered")
+                ok, answer = pickle.loads(reply)
+                if not ok:
+                    error, trace = answer
+                    raise error from RuntimeError(f"in worker {self.pids[worker]}:\n{trace}")
+                answers[index] = answer
+                idle.append(worker)
+        return [result for answer in answers for result in answer]
+
+    def close(self) -> None:
+        """Close every pipe, then kill and reap every worker."""
+        for fd in self._tasks + self._results:
+            os.close(fd)
+        for pid in self.pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+_pool: _ForkPool | None = None
+
+
+def _shared_pool(jobs: int) -> _ForkPool:
+    """The kept pool of min(jobs, default_jobs()) workers, built now if there is none.
+
+    A ``jobs`` that comes to the same worker count keeps the pool; another
+    count drops it first.
+    """
+    global _pool
     workers = min(jobs, default_jobs())
-    if _pool is not None and _pool_workers != workers:
-        # its manager thread must be gone before the next fork
+    if _pool is not None and _pool.size != workers:
         _drop_pool()
     if _pool is None:
-        _pool = ProcessPoolExecutor(max_workers=workers)
-        _pool_workers = workers
+        _pool = _ForkPool(workers)
     return _pool
 
 
@@ -88,20 +223,23 @@ def _drop_pool() -> None:
     global _pool
     pool, _pool = _pool, None
     if pool is not None:
-        pool.shutdown(wait=True, cancel_futures=True)
+        pool.close()
+
+
+atexit.register(_drop_pool)
 
 
 def _run_points(
     name: str, grid: str, points: Sequence, checker: Callable, jobs: int = 1
 ) -> IdentityReport:
     """The report of ``checker`` at every point, on the kept pool when ``jobs`` > 1."""
-    if jobs > 1 and len(points) > 1:
+    if jobs > 1 and len(points) > 1 and hasattr(os, "fork"):
         chunk = max(1, len(points) // (jobs * 4))
         pool = _shared_pool(jobs)
         try:
-            results = list(pool.map(checker, points, chunksize=chunk))
+            results = pool.map(checker, points, chunk)
         except BaseException:
-            # a broken pool (a worker died) or a failed point: start afresh
+            # a failed point, a dead worker or an interrupt: start afresh
             _drop_pool()
             raise
     else:

@@ -308,9 +308,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["theorem1", "minors", "all"])
     def test_max_n_capped(self, capsys, suite):
-        for max_n in ("13", "99"):
+        for max_n in ("15", "99"):
             code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", max_n)
-            assert code == 2 and "at most 12" in err and out == ""
+            assert code == 2 and "at most 14" in err and out == ""
 
     @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
     def test_empty_grid_is_usage_error(self, capsys, max_n):
@@ -359,10 +359,11 @@ class TestVerify:
 
 
 class TestStartUp:
-    @pytest.mark.parametrize("module", ["klmatroids", "klmatroids.cli"])
-    def test_loads_neither_dataclasses_nor_the_process_pool(self, module):
-        # only `klm verify` needs the pool, and nothing in the library needs
-        # fractions; site is skipped so that no .pth file imports anything first
+    HEAVY = ("dataclasses", "concurrent", "multiprocessing", "fractions", "decimal", "numbers")
+
+    @staticmethod
+    def modules_loaded_by(module: str) -> list[str]:
+        # site is skipped so that no .pth file imports anything first
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -379,13 +380,21 @@ class TestStartUp:
         assert done.returncode == 0 and done.stderr == ""
         added = done.stdout.split()
         assert module in added
+        return added
+
+    @pytest.mark.parametrize("module", ["klmatroids", "klmatroids.cli"])
+    def test_loads_neither_dataclasses_nor_the_process_pool(self, module):
+        # only `klm verify` needs the pool, and nothing in the library needs fractions
         heavy = [
-            name for name in added
-            if name.split(".")[0]
-            in ("dataclasses", "concurrent", "multiprocessing", "fractions", "decimal", "numbers")
-            or name == "klmatroids.verification"
+            name for name in self.modules_loaded_by(module)
+            if name.split(".")[0] in self.HEAVY or name == "klmatroids.verification"
         ]
         assert heavy == []
+
+    def test_the_sweep_pool_loads_no_executor(self):
+        # the pool is os.fork, pipes, pickle and select: no concurrent.futures
+        added = self.modules_loaded_by("klmatroids.verification")
+        assert [name for name in added if name.split(".")[0] in self.HEAVY] == []
 
 
 class TestOracleCapSetting:

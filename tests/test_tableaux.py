@@ -429,7 +429,7 @@ class TestInvolution:
         assert [type(v) for v in image.entries] == [type(v) for v in want]
 
     def test_rotation_and_legality_at_the_cell_cap(self):
-        # 64 cells: the largest flip table, and 1,952 fillings
+        # 64 cells: the largest shape, and 1,952 fillings
         a, i, b = 2, 1, MAX_CELLS - 2
         fillings = enumerate_skyt(a, i, b)
         assert len(fillings) == 1952

@@ -1,16 +1,19 @@
+import gc
 import os
+import pickle
 import signal
-from concurrent.futures.process import BrokenProcessPool
+import warnings
 
 import pytest
 
 from klmatroids import matroid as matroid_module
 from klmatroids import verification
 from klmatroids.closedforms import RhoUniformParams, build_rho_uniform
+from klmatroids.errors import ExchangeAxiomViolation
 from klmatroids.exactarith import IntPoly
 from klmatroids.identities import IdentityReport
 from klmatroids.matroid import clear_caches, kl_poly_recurrence, uniform_matroid
-from klmatroids.verification import kl_defining_equation_holds
+from klmatroids.verification import BrokenPool, kl_defining_equation_holds
 
 
 @pytest.fixture
@@ -18,6 +21,39 @@ def fresh_caches():
     clear_caches()
     yield
     clear_caches()
+
+
+def reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+# Checkers must be module-level to reach a worker.  The failing ones fail at
+# one point of range(8), whichever worker serves it.
+
+
+def holds(point: int) -> bool:
+    return point >= 0
+
+
+def fails_with_value_error(point: int) -> bool:
+    if point == 5:
+        raise ValueError(f"no good at {point}")
+    return True
+
+
+def answers_a_generator(point: int):
+    return (point for _ in ())
+
+
+def fails_with_exchange_violation(point: int) -> bool:
+    # three arguments to __init__: the exception pickles but does not unpickle
+    if point == 5:
+        raise ExchangeAxiomViolation((1, 2), (3, 4), 1)
+    return True
 
 
 class TestDefiningEquation:
@@ -107,9 +143,10 @@ class TestProcessFanOut:
     def test_sweeps_share_one_pool(self):
         verification.sweep_theorem2(6, jobs=2)
         pool = verification._pool
-        workers = set(pool._processes)
+        workers = list(pool.pids)
         verification.sweep_charpoly(6, jobs=2)
-        assert verification._pool is pool and set(pool._processes) == workers
+        assert verification._pool is pool and pool.pids == workers
+        assert len(workers) == min(2, verification.default_jobs())
 
     def test_other_worker_counts_replace_the_pool(self, monkeypatch):
         # the pool is kept per worker count, min(jobs, default_jobs())
@@ -119,30 +156,81 @@ class TestProcessFanOut:
         try:
             assert verification.sweep_counting(**grid, jobs=2).passed
             old = verification._pool
-            workers = set(old._processes)
+            workers = list(old.pids)
+            assert len(workers) == 2
             assert verification.sweep_counting(**grid, jobs=3).passed
-            assert verification._pool is old and set(old._processes) == workers
+            assert verification._pool is old and old.pids == workers
             monkeypatch.setattr(verification, "default_jobs", lambda: 1)
             assert verification.sweep_counting(**grid, jobs=3).passed
-            assert verification._pool is not old and old._shutdown_thread
-            assert verification._pool._max_workers == 1
+            assert verification._pool is not old and verification._pool.size == 1
+            assert len(verification._pool.pids) == 1
+            assert all(reaped(pid) for pid in workers)
         finally:
             verification._drop_pool()
 
     def test_killed_worker_breaks_one_sweep_only(self):
         verification.sweep_theorem2(6, jobs=2)
         pool = verification._pool
-        os.kill(next(iter(pool._processes)), signal.SIGKILL)
-        # the pool's manager thread marks it broken, then ends; a sweep that
-        # raced ahead of it could still be served by the surviving worker
-        pool._executor_manager_thread.join(timeout=30)
-        assert not pool._executor_manager_thread.is_alive()
-        with pytest.raises(BrokenProcessPool):
+        workers = list(pool.pids)
+        os.kill(workers[0], signal.SIGKILL)
+        with pytest.raises(BrokenPool):
             verification.sweep_theorem2(6, jobs=2)
         assert verification._pool is None
+        assert all(reaped(pid) for pid in workers)
         again = verification.sweep_theorem2(6, jobs=2)
         assert again.passed and again.points > 1
         assert verification._pool is not None and verification._pool is not pool
+        assert not set(verification._pool.pids) & set(workers)
+
+    @pytest.mark.parametrize(
+        "checker, error, message",
+        [
+            (fails_with_value_error, ValueError, "no good at 5"),
+            (lambda point: True, pickle.PicklingError, "lambda"),  # the task does not pickle
+            (answers_a_generator, TypeError, "generator"),  # the answer does not pickle
+        ],
+    )
+    def test_an_error_reaches_the_caller_and_reaps_the_workers(self, checker, error, message):
+        verification._run_points("t", "g", range(8), holds, 2)
+        workers = list(verification._pool.pids)
+        with pytest.raises(error, match=message):
+            verification._run_points("t", "g", range(8), checker, 2)
+        assert verification._pool is None
+        assert workers and all(reaped(pid) for pid in workers)
+
+    def test_an_interrupt_kills_and_reaps_the_workers(self, monkeypatch):
+        verification._run_points("t", "g", range(8), holds, 2)
+        workers = list(verification._pool.pids)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verification.select, "select", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            verification._run_points("t", "g", range(8), holds, 2)
+        monkeypatch.undo()
+        assert verification._pool is None
+        assert workers and all(reaped(pid) for pid in workers)
+
+    def test_an_error_that_does_not_unpickle_names_its_type_and_message(self):
+        with pytest.raises(RuntimeError) as caught:
+            verification._run_points("t", "g", range(8), fails_with_exchange_violation, 2)
+        assert type(caught.value) is RuntimeError
+        assert str(caught.value) == (
+            "ExchangeAxiomViolation: exchange axiom fails: removing 1 from {1, 2} "
+            "admits no replacement from {3, 4}"
+        )
+        assert verification._pool is None
+
+    def test_dropping_the_pool_leaves_no_resource_warning(self):
+        verification._run_points("t", "g", range(8), holds, 2)
+        workers = list(verification._pool.pids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verification._drop_pool()
+            gc.collect()
+        assert verification._pool is None
+        assert workers and all(reaped(pid) for pid in workers)
 
 
 class TestSymmetryPoints:
@@ -179,16 +267,42 @@ class TestSymmetryPoints:
 
 
 class TestPoolSize:
-    # Building the executor forks nothing; only its first task would.
+    # Building the pool forks nothing; only its first sweep does.
     @pytest.mark.parametrize("cores, jobs, want", [(1, 2, 1), (2, 3, 2), (4, 3, 3)])
     def test_forks_at_most_the_usable_cores(self, monkeypatch, cores, jobs, want):
         verification._drop_pool()
         monkeypatch.setattr(verification, "default_jobs", lambda: cores)
         try:
-            assert verification._shared_pool(jobs)._max_workers == want
-            assert not verification._pool._processes
+            pool = verification._shared_pool(jobs)
+            assert pool.size == want and pool.pids == []
+            assert verification._run_points("t", "g", range(8), holds, jobs).passed
+            assert verification._pool is pool and len(pool.pids) == want
         finally:
             verification._drop_pool()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads open files in /proc")
+    def test_each_worker_holds_only_its_own_pipes(self, monkeypatch):
+        # a worker that kept an earlier worker's task pipe would keep it from
+        # seeing its end when the parent goes
+        verification._drop_pool()
+        monkeypatch.setattr(verification, "default_jobs", lambda: 3)
+        try:
+            verification._run_points("t", "g", range(8), holds, 3)
+            pool = verification._pool
+            pipes = [{os.fstat(fd).st_ino for fd in ends} for ends in zip(pool._tasks, pool._results)]
+            every = set().union(*pipes)
+            for pid, own in zip(pool.pids, pipes):
+                fds = os.listdir(f"/proc/{pid}/fd")
+                assert {os.stat(f"/proc/{pid}/fd/{fd}").st_ino for fd in fds} & every == own
+        finally:
+            verification._drop_pool()
+
+    def test_without_fork_every_sweep_runs_inline(self, monkeypatch):
+        verification._drop_pool()
+        monkeypatch.delattr(os, "fork")
+        fanned = verification.sweep_theorem2(6, jobs=2)
+        assert verification._pool is None
+        assert fanned.passed and fanned == verification.sweep_theorem2(6, jobs=1)
 
 
 class TestDefaultJobs:
