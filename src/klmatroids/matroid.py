@@ -22,10 +22,12 @@ The Kazhdan-Lusztig polynomial has two independent routes, each serving as
 the oracle that the other and the formula layer are checked against:
 
 * :func:`kl_poly` solves for P of every contraction at a flat at once, by
-  the palindromicity of the Z-polynomial, in one pass over the subset cube.
-  It reads only the rank table and the flat indicator: no lattice, minor
-  or characteristic polynomial.  Every P has constant term 1, so only the
-  coefficients of degree 1 and up are read off the cube.
+  the palindromicity of the Z-polynomial.  It visits the non-spanning
+  subsets from the largest mask down and sums over the flats above each by
+  divide and conquer on the highest element, with two packed ints per
+  subset.  It reads only the rank table and the flat indicator: no lattice,
+  minor or characteristic polynomial.  Every P has constant term 1, so only
+  the coefficients of degree 1 and up are read off the cube.
 * :func:`kl_poly_recurrence` solves the defining recurrence.  It lists the
   localization and the contraction of every flat as exact labelled basis
   families, builds and validates each distinct family once, and weights
@@ -36,8 +38,10 @@ Neither route reads the other's results, nor any closed form.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, OrderedDict
-from itertools import chain, combinations, compress, zip_longest
+from itertools import chain, combinations, compress
+from operator import add
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import (
@@ -540,31 +544,53 @@ def kl_poly(matroid: Matroid) -> IntPoly:
     return cached
 
 
-# bits per packed degree slot on the first attempt of the cube solve
+# bits per packed degree slot on the first attempt of the cube solve: a
+# slot holds a sum over fewer than 2**n flats, so 64 bits fit every
+# coefficient below 2**47 at n = 16
 _Z_SLOT_BITS = 64
+# the cube solve merges a block narrower than this one mask at a time
+_Z_SCALAR_SPAN = 16
 
 
 def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     """P_{M/F}[j] = R_F[rank M - j] - R_F[rank F + j] for j < (rank M - rank F)/2,
     where R_F(t) = sum over flats G strictly above F of t^(rank G) P_{M/G}(t).
 
-    R_F comes from the layered superset transform of fast subset convolution
-    (Bjorklund, Husfeldt, Kaski and Koivisto): h[S][k] packs, one signed
-    width-bit slot per degree, the sum of t^(rank T) P_{M/T}(t) over the flats
-    T below the top with T containing S and |T - S| = k; each such T is met
-    through each of its k elements outside S, so k h[S][k] is the sum of
-    h[S + x][k - 1] over x outside S.
+    R_F is a superset sum, taken by divide and conquer on the highest element
+    over the non-spanning masks, those below full rank: a spanning mask has
+    only the top flat above it, which is left out.  The masks are visited in
+    descending numeric order, so every superset of a mask comes before it.
+    The block of a mask s is [s, s + span), span its lowest bit (the whole
+    cube for the empty set): the supersets of s that add only elements below
+    its lowest one.
+    Two packed ints are kept per mask, each with one signed width-bit slot
+    per degree:
+
+    * inner[u] sums t^(rank G) P_{M/G}(t) over the flats G containing u in
+      the widest block merged so far that holds u.  Visiting s first merges
+      [s, s + 2h) for h = 1, 2, ..., span / 2, adding inner over the upper
+      half, the block of s + h, into the lower half; then, at a flat, it adds
+      the value of s itself to inner[s].
+    * outer[u] sums over the flats strictly above u in the blocks pushed into
+      u so far.  Visiting s last pushes its block into its lower sibling
+      [s - span, s), adding inner[u] into outer[u - span].
+
+    A flat G strictly above u lies in exactly one block pushed into u: that
+    of the mask which agrees with u above the highest element x of G - u and
+    holds x.  So outer[u] = R_u when u is visited.  Each flat reaches each
+    sum along one path, so no sum is divided by a count of paths, as in a
+    transform by layers, which meets a flat through each element it adds.
 
     The constant term is 1 at every flat and is never read: R_F[rank M] = 1,
     since only the top flat reaches degree rank M, and R_F[rank F] = 0, since
     every flat above F holds some F + x, of rank rank F + 1.  So a flat of
     corank at most 2 reads no slot, and every other coefficient is the
-    difference of two slots, in which their biases cancel.  A packed sum adds
-    at most n 2^n values, so |c| n 2^n < 2^(width - 1) for every packed c
-    keeps every slot exact.  The constant 1 is packed too, so a width too
-    narrow for it restarts at once at twice the width, before any mask is
-    visited; past the bound at a later coefficient the solve restarts the
-    same way.
+    difference of two slots, in which their biases cancel.  A slot sums one
+    coefficient from each of fewer than 2^n flats, so |c| 2^n < 2^(width - 1)
+    for every packed c keeps every slot exact.  The constant 1 is packed too,
+    so a width too narrow for it restarts at once at twice the width, before
+    any mask is visited; past the bound at a later coefficient the solve
+    restarts the same way.
     """
     top = matroid.rank
     if top == 0:
@@ -573,49 +599,84 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     n = matroid.n
     width = width or _Z_SLOT_BITS
     half = 1 << (width - 1)
-    if n << n >= half:
+    if 1 << n >= half:
         return _z_solve(matroid, 2 * width)
-    limit = (half - 1) // (n << n)  # the largest |c| with |c| n 2^n < half
+    limit = (half - 1) >> n  # the largest |c| with |c| 2^n < half
     table = matroid.rank_table()
     flags = _spread(matroid._flats, n)
-    # a mask of full rank has only the top flat above it, so it holds nothing
-    levels: list[list[int]] = [[] for _ in range(n + 1)]
-    for s, r in enumerate(table):
-        if r < top:
-            levels[s.bit_count()].append(s)
+    # the non-spanning masks form a down-set, listed in ascending order and
+    # closed by 2^n, so each has a next one to compare with
+    masks = [*compress(range(1 << n), table.translate(b"\1" * top + b"\0" * (256 - top))), 1 << n]
+    inner = [0] * (1 << n)
+    outer = [0] * (1 << n)
     slot = (1 << width) - 1
     # half in each slot keeps a sum of values in (-half, half) from borrowing
     bias = sum(half << width * d for d in range(top))
-    bits = [1 << e for e in range(n)]
-    above: dict[int, list[int]] = {}  # h of the masks one element larger
-    for size in range(n - 1, -1, -1):
-        here: dict[int, list[int]] = {}
-        for s in levels[size]:
-            uppers = []
-            for bit in bits:
-                if not s & bit:
-                    upper = above.get(s | bit)
-                    if upper:
-                        uppers.append(upper)
-            h = [0] + [sum(col) // k for k, col in enumerate(zip_longest(*uppers, fillvalue=0), 1)]
-            if flags[s]:
-                r = table[s]
-                coeffs = [1]
-                if top - r > 2:
-                    rest = sum(h) + bias
-                    coeffs += [
-                        (rest >> width * (top - j) & slot) - (rest >> width * (r + j) & slot)
-                        for j in range(1, (top - r + 1) // 2)
-                    ]
-                    if max(map(abs, coeffs)) > limit:
-                        return _z_solve(matroid, 2 * width)
-                h[0] = sum(c << width * (r + j) for j, c in enumerate(coeffs))
-            while h and not h[-1]:
-                h.pop()
-            here[s] = h
-        above = here
+    for pos in range(len(masks) - 2, -1, -1):
+        s = masks[pos]
+        span = s & -s or 1 << n
+        # no other non-spanning mask in the block of s: always for odd s
+        alone = masks[pos + 1] >= s + span
+        # merge [s, s + 2h) for h = 1, 2, ..., span / 2: its upper half is the
+        # block of s + h, whole since s + h was visited, so afterwards inner
+        # holds the sums over the block of s, all but the value of s itself
+        h = 1
+        while h < span and not alone:
+            if h < _Z_SCALAR_SPAN:
+                for u in range(s + h, s + 2 * h):
+                    inner[u - h] += inner[u]
+            else:
+                _add_block_below(inner, inner, s + h, h, masks, pos)
+            h *= 2
+        if flags[s]:
+            r = table[s]
+            # P_{M/F}[j] from the highest j down to 1; the constant 1 goes last
+            coeffs = []
+            if top - r > 2:
+                rest = outer[s] + bias
+                coeffs = [
+                    (rest >> width * (top - j) & slot) - (rest >> width * (r + j) & slot)
+                    for j in range((top - r - 1) // 2, 0, -1)
+                ]
+                if max(map(abs, coeffs)) > limit:
+                    return _z_solve(matroid, 2 * width)
+            value = 0
+            for c in coeffs:
+                value = (value << width) + c
+            inner[s] += ((value << width) + 1) << width * r
+        # push the block of s into its lower sibling [s - span, s); the empty
+        # set, visited last, has none
+        if not s:
+            break
+        if alone:
+            outer[s - span] += inner[s]
+        elif span < _Z_SCALAR_SPAN:
+            for u in range(s, s + span):
+                outer[u - span] += inner[u]
+        else:
+            _add_block_below(outer, inner, s, span, masks, pos)
     # the last mask visited is the empty set, the bottom flat
-    return IntPoly(coeffs)
+    return IntPoly([1, *reversed(coeffs)])
+
+
+def _add_block_below(
+    target: list[int], source: list[int], start: int, size: int, masks: list[int], lo: int
+) -> None:
+    """target[u - size] += source[u] for every u in [start, start + size).
+
+    Only the non-spanning masks u hold a nonzero source[u]; they are the
+    masks in ``masks`` from index ``lo`` on that fall in the block.  A block
+    mostly of them is added whole, by map(add, ...) over slices; a sparse
+    block mask by mask.
+    """
+    first = bisect_left(masks, start, lo)
+    end = bisect_left(masks, start + size, first)
+    if 2 * (end - first) > size:
+        below = slice(start - size, start)
+        target[below] = map(add, target[below], source[start : start + size])
+    else:
+        for u in masks[first:end]:
+            target[u - size] += source[u]
 
 
 def kl_poly_recurrence(matroid: Matroid) -> IntPoly:

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -817,6 +818,37 @@ class TestOracleRoutes:
                     checked += 1
         assert checked == 132
 
+    def test_every_merge_form_matches_upset_solver_and_lnr(self, monkeypatch):
+        # U(1, 11) is non-spanning almost everywhere, so its wide blocks are
+        # merged by map(add, ...); U(9, 3) has 79 non-spanning masks in 4096,
+        # so its wide blocks loop over them; sparse paving matroids at n = 12
+        # mix both.  Each input is solved three times: as shipped, with the
+        # blocks below span 16 merged one mask at a time; with no block
+        # merged so; and with every block merged so
+        rng = random.Random(20261021)
+        inputs = [(12, 11, []), (12, 3, [])]
+        inputs += [(12, d, sparse_paving(rng, 12, d, 3)) for d in range(2, 11)]
+        dense = Counter()  # (input, scalar span): the slots that map(add, ...) summed
+        label = None
+
+        def spy_add(a, b):
+            dense[label] += 1
+            return a + b
+
+        monkeypatch.setattr(matroid_module, "add", spy_add)
+        for k, (n, d, family) in enumerate(inputs):
+            m = sparse_paving_matroid(n, d, family)
+            want = lnr_coeffs(n, d, len(family))
+            assert upset_z_poly(m) == want, (n, d, family)
+            for scalar_span in (16, 1, 1 << n):
+                monkeypatch.setattr(matroid_module, "_Z_SCALAR_SPAN", scalar_span)
+                label = k, scalar_span
+                assert list(matroid_module._z_solve(m).coeffs) == want, (n, d, family, scalar_span)
+        # the wide blocks of U(1, 11) are dense, those of U(9, 3) sparse, and
+        # with every block merged one mask at a time map(add, ...) never runs
+        assert dense[0, 16] > 0 and dense[1, 16] == 0
+        assert not any(dense[k, 1 << 12] for k in range(len(inputs)))
+
     @pytest.mark.parametrize(
         "n,d,family",
         [
@@ -835,37 +867,44 @@ class TestOracleRoutes:
 
     def test_coranks_up_to_two_restart_only_for_the_constant(self, monkeypatch, fresh_caches):
         # in rank 1 and 2 every flat has corank <= 2, so P_{M/F} = 1 and the
-        # solve reads no slot: it widens only until n 2^n < 2^(width - 1),
+        # solve reads no slot: it widens only until 2^n < 2^(width - 1),
         # which the packed constant 1 needs, and never past that
         low = [m for m in _every_loopless_matroid(5) if m.rank in (1, 2)]
         assert len(low) == 75  # rank 1: one per n; rank 2: Bell(n) - 1 partitions
         widths = _record_widths(monkeypatch, 4)
+        seen = {}  # n: the widths visited
         for m in low:
             widths.clear()
             want = [4]
-            while m.n << m.n >= 1 << (want[-1] - 1):
+            while 1 << m.n >= 1 << (want[-1] - 1):
                 want.append(2 * want[-1])
             assert kl_poly(m) == IntPoly([1]) and widths == want, m
+            seen[m.n] = want
+        # 2^n < 8 up to two elements; five would need 16 bits under an
+        # n 2^n bound, where 8 are enough
+        assert seen == {1: [4], 2: [4], 3: [4, 8], 4: [4, 8], 5: [4, 8]}
 
     def test_a_coefficient_past_the_limit_restarts_wider(self, monkeypatch, fresh_caches):
-        # at n = 12 from 17-bit slots the up-front check passes and the limit
-        # is 1; four parallel classes of three in rank 3 (a basis takes at
-        # most one element of each of {1, 2, 3}, ..., {10, 11, 12}) give
-        # P = 1 + 2t, so the 2 must restart the solve, and only the
-        # per-coefficient guard sees it
+        # at n = 12 from 14-bit slots the up-front check passes (2^12 < 2^13)
+        # and the limit is (2^13 - 1) >> 12 = 1; four parallel classes of
+        # three in rank 3 (a basis takes at most one element of each of
+        # {1, 2, 3}, ..., {10, 11, 12}) give P = 1 + 2t, so the 2 must
+        # restart the solve, and only the per-coefficient guard sees it
         bases = [b for b in d_subsets(12, 3) if all((b >> 3 * c & 7).bit_count() < 2 for c in range(4))]
         m = matroid_from_bases(12, bases)
-        widths = _record_widths(monkeypatch, 17)
-        assert kl_poly(m) == IntPoly([1, 2]) and widths == [17, 34]
+        widths = _record_widths(monkeypatch, 14)
+        assert kl_poly(m) == IntPoly([1, 2]) and widths == [14, 28]
 
-    def test_seventeen_bit_slots_stay_exact_at_twelve_elements(self, monkeypatch, fresh_caches):
-        # from 17-bit slots the limit at n = 12 is 1, so each larger
+    def test_fourteen_bit_slots_stay_exact_at_twelve_elements(self, monkeypatch, fresh_caches):
+        # from 14-bit slots the limit at n = 12 is 1, so each larger
         # coefficient restarts the solve; past the limit a slot can wrap
         points = [p for p in family_grid(12, min_d=0) if p.m + p.d == 12]
         assert len(points) == 34
-        monkeypatch.setattr(matroid_module, "_Z_SLOT_BITS", 17)
+        widths = _record_widths(monkeypatch, 14)
         for p in points:
             assert kl_poly(build_rho_uniform(p)) == kl_poly_rho(p), p
+        # some points restart once or more, so the 14-bit attempts were refused
+        assert widths.count(14) == 34 and 28 in widths
 
     def test_recurrence_reads_no_z_result(self, monkeypatch, fresh_caches):
         want = [kl_poly(m) for m in ROUTE_SAMPLES]
