@@ -640,6 +640,7 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
                 ]
                 if max(map(abs, coeffs)) > limit:
                     return _z_solve(matroid, 2 * width)
+            outer[s] = 0  # never read again; dropping it keeps fewer sums alive at once
             value = 0
             for c in coeffs:
                 value = (value << width) + c
