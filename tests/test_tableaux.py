@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import pickle
+import random
 import resource
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from klmatroids.errors import IndexOutOfRange, InvalidParameters, InvalidShape
 from klmatroids.tableaux import (
     MAX_CELLS,
     MAX_FILLINGS,
+    _KERNELS,
     _LAYOUTS,
     Filling,
     SkewShape,
@@ -213,7 +215,10 @@ class TestEnumeration:
         assert f"a={a!r}, i={i!r}, b={b!r}" in str(warm.value)
 
     def test_layouts_are_built_on_first_use_and_bounded(self):
-        code = "import klmatroids.cli, klmatroids.tableaux as t; print(len(t._LAYOUTS))"
+        code = (
+            "import klmatroids.cli, klmatroids.tableaux as t;"
+            " print(len(t._LAYOUTS), len(t._KERNELS))"
+        )
         done = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -221,7 +226,7 @@ class TestEnumeration:
             timeout=60,
             env={**os.environ, "PYTHONPATH": str(Path(klmatroids.__file__).parents[1])},
         )
-        assert done.stdout == "0\n"
+        assert done.stdout == "0 0\n"
         shapes = [(a, i, b) for a in range(2, 14) for i in range(1, 10) for b in range(2, 14)]
         assert len(shapes) > 1024
         for a, i, b in shapes:
@@ -428,6 +433,39 @@ class TestInvolution:
         assert repr(image.entries) == repr(want)
         assert [type(v) for v in image.entries] == [type(v) for v in want]
 
+    @pytest.mark.parametrize("n", range(MAX_CELLS + 3))
+    def test_kernel_equals_the_termwise_formula_at_every_length(self, n):
+        # a kernel up to MAX_CELLS entries, the termwise line past it; near
+        # that bound also a bool first and a float last
+        ints = tuple(random.Random(n).sample(range(1, n + 1), n))
+        cases = [ints]
+        if 63 <= n <= 66:
+            cases.append((True,) + ints[1:-1] + (float(ints[-1]),))
+        for entries in cases:
+            image = involution_rotate(Filling(SkewShape(2, 1, 2), entries))
+            want = termwise_rotate(entries)
+            assert repr(image.entries) == repr(want)
+            assert [type(v) for v in image.entries] == [type(v) for v in want]
+        assert (n in _KERNELS) == (n <= MAX_CELLS)
+
+    def test_kernel_table_holds_no_length_past_the_cell_cap(self):
+        for n in range(201):
+            entries = tuple(range(n, 0, -1))
+            assert involution_rotate(Filling(SkewShape(2, 1, 2), entries)).entries == (
+                termwise_rotate(entries)
+            )
+        assert max(_KERNELS) == MAX_CELLS and len(_KERNELS) == MAX_CELLS + 1
+
+    @pytest.mark.parametrize("b", [MAX_CELLS - 1, MAX_CELLS + 1])
+    def test_rotation_past_the_cell_cap_takes_the_termwise_line(self, b):
+        # (2, 1, 63) has 65 cells, one past the cap, and (2, 1, 65) has 67
+        n = b + 2
+        legal = ((1, 2), tuple(range(3, n + 1)))
+        for cols in (legal, _swapped(legal, 1, n - 1)):
+            f = Filling.from_columns(2, 1, b, cols)
+            assert involution_rotate(f).columns == skew_rotate(2, 1, b, cols)
+        assert n not in _KERNELS
+
     def test_rotation_and_legality_at_the_cell_cap(self):
         # 64 cells: the largest shape, and 1,952 fillings
         a, i, b = 2, 1, MAX_CELLS - 2
@@ -521,6 +559,14 @@ class TestRemovedFamilyCount:
                 assert satisfies_removed_family_conditions(f, d, rho) == expected, (columns, rho)
                 seen.add(expected)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("entries", [(1, 2), tuple(range(1, 8))])
+    def test_conditions_refuse_entries_unlike_the_shape(self, entries):
+        # (3, 1, 3) has 6 cells; the conditions read cells by index
+        f = Filling(SkewShape(3, 1, 3), entries)
+        assert f.is_legal() is False
+        with pytest.raises(InvalidShape, match=rf"needs 6 entries, got {len(entries)}$"):
+            satisfies_removed_family_conditions(f, 4, 1)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameters):

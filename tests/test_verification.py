@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from klmatroids import matroid as matroid_module
-from klmatroids import verification
+from klmatroids import tableaux, verification
 from klmatroids.closedforms import RhoUniformParams, build_rho_uniform
 from klmatroids.errors import ExchangeAxiomViolation
 from klmatroids.exactarith import IntPoly
@@ -264,6 +264,21 @@ class TestSymmetryPoints:
         assert not report.passed
         monkeypatch.setattr(verification, "involution_rotate", original)
         assert verification.sweep_symmetry(**self.GRID, jobs=1).passed
+
+    def test_the_sweep_guards_each_rotation_kernel(self, monkeypatch):
+        # the kernel for 9 entries reverses them but skips the complement, so
+        # exactly the rotated shapes with 9 cells fail
+        grid = dict(a_max=6, b_max=6, i_max=4, cell_max=10)
+        monkeypatch.setitem(tableaux._KERNELS, 9, lambda e: e[::-1])
+        report = verification.sweep_symmetry(**grid, jobs=1)
+        rotated = {
+            (min(a, b), i, max(a, b))
+            for a, i, b in verification.shape_grid(**grid)
+            if a >= 2 and b >= 2 and a + 2 * i + b - 2 == 9
+        }
+        assert rotated and sorted(report.failures) == sorted(rotated)
+        monkeypatch.undo()
+        assert verification.sweep_symmetry(**grid, jobs=1).passed
 
 
 class TestPoolSize:
