@@ -25,9 +25,12 @@ the oracle that the other and the formula layer are checked against:
   the palindromicity of the Z-polynomial.  It visits the non-spanning
   subsets from the largest mask down and sums over the flats above each by
   divide and conquer on the highest element, with two packed ints per
-  subset.  It reads only the rank table and the flat indicator: no lattice,
-  minor or characteristic polynomial.  Every P has constant term 1, so only
-  the coefficients of degree 1 and up are read off the cube.
+  subset.  The non-spanning masks of a subset's block of supersets are one
+  run of the sorted masks: one ascending loop over the run merges the
+  block, and one loop over the same run pushes it into its lower sibling.
+  It reads only the rank table and the flat indicator: no lattice, minor or
+  characteristic polynomial.  Every P has constant term 1, so only the
+  coefficients of degree 1 and up are read off the cube.
 * :func:`kl_poly_recurrence` solves the defining recurrence.  It lists the
   localization and the contraction of every flat as exact labelled basis
   families, builds and validates each distinct family once, and weights
@@ -41,7 +44,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from itertools import chain, combinations, compress
-from operator import add
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import (
@@ -548,8 +550,6 @@ def kl_poly(matroid: Matroid) -> IntPoly:
 # slot holds a sum over fewer than 2**n flats, so 64 bits fit every
 # coefficient below 2**47 at n = 16
 _Z_SLOT_BITS = 64
-# the cube solve merges a block narrower than this one mask at a time
-_Z_SCALAR_SPAN = 16
 
 
 def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
@@ -562,18 +562,24 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     descending numeric order, so every superset of a mask comes before it.
     The block of a mask s is [s, s + span), span its lowest bit (the whole
     cube for the empty set): the supersets of s that add only elements below
-    its lowest one.
-    Two packed ints are kept per mask, each with one signed width-bit slot
-    per degree:
+    its lowest one.  The non-spanning masks form a down-set, so those in the
+    block are one run of the ascending list of them, from s up to the first
+    mask at or past s + span; only they are read or written, as a spanning
+    mask holds no sum.  Two packed ints are kept per mask, each with one
+    signed width-bit slot per degree:
 
     * inner[u] sums t^(rank G) P_{M/G}(t) over the flats G containing u in
       the widest block merged so far that holds u.  Visiting s first merges
-      [s, s + 2h) for h = 1, 2, ..., span / 2, adding inner over the upper
-      half, the block of s + h, into the lower half; then, at a flat, it adds
-      the value of s itself to inner[s].
+      its block, one ascending pass over the run after s: each u, with h the
+      highest bit of u - s, lies in the block [s + h, s + 2h) of s + h,
+      already merged when s + h was visited, and is added into inner[u - h]
+      in the lower half [s, s + h).  In ascending order every half h is
+      merged before half 2h reads it.  Then, at a flat, the visit adds the
+      value of s itself to inner[s].
     * outer[u] sums over the flats strictly above u in the blocks pushed into
       u so far.  Visiting s last pushes its block into its lower sibling
-      [s - span, s), adding inner[u] into outer[u - span].
+      [s - span, s), one pass over the same run from s on, adding inner[u]
+      into outer[u - span].
 
     A flat G strictly above u lies in exactly one block pushed into u: that
     of the mask which agrees with u above the highest element x of G - u and
@@ -604,30 +610,23 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     limit = (half - 1) >> n  # the largest |c| with |c| 2^n < half
     table = matroid.rank_table()
     flags = _spread(matroid._flats, n)
-    # the non-spanning masks form a down-set, listed in ascending order and
-    # closed by 2^n, so each has a next one to compare with
-    masks = [*compress(range(1 << n), table.translate(b"\1" * top + b"\0" * (256 - top))), 1 << n]
+    # the non-spanning masks, a down-set, in ascending order
+    masks = [*compress(range(1 << n), table.translate(b"\1" * top + b"\0" * (256 - top)))]
     inner = [0] * (1 << n)
     outer = [0] * (1 << n)
     slot = (1 << width) - 1
     # half in each slot keeps a sum of values in (-half, half) from borrowing
     bias = sum(half << width * d for d in range(top))
-    for pos in range(len(masks) - 2, -1, -1):
+    for pos in range(len(masks) - 1, -1, -1):
         s = masks[pos]
         span = s & -s or 1 << n
-        # no other non-spanning mask in the block of s: always for odd s
-        alone = masks[pos + 1] >= s + span
-        # merge [s, s + 2h) for h = 1, 2, ..., span / 2: its upper half is the
-        # block of s + h, whole since s + h was visited, so afterwards inner
-        # holds the sums over the block of s, all but the value of s itself
-        h = 1
-        while h < span and not alone:
-            if h < _Z_SCALAR_SPAN:
-                for u in range(s + h, s + 2 * h):
-                    inner[u - h] += inner[u]
-            else:
-                _add_block_below(inner, inner, s + h, h, masks, pos)
-            h *= 2
+        # the non-spanning masks of the block [s, s + span) are masks[pos:end]
+        end = bisect_left(masks, s + span, pos + 1)
+        # merge the block: u goes into u - h, h the highest bit of u - s, so
+        # afterwards inner holds the sums over the block of s, all but the
+        # value of s itself
+        for u in masks[pos + 1 : end]:
+            inner[u - (1 << (u - s).bit_length() >> 1)] += inner[u]
         if flags[s]:
             r = table[s]
             # P_{M/F}[j] from the highest j down to 1; the constant 1 goes last
@@ -649,35 +648,10 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
         # set, visited last, has none
         if not s:
             break
-        if alone:
-            outer[s - span] += inner[s]
-        elif span < _Z_SCALAR_SPAN:
-            for u in range(s, s + span):
-                outer[u - span] += inner[u]
-        else:
-            _add_block_below(outer, inner, s, span, masks, pos)
+        for u in masks[pos:end]:
+            outer[u - span] += inner[u]
     # the last mask visited is the empty set, the bottom flat
     return IntPoly([1, *reversed(coeffs)])
-
-
-def _add_block_below(
-    target: list[int], source: list[int], start: int, size: int, masks: list[int], lo: int
-) -> None:
-    """target[u - size] += source[u] for every u in [start, start + size).
-
-    Only the non-spanning masks u hold a nonzero source[u]; they are the
-    masks in ``masks`` from index ``lo`` on that fall in the block.  A block
-    mostly of them is added whole, by map(add, ...) over slices; a sparse
-    block mask by mask.
-    """
-    first = bisect_left(masks, start, lo)
-    end = bisect_left(masks, start + size, first)
-    if 2 * (end - first) > size:
-        below = slice(start - size, start)
-        target[below] = map(add, target[below], source[start : start + size])
-    else:
-        for u in masks[first:end]:
-            target[u - size] += source[u]
 
 
 def kl_poly_recurrence(matroid: Matroid) -> IntPoly:

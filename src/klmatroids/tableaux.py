@@ -138,11 +138,14 @@ class _Layouts(dict):
     """The layout of each shape, keyed by the shape (any triple equal to it).
 
     A shape is validated and laid out when it is first looked up, so a
-    lookup of a known shape is one dict subscript.  The table holds at most
-    1,024 shapes: a new shape beyond that empties it first.
+    lookup of a known shape is one dict subscript; a key that is not a
+    triple raises InvalidShape.  The table holds at most 1,024 shapes: a new
+    shape beyond that empties it first.
     """
 
     def __missing__(self, shape) -> _Layout:
+        if not isinstance(shape, tuple) or len(shape) != 3:
+            raise InvalidShape(f"a shape is a triple (a, i, b), got {shape!r}")
         layout = _build_layout(*shape)
         if len(self) >= 1024:
             self.clear()
@@ -192,12 +195,8 @@ class Filling(NamedTuple):
         return True
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.shape.a,
-            "i": self.shape.i,
-            "b": self.shape.b,
-            "columns": [list(col) for col in self.columns],
-        }
+        a, i, b = _LAYOUTS[self.shape].shape
+        return {"a": a, "i": i, "b": b, "columns": [list(col) for col in self.columns]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -475,13 +474,15 @@ def validate_family_params(m: int, d: int, rho: int) -> tuple[int, int, int]:
     return m, d, rho
 
 
-def _boundary_windows(shape: SkewShape, d: int, rho: int) -> list[tuple[int, int, int]]:
-    """Theorem 1's boundary conditions as (entry index, lowest, highest value),
-    for entries 1..n: the top of the right column is 1, the last cell is above
-    d + rho, or a left column of height >= 3 has its third entry at most d."""
-    n = shape.cell_count
-    windows = [(n - shape.b, 1, 1), (n - 1, d + rho + 1, n)]
-    if shape.a >= 3:
+def _boundary_windows(layout: _Layout, d: int, rho: int) -> list[tuple[int, int, int]]:
+    """Theorem 1's boundary conditions on the layout's shape as (entry index,
+    lowest, highest value), for entries 1..n: the top of the right column is
+    1, the last cell is above d + rho, or a left column of height >= 3 has
+    its third entry at most d."""
+    a, _, b = layout.shape
+    n = len(layout.need)
+    windows = [(n - b, 1, 1), (n - 1, d + rho + 1, n)]
+    if a >= 3:
         windows.append((2, 1, d))
     return windows
 
@@ -493,11 +494,13 @@ def satisfies_removed_family_conditions(f: Filling, d: int, rho: int) -> bool:
     of its shape: the conditions read entries by their cell's index.
     """
     shape, entries = f
-    if len(entries) != shape.cell_count:
+    layout = _LAYOUTS[shape]
+    cells = len(layout.need)
+    if len(entries) != cells:
         raise InvalidShape(
-            f"a filling of shape {tuple(shape)} needs {shape.cell_count} entries, got {len(entries)}"
+            f"a filling of shape {tuple(layout.shape)} needs {cells} entries, got {len(entries)}"
         )
-    return any(lo <= entries[k] <= hi for k, lo, hi in _boundary_windows(shape, d, rho))
+    return any(lo <= entries[k] <= hi for k, lo, hi in _boundary_windows(layout, d, rho))
 
 
 def _fillings_and_misses(layout: _Layout, d: int, rho: int) -> tuple[int, int]:
@@ -510,7 +513,7 @@ def _fillings_and_misses(layout: _Layout, d: int, rho: int) -> tuple[int, int]:
     """
     need = layout.need
     n = len(need)
-    windows = _boundary_windows(layout.shape, d, rho)
+    windows = _boundary_windows(layout, d, rho)
     level = {0: (1, 1)}
     for step in range(1, n + 1):
         meets = {k for k, lo, hi in windows if lo <= step <= hi}
@@ -568,15 +571,16 @@ def iota_action(j: int, f: Filling, m: int) -> Filling:
     j = 0 leaves the bottom-right at n with an untouched tail.
     """
     j, m = _integers(InvalidParameters, j=j, m=m)
-    if f.shape.a != 2:
+    shape, entries = f
+    a, i, b = _LAYOUTS[shape].shape
+    if a != 2:
         raise InvalidShape("the action is defined on fillings with left column of height 2")
     if m < 1:
         raise InvalidParameters(f"m must be at least 1, got {m}")
     if not 0 <= j <= m - 1:
         raise IndexOutOfRange(f"index {j} outside 0..{m - 1}")
-    shape, entries = f
     n = len(entries)
     tail = tuple(v for v in range(n, n + m) if v != n + j)
     # The left column is entries[:2]; the bottom-right cell is the last entry.
     lifted = entries[:2] + tail + entries[2:-1] + (n + j,)
-    return tuple.__new__(Filling, (_LAYOUTS[m + 1, shape.i, shape.b].shape, lifted))
+    return tuple.__new__(Filling, (_LAYOUTS[m + 1, i, b].shape, lifted))

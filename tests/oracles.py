@@ -12,6 +12,8 @@ isomorphism, and an up-set walk over the lattice of flats instead of the
 subset cube for the Z-polynomial solve, the defining recurrence summed one
 flat at a time instead of once per distinct pair of minor families, and sums
 that build every term afresh instead of stepping from the one before.
+Beyond the sparse paving matroids, ``graphic_matroid`` lists the spanning
+trees of a graph by union-find, for matroids of another kind.
 Expected values in the tests are frozen from these oracles.
 """
 
@@ -352,6 +354,46 @@ def sparse_paving_matroid(n: int, d: int, family):
     """U(n - d, d) with the d-subsets of ``family`` (its circuit-hyperplanes) removed."""
     removed = {mask_from(s, n) for s in family}
     return matroid_from_bases(n, [b for b in uniform_matroid(n - d, d).bases if b not in removed])
+
+
+def graphic_matroid(vertices: int, edges):
+    """The cycle matroid of a graph on the vertices 0..vertices - 1: edge k of
+    ``edges`` (pairs of vertices) is element k + 1, and the bases are the
+    spanning trees, the (vertices - 1)-edge sets that a union-find joins
+    without closing a cycle.  The graph must be connected and loopless."""
+
+    def is_tree(chosen) -> bool:
+        parent = list(range(vertices))
+
+        def root(v: int) -> int:
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for k in chosen:
+            x, y = root(edges[k][0]), root(edges[k][1])
+            if x == y:
+                return False
+            parent[x] = y
+        return True
+
+    trees = [
+        [k + 1 for k in chosen]
+        for chosen in combinations(range(len(edges)), vertices - 1)
+        if is_tree(chosen)
+    ]
+    return matroid_from_bases(len(edges), trees)
+
+
+def complete_graph(vertices: int) -> tuple[int, list[tuple[int, int]]]:
+    """(vertices, edges) of K_vertices."""
+    return vertices, list(combinations(range(vertices), 2))
+
+
+def wheel_graph(spokes: int) -> tuple[int, list[tuple[int, int]]]:
+    """(vertices, edges) of the wheel W_spokes: hub 0 joined to a rim cycle 1..spokes."""
+    rim = [(v, v % spokes + 1) for v in range(1, spokes + 1)]
+    return spokes + 1, rim + [(0, v) for v in range(1, spokes + 1)]
 
 
 def lnr_coeffs(n: int, d: int, k: int) -> list[int]:

@@ -5,7 +5,6 @@ import resource
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -50,11 +49,13 @@ from oracles import (
     brute_rank,
     closure_keeps_rank,
     closure_lattice,
+    complete_graph,
     dp_rank_table,
     element_contraction,
     element_localization,
     exchange_axiom_holds,
     first_exchange_violation,
+    graphic_matroid,
     is_exchange_violation,
     is_isomorphic,
     lnr_coeffs,
@@ -64,6 +65,7 @@ from oracles import (
     sparse_paving,
     sparse_paving_matroid,
     upset_z_poly,
+    wheel_graph,
 )
 
 U12 = matroid_from_bases(3, [{1, 2}, {1, 3}, {2, 3}])
@@ -818,36 +820,43 @@ class TestOracleRoutes:
                     checked += 1
         assert checked == 132
 
-    def test_every_merge_form_matches_upset_solver_and_lnr(self, monkeypatch):
-        # U(1, 11) is non-spanning almost everywhere, so its wide blocks are
-        # merged by map(add, ...); U(9, 3) has 79 non-spanning masks in 4096,
-        # so its wide blocks loop over them; sparse paving matroids at n = 12
-        # mix both.  Each input is solved three times: as shipped, with the
-        # blocks below span 16 merged one mask at a time; with no block
-        # merged so; and with every block merged so
+    def test_one_merge_loop_matches_upset_solver_and_lnr_at_every_density(self):
+        # U(1, 11) is non-spanning almost everywhere, so nearly every block is
+        # full; U(9, 3) has 79 non-spanning masks in 4096, so its wide blocks
+        # hold a few each; sparse paving matroids at n = 12 lie between
         rng = random.Random(20261021)
         inputs = [(12, 11, []), (12, 3, [])]
         inputs += [(12, d, sparse_paving(rng, 12, d, 3)) for d in range(2, 11)]
-        dense = Counter()  # (input, scalar span): the slots that map(add, ...) summed
-        label = None
-
-        def spy_add(a, b):
-            dense[label] += 1
-            return a + b
-
-        monkeypatch.setattr(matroid_module, "add", spy_add)
-        for k, (n, d, family) in enumerate(inputs):
+        non_spanning = []
+        for n, d, family in inputs:
             m = sparse_paving_matroid(n, d, family)
             want = lnr_coeffs(n, d, len(family))
             assert upset_z_poly(m) == want, (n, d, family)
-            for scalar_span in (16, 1, 1 << n):
-                monkeypatch.setattr(matroid_module, "_Z_SCALAR_SPAN", scalar_span)
-                label = k, scalar_span
-                assert list(matroid_module._z_solve(m).coeffs) == want, (n, d, family, scalar_span)
-        # the wide blocks of U(1, 11) are dense, those of U(9, 3) sparse, and
-        # with every block merged one mask at a time map(add, ...) never runs
-        assert dense[0, 16] > 0 and dense[1, 16] == 0
-        assert not any(dense[k, 1 << 12] for k in range(len(inputs)))
+            assert list(matroid_module._z_solve(m).coeffs) == want, (n, d, family)
+            non_spanning.append(sum(r < d for r in m.rank_table()))
+        assert non_spanning[:2] == [4096 - 13, 1 + 12 + 66]
+
+    @pytest.mark.parametrize(
+        "graph,trees,want",
+        [
+            (complete_graph(4), 16, [1, 1]),
+            (complete_graph(5), 125, [1, 5]),
+            (wheel_graph(3), 16, [1, 1]),
+            (wheel_graph(4), 45, [1, 5]),
+            (wheel_graph(5), 121, [1, 11, 5]),
+            (wheel_graph(6), 320, [1, 19, 29]),
+        ],
+        ids=["K4", "K5", "W3", "W4", "W5", "W6"],
+    )
+    def test_routes_agree_on_graphic_matroids(self, graph, trees, want):
+        # cycle matroids are not sparse paving, and their non-spanning masks
+        # fill the blocks of the cube unevenly; the spanning-tree counts are
+        # Cayley's v^(v - 2) on v vertices and L(2k) - 2 on the wheel with k
+        # spokes, L the Lucas numbers; the polynomials were computed by both
+        # routes here
+        m = graphic_matroid(*graph)
+        assert len(m.bases) == trees
+        assert kl_poly(m) == IntPoly(upset_z_poly(m)) == kl_poly_recurrence(m) == IntPoly(want)
 
     @pytest.mark.parametrize(
         "n,d,family",

@@ -830,6 +830,43 @@ class TestFillingContract:
         for f in fillings:
             assert Filling.from_json_dict(json.loads(f.to_json())) == f
 
+    def test_every_reader_takes_a_shape_given_as_a_plain_triple(self):
+        # the unchecked constructor keeps the triple as given; each reader
+        # looks the shape up in _LAYOUTS, which validates and normalises it
+        plain, checked = (Filling(shape, (1, 2, 3, 4, 5, 6)) for shape in ((3, 1, 3), SkewShape(3, 1, 3)))
+        assert type(plain.shape) is tuple and plain.is_legal()
+        assert involution_rotate(plain) == involution_rotate(checked)
+        assert plain.columns == checked.columns
+        assert plain.to_json_dict() == checked.to_json_dict() == {
+            "a": 3, "i": 1, "b": 3, "columns": [[1, 2, 3], [4, 5, 6]]
+        }
+        for d, rho in ((4, 0), (4, 1), (2, 5)):
+            assert satisfies_removed_family_conditions(plain, d, rho) == (
+                satisfies_removed_family_conditions(checked, d, rho)
+            )
+        with pytest.raises(InvalidShape, match=r"needs 6 entries, got 2$"):
+            satisfies_removed_family_conditions(Filling((3, 1, 3), (1, 2)), 4, 1)
+        low = Filling((2, 1, 2), (1, 3, 2, 4))
+        assert iota_action(1, low, 3) == iota_action(1, Filling(SkewShape(2, 1, 2), low.entries), 3)
+        with pytest.raises(InvalidShape, match="left column of height 2"):
+            iota_action(0, plain, 3)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 1, 3, 1), (), 5, "313"], ids=repr)
+    def test_a_shape_that_is_not_a_triple_is_an_invalid_shape(self, shape):
+        f = Filling(shape, (1, 2, 3, 4))
+        readers = [
+            f.is_legal,
+            lambda: f.columns,
+            f.to_json_dict,
+            lambda: involution_rotate(f),
+            lambda: satisfies_removed_family_conditions(f, 2, 0),
+            lambda: iota_action(0, f, 2),
+        ]
+        for read in readers:
+            with pytest.raises(InvalidShape, match="a shape is a triple"):
+                read()
+        assert shape not in _LAYOUTS
+
     def test_non_bijective_entries_are_illegal(self):
         assert not Filling.from_columns(2, 1, 2, [[1, 2], [2, 4]]).is_legal()
         assert not Filling.from_columns(2, 1, 2, [[1, 2], [3, 5]]).is_legal()
