@@ -16,6 +16,20 @@ checked before any coefficient: m + d <= COEFF_MAX_N in ``klm coeff`` and
 KLPOLY_MAX_N in ``klm klpoly``, ``klm verify --max-n`` at VERIFY_MAX_N and
 ``klm table`` at TABLE_MAX.
 
+Output is written as it is computed.  ``klm table`` computes each row as
+its writer asks for it, in every format; its JSON is written ``[``, row by
+row, ``]``, the same bytes as one ``json.dumps`` of the whole list.  In
+text, ``klm verify`` writes and flushes each suite's lines as soon as that
+suite returns, and ``--method all`` each route's line as soon as that route
+finishes, then ``OK`` or ``FAIL``; ``klm enumerate`` prints each filling as
+it passes the family's filter.  The JSON documents of ``klm coeff``, ``klm
+klpoly`` and ``klm verify`` are one document each, written at the end:
+``elapsed_ms`` and the verdict need every route, and a suite can raise
+partway through the battery.  If one does, a reader of the text has the
+lines of every suite that finished before it, then the error on stderr; a
+reader of the JSON has nothing.  A reader that closes the pipe early, like
+``head``, ends the command with exit 0 and nothing on stderr.
+
 Only ``klm verify`` loads ``verification``, and with it the sweep pool: with
 ``--jobs`` above 1, worker processes made with ``os.fork`` that take pickled
 chunks of points over pipes.  A checker's error reaches ``klm verify`` as
@@ -118,7 +132,8 @@ def _envelope(query: dict, result, method: str, elapsed_ms: float) -> str:
 def _run_routes(args, cap: int, compute) -> int:
     """Print ``compute(route, params)`` for the ``--method`` route, or for every
     route that admits the query under ``all``, then whether they agree.  A
-    refused route, or m + d past the command's ``cap``, exits 2 first."""
+    refused route, or m + d past the command's ``cap``, exits 2 first.  In
+    text, each route's line is written as soon as that route finishes."""
     params = RhoUniformParams(args.m, args.d, args.rho)
     if args.method == "all":
         routes = [r for r in ROUTES if r.refusal(params) is None]
@@ -131,7 +146,11 @@ def _run_routes(args, cap: int, compute) -> int:
         message = f"the formula routes of klm {args.command} are capped at m + d <= {cap}"
         return _fail_usage(f"{message}, got {params.n}")
     start = time.perf_counter()
-    values = {route.name: compute(route, params) for route in routes}
+    values = {}
+    for route in routes:
+        values[route.name] = value = compute(route, params)
+        if args.format == "text" and len(routes) > 1:
+            print(f"{route.name}: {value}", flush=True)
     elapsed = (time.perf_counter() - start) * 1000
     agreed = len(set(values.values())) == 1
     if args.format == "json":
@@ -141,8 +160,6 @@ def _run_routes(args, cap: int, compute) -> int:
     elif len(values) == 1:
         print(next(iter(values.values())))
     else:
-        for method, value in values.items():
-            print(f"{method}: {value}")
         print("OK" if agreed else "FAIL: methods disagree")
     return EXIT_OK if agreed else EXIT_INCONSISTENT
 
@@ -168,23 +185,22 @@ def cmd_enumerate(args) -> int:
     if family == "overline":
         n = args.a + 2 * args.i + args.b - 2
         largest = set(range(n - (args.a - 2) + 1, n + 1))
-        fillings = [
+        fillings = (
             f for f in fillings if f.entries[0] == 1 and set(f.entries[2 : args.a]) == largest
-        ]
+        )
     elif family == "rho":
-        fillings = [
-            f for f in fillings if satisfies_removed_family_conditions(f, d, rho)
-        ]
-    for f in fillings:
+        fillings = (f for f in fillings if satisfies_removed_family_conditions(f, d, rho))
+    count = 0
+    for count, f in enumerate(fillings, 1):
         if args.format == "json":
             print(f.to_json())
         else:
             cols = " | ".join(",".join(str(v) for v in col) for col in f.columns)
             print(f"[{cols}]")
     if args.format == "json":
-        print(json.dumps({"count": len(fillings)}))
+        print(json.dumps({"count": count}))
     else:
-        print(f"count: {len(fillings)}")
+        print(f"count: {count}")
     return EXIT_OK
 
 
@@ -200,12 +216,16 @@ def cmd_verify(args) -> int:
     if max_n > VERIFY_MAX_N:
         return _fail_usage(f"--max-n must be at most {VERIFY_MAX_N}, got {max_n}")
     suites = VERIFY_SUITES if args.suite == "all" else [args.suite]
-    reports = [r for name in suites for r in VERIFY_SUITES[name](verification, max_n, jobs)]
+    reports = []
+    for name in suites:
+        suite_reports = VERIFY_SUITES[name](verification, max_n, jobs)
+        reports += suite_reports
+        if args.format == "text":
+            for r in suite_reports:
+                print(r.summary())
+            sys.stdout.flush()
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports]))
-    else:
-        for r in reports:
-            print(r.summary())
     return EXIT_OK if all(r.passed for r in reports) else EXIT_INCONSISTENT
 
 
@@ -219,24 +239,25 @@ def cmd_table(args) -> int:
         )
     if args.rho < 0:
         return _fail_usage(f"--rho must be 0 or more, got {args.rho}")
-    rows = []
-    for m in range(1, args.m_max + 1):
-        for d in range(1, args.d_max + 1):
-            if args.rho not in valid_rhos(m, d):
-                continue
-            for i in coefficient_range(d):
-                rows.append((m, d, args.rho, i, coeff_rho(m, d, i, args.rho)))
+    # each row is computed as the writer asks for it
+    rows = (
+        (m, d, args.rho, i, coeff_rho(m, d, i, args.rho))
+        for m in range(1, args.m_max + 1)
+        for d in range(1, args.d_max + 1)
+        if args.rho in valid_rhos(m, d)
+        for i in coefficient_range(d)
+    )
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["m", "d", "rho", "i", "coefficient"])
-        for row in rows:
-            writer.writerow([str(v) for v in row])
+        writer.writerows(rows)
     elif args.format == "json":
-        payload = [
-            {"m": m, "d": d, "rho": rho, "i": i, "coefficient": str(c)}
-            for (m, d, rho, i, c) in rows
-        ]
-        print(json.dumps(payload))
+        # the bytes of json.dumps of the whole list, one row object at a time
+        sys.stdout.write("[")
+        for k, (m, d, rho, i, c) in enumerate(rows):
+            row = json.dumps({"m": m, "d": d, "rho": rho, "i": i, "coefficient": str(c)})
+            sys.stdout.write(f", {row}" if k else row)
+        print("]")
     else:
         print(f"{'m':>3} {'d':>3} {'rho':>4} {'i':>3} {'coefficient':>16}")
         for (m, d, rho, i, c) in rows:

@@ -16,15 +16,28 @@ from klmatroids.closedforms import (
     RhoUniformParams,
     coeff_rho,
     coeff_uniform_klum,
+    coefficient_range,
     kl_poly_rho,
     valid_rhos,
 )
+
+SRC = str(Path(klmatroids.__file__).parents[1])
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class RecordingStdout(io.StringIO):
+    """A stdout whose ``getvalue()`` is every byte written so far and whose
+    ``flushed`` is what had been written at the last ``flush()``."""
+
+    flushed = ""
+
+    def flush(self):
+        self.flushed = self.getvalue()
 
 
 class TestCoeff:
@@ -177,6 +190,30 @@ class TestKlpoly:
     def test_a_route_past_its_domain_is_refused(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "klpoly", *argv)
         assert code == 2 and out == "" and message in err
+
+    def test_all_writes_each_route_before_the_next_runs(self, monkeypatch):
+        p = RhoUniformParams(2, 4)
+        want = kl_poly_rho(p)
+        stdout = RecordingStdout()
+        seen = []
+
+        def oracle_coeff(coeff):
+            def recorded(params, i):
+                seen.append(stdout.flushed)
+                return coeff(params, i)
+
+            return recorded
+
+        routes = tuple(
+            route._replace(coeff=oracle_coeff(route.coeff)) if route.name == "oracle" else route
+            for route in ROUTES
+        )
+        monkeypatch.setattr(cli, "ROUTES", routes)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["klpoly", "--m", "2", "--d", "4", "--method", "all"]) == 0
+        earlier = [f"{name}: {want}\n" for name in ("tableau", "direct", "closed-form")]
+        assert seen[0] == "".join(earlier)
+        assert stdout.getvalue() == seen[0] + f"oracle: {want}\nOK\n"
 
 
 class TestEnumerate:
@@ -357,6 +394,33 @@ class TestVerify:
         assert json.loads(out) == reports
         assert len(reports) == 16
 
+    def test_all_writes_each_suite_before_the_next_runs(self, monkeypatch):
+        shape_grid = verification.shape_grid
+        monkeypatch.setattr(verification, "shape_grid", lambda *sizes: shape_grid(3, 3, 2, 8))
+        stdout = RecordingStdout()
+        starts = []  # (text flushed when the suite starts, its report count)
+
+        def recorded(suite):
+            def run(*args):
+                flushed = stdout.flushed
+                reports = suite(*args)
+                starts.append((flushed, len(reports)))
+                return reports
+
+            return run
+
+        for name, suite in VERIFY_SUITES.items():
+            monkeypatch.setitem(VERIFY_SUITES, name, recorded(suite))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["verify", "--suite", "all", "--max-n", "5", "--jobs", "1"]) == 0
+        lines = stdout.getvalue().splitlines(keepends=True)
+        assert len(starts) == len(VERIFY_SUITES) and len(lines) == 16
+        assert starts[1][0] == lines[0] and lines[0].startswith("theorem1: ")
+        done = 0
+        for flushed, count in starts:
+            assert flushed == "".join(lines[:done])
+            done += count
+
 
 class TestStartUp:
     HEAVY = ("dataclasses", "concurrent", "multiprocessing", "fractions", "decimal", "numbers")
@@ -375,7 +439,7 @@ class TestStartUp:
             capture_output=True,
             text=True,
             timeout=60,
-            env={**os.environ, "PYTHONPATH": str(Path(klmatroids.__file__).parents[1])},
+            env={**os.environ, "PYTHONPATH": SRC},
         )
         assert done.returncode == 0 and done.stderr == ""
         added = done.stdout.split()
@@ -537,7 +601,89 @@ class TestFormulaCap:
         assert f"capped at m + d <= {KLPOLY_MAX_N}, got {KLPOLY_MAX_N + 1}" in err
 
 
+def reference_table(m_max: int, d_max: int, rho: int, fmt: str) -> str:
+    """klm table's output, assembled from the whole list of rows at once."""
+    rows = [
+        (m, d, rho, i, coeff_rho(m, d, i, rho))
+        for m in range(1, m_max + 1)
+        for d in range(1, d_max + 1)
+        if rho in valid_rhos(m, d)
+        for i in coefficient_range(d)
+    ]
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(["m", "d", "rho", "i", "coefficient"])
+        writer.writerows([[str(v) for v in row] for row in rows])
+        return buffer.getvalue()
+    if fmt == "json":
+        keys = ("m", "d", "rho", "i", "coefficient")
+        return json.dumps([dict(zip(keys, (*row[:4], str(row[4])))) for row in rows]) + "\n"
+    header = f"{'m':>3} {'d':>3} {'rho':>4} {'i':>3} {'coefficient':>16}\n"
+    return header + "".join(f"{m:>3} {d:>3} {r:>4} {i:>3} {c:>16}\n" for m, d, r, i, c in rows)
+
+
 class TestTable:
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("rho", [0, 1, 2])
+    def test_matches_the_whole_list_reference(self, capsys, rho, fmt):
+        code, out, _ = run_cli(
+            capsys, "table", "--m-max", "6", "--d-max", "7", "--rho", str(rho), "--format", fmt
+        )
+        assert code == 0 and out == reference_table(6, 7, rho, fmt)
+
+    def test_no_row_is_the_empty_json_array(self, capsys):
+        # d = 1 admits no removed basis
+        code, out, _ = run_cli(
+            capsys, "table", "--m-max", "1", "--d-max", "1", "--rho", "1", "--format", "json"
+        )
+        assert code == 0 and out == "[]\n" == reference_table(1, 1, 1, "json")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_writes_every_earlier_row_before_the_last_is_computed(self, monkeypatch, fmt):
+        stdout = RecordingStdout()
+        written = []
+
+        def recorded(*args):
+            written.append(stdout.getvalue())
+            return coeff_rho(*args)
+
+        monkeypatch.setattr(cli, "coeff_rho", recorded)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["table", "--m-max", "3", "--d-max", "4", "--format", fmt]) == 0
+        out, before_last = stdout.getvalue(), written[-1]
+        rows = len(written)
+        assert rows == 3 * sum(len(coefficient_range(d)) for d in range(1, 5))
+        if fmt == "json":
+            assert len(json.loads(before_last + "]")) == rows - 1
+        else:
+            # the header, then all rows but the last
+            assert before_last == "".join(out.splitlines(keepends=True)[:-1])
+        assert out.startswith(before_last)
+
+    def test_a_reader_that_closes_early_ends_it_cleanly(self):
+        # the 70 triangle is megabytes, so the writer meets the closed pipe
+        # long before its last row
+        argv = ["table", "--m-max", "70", "--d-max", "70", "--rho", "1", "--format", "csv"]
+        proc = subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "klmatroids.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        try:
+            head = [proc.stdout.readline() for _ in range(3)]
+            proc.stdout.close()
+            code = proc.wait(timeout=30)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert head == ["m,d,rho,i,coefficient\n", "1,2,1,0,1\n", "1,3,1,0,1\n"]
+        assert code == 0 and err == ""
+
     def test_csv_contract(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "--m-max", "3", "--d-max", "5", "--format", "csv"

@@ -104,6 +104,24 @@ class TestDefiningEquation:
         clear_caches()
         assert kl_defining_equation_holds(matroid)
 
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda p, total: (p + IntPoly([1]), total),
+            lambda p, total: (p, total + IntPoly([1])),
+        ],
+        ids=["P plus one", "sum off by one at t^0"],
+    )
+    def test_a_wrong_constant_term_fails(self, monkeypatch, fresh_caches, wrong):
+        # the Z route sets every constant term to 1 without reading a slot, so
+        # its own constant-term checks cannot fail; this check guards the
+        # recurrence's constant term
+        original = matroid_module._recurrence_solve
+        monkeypatch.setattr(matroid_module, "_recurrence_solve", lambda m: wrong(*original(m)))
+        for matroid in (uniform_matroid(3, 3), build_rho_uniform(RhoUniformParams(2, 4, 1))):
+            assert not kl_defining_equation_holds(matroid)
+        assert not verification.sweep_theorem1(6, jobs=1).passed
+
 
 class TestMinorsSweep:
     def test_a_misplaced_prediction_fails(self, monkeypatch):
