@@ -9,12 +9,13 @@ as decimal strings; JSON output round-trips losslessly.
 count of the Theorem 1 set (``direct``, at most MAX_CELLS = 64 cells), the
 older closed form (``closed-form``, rho = 0 only) and the Z-polynomial
 solver (``oracle``, at most MAX_GROUND = 16 elements).  A ``--method`` past
-its route's domain exits 2 with the library's message; ``--method all`` runs
-every route that admits the query, and a polynomial is one route's
-coefficients, assembled by ``Route.poly``.  The CLI sets the other caps,
-checked before any coefficient: m + d <= COEFF_MAX_N in ``klm coeff`` and
-KLPOLY_MAX_N in ``klm klpoly``, ``klm verify --max-n`` at VERIFY_MAX_N and
-``klm table`` at TABLE_MAX.
+its route's domain exits 2 with the route's refusal, at those two caps the
+library's own message (``klm enumerate`` past MAX_CELLS prints the same);
+``--method all`` runs every route that admits the query, and a polynomial is
+one route's coefficients, assembled by ``Route.poly``.  The CLI sets the
+other caps, checked before any coefficient: m + d <= COEFF_MAX_N in ``klm
+coeff`` and KLPOLY_MAX_N in ``klm klpoly``, ``klm verify --max-n`` at
+VERIFY_MAX_N and ``klm table`` at TABLE_MAX.
 
 Output is written as it is computed.  ``klm table`` computes each row as
 its writer asks for it, in every format; its JSON is written ``[``, row by
@@ -107,18 +108,12 @@ def _fail_usage(message: str) -> int:
 
 
 def _envelope(query: dict, result, method: str, elapsed_ms: float) -> str:
-    def stringify(value):
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, int):
-            return str(value)
-        if isinstance(value, IntPoly):
-            return [str(c) for c in value.coeffs]
+    def stringify(value):  # an int, an IntPoly, or a dict of them (``--method all``)
         if isinstance(value, dict):
             return {k: stringify(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [stringify(v) for v in value]
-        return value
+        if isinstance(value, IntPoly):
+            return [str(c) for c in value.coeffs]
+        return str(value)
 
     payload = {
         "query": stringify(query),
@@ -353,7 +348,10 @@ def main(argv=None) -> int:
     except KlmatroidsError as exc:
         return _fail_usage(str(exc))
     except BrokenPipeError:
-        # downstream consumer (head, less) closed the stream mid-output
+        # A reader (head, less) closed the pipe.  The close guards the flush at
+        # exit: bytes still buffered would meet the closed pipe again and print
+        # "Exception ignored" on stderr with exit 120.  CPython 3.11 exits clean
+        # without it; CI's 3.10 leg is the case it is kept for.
         try:
             sys.stdout.close()
         except Exception:

@@ -16,6 +16,8 @@ builder of ``matroid``, beside the removed blocks as bitmasks
 ``ROUTES`` is the one table of the routes to a KL coefficient, each with
 its domain, and ``Route.poly`` assembles a route's polynomial; every
 comparison of routes reads the table, and ``kl_poly_rho`` is its tableau row.
+The direct and oracle routes refuse by the caps' own messages,
+``cell_count_refusal`` and ``ground_size_refusal``.
 
 The parameter types are named tuples: RhoUniformParams is (m, d, rho),
 checked when it is built, and MinorClass is (m, d, rho, offset).  They
@@ -33,16 +35,16 @@ from .matroid import (
     GroundSubset,
     Matroid,
     _build_cached,
-    check_ground_size,
     d_subsets,
     elements_of,
     ground_mask,
+    ground_size_refusal,
     kl_poly,
     mask_from,
     removed_block_masks,
 )
 from .tableaux import (
-    check_cell_count,
+    cell_count_refusal,
     count_overline_skyt,
     count_skyt,
     count_skyt_rho_direct,
@@ -187,15 +189,6 @@ class Route(NamedTuple):
         return IntPoly(self.coeff(p, i) for i in coefficient_range(p.d))
 
 
-def _cap_message(check: Callable[[int], None], n: int) -> str | None:
-    """The message of the library cap ``check`` when n exceeds it, else None."""
-    try:
-        check(n)
-    except InvalidParameters as exc:
-        return str(exc)
-    return None
-
-
 # In output order, the tableau route first.  The routes call the library through this module's
 # globals, so a monkeypatched or traced function is the one that runs.
 ROUTES = (
@@ -203,7 +196,7 @@ ROUTES = (
     Route(
         "direct",
         lambda p, i: count_skyt_rho_direct(p.m, p.d, i, p.rho),
-        lambda p: _cap_message(check_cell_count, p.n),
+        lambda p: cell_count_refusal(p.n),
     ),
     Route(
         "closed-form",
@@ -213,7 +206,7 @@ ROUTES = (
     Route(
         "oracle",
         lambda p, i: kl_poly(build_rho_uniform(p)).coeff(i),
-        lambda p: _cap_message(check_ground_size, p.n),
+        lambda p: ground_size_refusal(p.n),
     ),
 )
 

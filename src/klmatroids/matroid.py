@@ -17,6 +17,8 @@ validated once: one bounded LRU memo keeps the matroids that pass by exact
 family met again, a minor above all, returns the same matroid.  The lattice
 of flats, minors and the characteristic polynomial (Whitney's sum over all
 subsets) are read from the table and the flat indicator, not Mobius values.
+Ground sets stop at MAX_GROUND elements; ``ground_size_refusal`` is the cap's
+one message, which the builders raise and the oracle route refuses by.
 
 The Kazhdan-Lusztig polynomial has two independent routes, each serving as
 the oracle that the other and the formula layer are checked against:
@@ -331,16 +333,12 @@ class _TableMemo:
 _TABLE_MEMO = _TableMemo(1 << 20)
 
 
-def check_ground_size(n: int) -> None:
-    """Raise InvalidParameters when n exceeds MAX_GROUND.
-
-    A builder that lists its bases calls this first: there are C(n, d) of
-    them, far more work than the refusal that would follow.
-    """
+def ground_size_refusal(n: int) -> str | None:
+    """The message refusing a ground set of n elements, None within MAX_GROUND.
+    A builder raises it before listing its C(n, d) bases; the oracle route reads it."""
     if n > MAX_GROUND:
-        raise InvalidParameters(
-            f"ground set of size {n} exceeds the {MAX_GROUND} element limit for matroids"
-        )
+        return f"ground set of size {n} exceeds the {MAX_GROUND} element limit for matroids"
+    return None
 
 
 def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) -> Matroid:
@@ -358,7 +356,8 @@ def matroid_from_bases(n: int, bases: Iterable[Collection[int] | GroundSubset]) 
         (n,) = _integers(InvalidParameters, n=n)
     if n < 0:
         raise ValueError(f"ground set size must be non-negative, got {n}")
-    check_ground_size(n)
+    if refusal := ground_size_refusal(n):
+        raise InvalidParameters(refusal)
     masks: set[GroundSubset] = set()
     limit = 1 << n
     for b in bases:
@@ -402,7 +401,8 @@ def _build_cached(m: int, d: int, rho: int, offset: int) -> Matroid:
     A hit refreshes both entries, so the (n, bases) one never ages out first."""
     known = _TABLE_MEMO.get((m, d, rho, offset))
     if known is None:
-        check_ground_size(n := m + d)
+        if refusal := ground_size_refusal(n := m + d):
+            raise InvalidParameters(refusal)
         removed = set(removed_block_masks(d, rho, offset))
         known = matroid_from_bases(n, [b for b in d_subsets(n, d) if b not in removed])
         _TABLE_MEMO.put((m, d, rho, offset), known)

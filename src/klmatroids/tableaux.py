@@ -42,7 +42,8 @@ multiply and one divide per term.
 ``count_skyt_rho_direct`` counts the Theorem 1 set independently of both, by
 a dynamic programme over the order ideals of the cell poset (Stanley's
 transfer-matrix method), so only listing the fillings (``enumerate_skyt``)
-needs MAX_FILLINGS.
+needs MAX_FILLINGS.  Both stop at MAX_CELLS cells; ``cell_count_refusal`` is
+that cap's one message, which they raise and the direct route refuses by.
 """
 
 from __future__ import annotations
@@ -261,6 +262,14 @@ def _legal_entries(layout: _Layout) -> list[tuple[int, ...]]:
     return out
 
 
+def cell_count_refusal(n: int) -> str | None:
+    """The message refusing a shape of n cells, None within MAX_CELLS.  The
+    Theorem 1 shape of each coefficient of U(m, d; rho) has m + d cells."""
+    if n > MAX_CELLS:
+        return f"tableau shapes are capped at {MAX_CELLS} cells, and this one has {n}"
+    return None
+
+
 def enumerate_skyt(a: int, i: int, b: int) -> list[Filling]:
     """All legal fillings of shape (a, i, b) in column-major lexicographic order.
 
@@ -278,11 +287,8 @@ def enumerate_skyt(a: int, i: int, b: int) -> list[Filling]:
     if a < 2 or b < 2:
         return []
     # Both caps are checked before any work that grows with the shape.
-    cells = a + 2 * i + b - 2
-    if cells > MAX_CELLS:
-        raise InvalidParameters(
-            f"shape ({a}, {i}, {b}) has {cells} cells; enumeration is capped at {MAX_CELLS}"
-        )
+    if refusal := cell_count_refusal(a + 2 * i + b - 2):
+        raise InvalidParameters(refusal)
     count = count_skyt(a, i, b)
     if count > MAX_FILLINGS:
         raise InvalidParameters(
@@ -529,12 +535,6 @@ def _fillings_and_misses(layout: _Layout, d: int, rho: int) -> tuple[int, int]:
     return level[(1 << n) - 1]
 
 
-def check_cell_count(n: int) -> None:
-    """Raise InvalidParameters when the n = m + d cells of a direct count exceed MAX_CELLS."""
-    if n > MAX_CELLS:
-        raise InvalidParameters(f"the direct count is capped at {MAX_CELLS} cells, and m + d = {n}")
-
-
 def count_skyt_rho_direct(m: int, d: int, i: int, rho: int) -> int:
     """Count fillings of shape (m+1, i, d-2i+1) passing the boundary conditions.
 
@@ -549,7 +549,8 @@ def count_skyt_rho_direct(m: int, d: int, i: int, rho: int) -> int:
     """
     m, d, rho = validate_family_params(m, d, rho)
     (i,) = _integers(InvalidParameters, i=i)
-    check_cell_count(m + d)
+    if refusal := cell_count_refusal(m + d):
+        raise InvalidParameters(refusal)
     if i < 0:
         return 0
     if i == 0:

@@ -368,12 +368,15 @@ def catalan_numbers(count: int) -> list[int]:
     return cats
 
 
+def _catalan_point(point: tuple[int]) -> bool:
+    (i,) = point
+    return count_skyt(2, i, 2) == catalan_numbers(i + 2)[i + 1]
+
+
 def sweep_catalan(i_max: int = 6) -> IdentityReport:
     """count_skyt(2, i, 2) runs through the Catalan sequence."""
-    cats = catalan_numbers(i_max + 2)
     points = [(i,) for i in range(1, i_max + 1)]
-    results = [count_skyt(2, i, 2) == cats[i + 1] for (i,) in points]
-    return IdentityReport.of("catalan", f"1<=i<={i_max}", points, results)
+    return _run_points("catalan", f"1<=i<={i_max}", points, _catalan_point)
 
 
 # -- characteristic polynomial ----------------------------------------------------

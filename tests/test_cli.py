@@ -132,6 +132,13 @@ class TestCoeff:
         assert code == 0 and lines[-1] == "OK"
         assert [line.split(":")[0] for line in lines[:-1]] == ["tableau", "closed-form"]
 
+    def test_enumeration_and_the_direct_route_give_one_cell_cap_message(self, capsys):
+        # 65 cells both: the shape (2, 1, 63), and the shape of each coefficient of U(40, 25)
+        enumerated = run_cli(capsys, "enumerate", "--a", "2", "--i", "1", "--b", "63")
+        direct = run_cli(capsys, "coeff", "--m", "40", "--d", "25", "--i", "1", "--method", "direct")
+        message = "error: tableau shapes are capped at 64 cells, and this one has 65\n"
+        assert enumerated == direct == (2, "", message)
+
 
 class TestKlpoly:
     def test_text_output(self, capsys):

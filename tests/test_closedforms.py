@@ -165,6 +165,13 @@ class TestFamilyRules:
     def test_rank_zero_removes_no_block(self):
         assert removed_block_masks(0, 3) == removed_block_masks(0, 2, 4) == []
 
+    @pytest.mark.parametrize("i", [1.0, "1", None])
+    def test_a_non_integer_index_is_refused(self, i):
+        with pytest.raises(InvalidParameters, match="must be integers"):
+            coeff_rho(2, 5, i, 1)
+        with pytest.raises(InvalidParameters, match="must be integers"):
+            coeff_uniform_klum(2, 5, i)
+
     # coeff_rho has no range guard of its own: past the range the shape's
     # width d - 2i + 1 is below 2, and both of its counts are 0 there.
     @pytest.mark.parametrize(
@@ -375,6 +382,14 @@ class TestClassifyMinor:
     def test_not_a_flat(self):
         with pytest.raises(NotAFlat):
             classify_minor(self.P231, {1, 2}, "localization")
+
+    @pytest.mark.parametrize(
+        "flat, kind, error",
+        [(1 << 5, "contraction", NotAFlat), (-1, "localization", NotAFlat), (0, "deletion", ValueError)],
+    )
+    def test_refuses_a_mask_off_the_ground_set_and_an_unknown_kind(self, flat, kind, error):
+        with pytest.raises(error):
+            classify_minor(self.P231, flat, kind)
 
     def test_reads_only_the_parameters_and_the_flat(self, monkeypatch):
         # the predictions and the matroid they are checked against stay apart

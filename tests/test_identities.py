@@ -113,6 +113,18 @@ class TestAlternatingIdentities:
         assert sweep_skyt_identity().passed
         assert sweep_skytbar_identity().passed
 
+    @pytest.mark.parametrize(
+        "residual, args",
+        [
+            (skyt_identity_residual, (1, 3, 0)),
+            (skyt_identity_residual, (0, 3, 1)),
+            (skytbar_identity_residual, (3, 0)),
+        ],
+    )
+    def test_preconditions(self, residual, args):
+        with pytest.raises(InvalidParameters):
+            residual(*args)
+
 
 class TestIntegralIdentity:
     def test_spot_values(self):
@@ -126,6 +138,11 @@ class TestIntegralIdentity:
     def test_sweep(self):
         report = sweep_integral_identity()
         assert report.passed and report.points == 64
+
+    @pytest.mark.parametrize("a,b", [(0, 1), (1, 0)])
+    def test_precondition(self, a, b):
+        with pytest.raises(InvalidParameters):
+            check_integral_identity(a, b)
 
 
 class TestBinomialAltsum:
@@ -242,6 +259,10 @@ class TestConstantTermPorism:
     @pytest.mark.parametrize("m,d,rho", [(1, 2, 1), (2, 3, 0), (3, 2, 2), (1, 5, 0)])
     def test_spot_points(self, m, d, rho):
         assert check_kl_constant_term_porism(m, d, rho)
+
+    def test_needs_rank_one(self):
+        with pytest.raises(InvalidParameters):
+            check_kl_constant_term_porism(2, 0, 0)
 
     def test_sweep(self):
         assert sweep_kl_constant_term().passed

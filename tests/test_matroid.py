@@ -88,6 +88,11 @@ class TestConstruction:
         assert U12_MINUS.rank == 2
         assert len(U12_MINUS.bases) == 2
 
+    def test_attributes_cannot_be_assigned(self):
+        with pytest.raises(AttributeError, match="immutable"):
+            U12.rank = 3
+        assert U12.rank == 2
+
     def test_empty_and_mixed(self):
         with pytest.raises(EmptyBases):
             matroid_from_bases(3, [])
@@ -115,6 +120,11 @@ class TestConstruction:
                 matroid_from_bases(n, [{1}])
             assert isinstance(info.value, KlmatroidsError)
             assert "16" in str(info.value)
+
+    def test_the_family_builder_raises_the_cap_message_itself(self):
+        # rank 0 has one basis, so a missing check could not hang this process
+        with pytest.raises(InvalidParameters, match="^ground set of size 17 exceeds the 16 "):
+            uniform_matroid(17, 0)
 
     def test_builders_check_the_cap_before_listing_bases(self):
         # C(40, 20) bases would never be listed: the cap must fire first.
@@ -403,6 +413,17 @@ class TestRankClosure:
             + ["NotAFlat bitmask -1 outside the ground set of U(2,3;1)"] * 2
             + ["NotAFlat bitmask 32 outside the ground set of U(2,3;1)"] * 2
         )
+
+    @pytest.mark.parametrize("mask", [-1, 1 << 4])
+    def test_rank_of_refuses_a_mask_off_the_ground_set_here_too(self, mask):
+        # neither mask can loop, so both also run in this process
+        with pytest.raises(ValueError, match=f"bitmask {mask} outside ground set of size 4"):
+            uniform_matroid(2, 2).rank_of(mask)
+
+    def test_a_negative_mask_is_refused_before_the_first_bit(self):
+        # taken lazily, so a missing check yields a bit here instead of looping
+        with pytest.raises(ValueError, match="bitmask -1 is negative"):
+            next(matroid_module._iter_bits(-1))
 
     def test_closure_is_idempotent_and_monotone(self):
         for m in (U12, U12_MINUS, uniform_matroid(2, 2)):

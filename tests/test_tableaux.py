@@ -192,6 +192,11 @@ class TestEnumeration:
         with pytest.raises(InvalidShape):
             enumerate_skyt(3, 0, 3)
 
+    @pytest.mark.parametrize("a,b", [(-1, 3), (3, -2)])
+    def test_negative_sides_refused(self, a, b):
+        with pytest.raises(InvalidShape, match="negative shape parameter"):
+            enumerate_skyt(a, 1, b)
+
     def test_each_call_builds_new_fillings(self):
         # nothing is cached: equal lists, but no filling object is shared
         first, second = enumerate_skyt(4, 2, 7), enumerate_skyt(4, 2, 7)
@@ -295,6 +300,15 @@ def test_non_integer_parameters_fail_alike_cold_and_warm():
         assert cold is not None and cold == warm, name
         assert cold[0] == kind, name
         assert "must be integers, got " in cold[1] and ".0" in cold[1], name
+
+
+@pytest.mark.parametrize(
+    "count, args",
+    [(count_syt, (3.0, 1, 0)), (count_syt, (3, 1, "0")), (count_skyt, (3, 1, 3.0)), (count_skyt, (3.0, 1, 3))],
+)
+def test_non_integer_counts_are_refused_in_this_process_too(count, args):
+    with pytest.raises(InvalidShape, match="must be integers"):
+        count(*args)
 
 
 def test_family_parameters_are_kept_as_ints():
@@ -487,6 +501,10 @@ class TestInvolution:
 
 
 class TestOverline:
+    def test_negative_i_is_refused(self):
+        with pytest.raises(InvalidShape, match="negative i=-1"):
+            count_overline_skyt(-1, 3)
+
     def test_conventions_and_values(self):
         assert count_overline_skyt(0, 5) == 0
         assert count_overline_skyt(1, 1) == 0
@@ -680,6 +698,8 @@ class TestIotaAction:
             iota_action(3, f, 3)
         with pytest.raises(InvalidShape):
             iota_action(0, LIFTED_433, 5)
+        with pytest.raises(InvalidParameters, match="m must be at least 1"):
+            iota_action(0, f, 0)
 
 
 def test_filling_json_roundtrip():
