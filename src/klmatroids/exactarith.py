@@ -85,6 +85,8 @@ class IntPoly:
         return hash(("IntPoly", self.coeffs))
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -97,6 +99,8 @@ class IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):

@@ -32,7 +32,8 @@ the oracle that the other and the formula layer are checked against:
   block, and one loop over the same run pushes it into its lower sibling.
   It reads only the rank table and the flat indicator: no lattice, minor or
   characteristic polynomial.  Every P has constant term 1, so only the
-  coefficients of degree 1 and up are read off the cube.
+  coefficients of degree 1 and up are read off the cube.  The matroid keeps
+  its P in a slot of its own, so the result lives exactly as long as it does.
 * :func:`kl_poly_recurrence` solves the defining recurrence.  It lists the
   localization and the contraction of every flat as exact labelled basis
   families, builds and validates each distinct family once, and weights
@@ -109,9 +110,10 @@ class Matroid:
 
     Use :func:`matroid_from_bases` to construct one; the constructor itself
     assumes masks, a rank table and flats that already passed validation.
+    The ``_kl`` slot stays unset until :func:`kl_poly` stores its result there.
     """
 
-    __slots__ = ("n", "bases", "rank", "_rank_table", "_flats")
+    __slots__ = ("n", "bases", "rank", "_rank_table", "_flats", "_kl")
 
     def __init__(self, n: int, bases: tuple[GroundSubset, ...], table: bytes, flats: int):
         object.__setattr__(self, "n", n)
@@ -296,7 +298,6 @@ class _TableMemo:
 
     A matroid holds no lattice of flats, so its table bounds what it keeps
     alive.  Every entry counts its table, a member under both keys twice.
-    An evicted key takes its Z-route result (``_KL_CACHE``) with it.
     """
 
     def __init__(self, budget: int):
@@ -306,9 +307,6 @@ class _TableMemo:
 
     def __len__(self) -> int:
         return len(self._matroids)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._matroids
 
     def get(self, key: tuple) -> Matroid | None:
         matroid = self._matroids.get(key)
@@ -320,9 +318,8 @@ class _TableMemo:
         self._matroids[key] = matroid
         self.held += 1 << matroid.n
         while self.held > self.budget:
-            old_key, old = self._matroids.popitem(last=False)
+            _, old = self._matroids.popitem(last=False)
             self.held -= 1 << old.n
-            _KL_CACHE.pop(old_key, None)
 
     def clear(self) -> None:
         self._matroids.clear()
@@ -492,15 +489,13 @@ def contraction(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matro
     return matroid_from_bases(*_contraction_family(matroid, _flat_mask(matroid, flat)))
 
 
-# Global result caches, keyed by the exact (n, sorted bases) representation of
-# a matroid, never by isomorphism class: the oracle must stay independent of
-# the minor predictions it is used to verify.  Plain dicts are fine under the
-# GIL; a concurrent duplicate insert just recomputes the same immutable value.
-# P from the Z-polynomial solver, kept only while _TABLE_MEMO holds the matroid
-_KL_CACHE: dict[tuple[int, tuple[int, ...]], IntPoly] = {}
-# (P, right-hand side of the recurrence that P was solved from); kept apart
-# from _KL_CACHE so that the two routes never read each other's results.
-# Unbounded: each solve reads its minors' entries, which a bound would drop
+# (P, right-hand side of the recurrence that P was solved from) by the exact
+# (n, sorted bases) representation, never by isomorphism class: the oracle
+# must stay independent of the minor predictions it is used to verify.  The
+# Z route keeps its results in each matroid's ``_kl`` slot, apart from this,
+# so that the two routes never read each other's results.  Unbounded: each
+# solve reads its minors' entries, which a bound would drop.  A plain dict is
+# fine under the GIL; a concurrent duplicate insert recomputes the same value.
 _RECURRENCE_CACHE: dict[tuple[int, tuple[int, ...]], tuple[IntPoly, IntPoly]] = {}
 
 
@@ -533,16 +528,14 @@ def kl_poly(matroid: Matroid) -> IntPoly:
     makes it so (Proudfoot, Xu and Young, "The Z-polynomial of a matroid").
     Applied to every contraction M/F, from the largest subsets of the ground
     set down, this gives P_{M/F} for every flat F from the rank table alone.
-    Memoized on the exact (n, bases) representation while ``_TABLE_MEMO``
-    holds the matroid.  Rank 0 gives 1, loops or not; a loop in positive rank
-    raises HasLoops.
+    Memoized in the matroid's ``_kl`` slot, so a result lives exactly as
+    long as its matroid.  Rank 0 gives 1, loops or not; a loop in positive
+    rank raises HasLoops.
     """
-    key = matroid.key()
-    cached = _KL_CACHE.get(key)
+    cached = getattr(matroid, "_kl", None)
     if cached is None:
         cached = _z_solve(matroid)
-        if key in _TABLE_MEMO:
-            _KL_CACHE[key] = cached
+        object.__setattr__(matroid, "_kl", cached)
     return cached
 
 
@@ -709,7 +702,8 @@ def _recurrence_solve(matroid: Matroid) -> tuple[IntPoly, IntPoly]:
 
 
 def clear_caches() -> None:
+    """Empty the matroid memo and the recurrence memo.  A matroid the caller
+    still holds keeps its Z-route result; one built afresh is solved again."""
     _TABLE_MEMO.clear()
-    _KL_CACHE.clear()
     _RECURRENCE_CACHE.clear()
 

@@ -54,6 +54,35 @@ class TestIntPoly:
         assert 3 * p == IntPoly([3, 6])
         assert (-p)(7) == -15
 
+    @pytest.mark.parametrize(
+        "combine",
+        [
+            lambda p: p + 1,
+            lambda p: p - 1,
+            lambda p: p + "t",
+            lambda p: 1 + p,
+            lambda p: p * "t",
+            lambda p: p * 1.0,
+        ],
+        ids=["p + 1", "p - 1", "p + 't'", "1 + p", "p * 't'", "p * 1.0"],
+    )
+    def test_arithmetic_with_a_non_polynomial_is_a_type_error(self, combine):
+        with pytest.raises(TypeError):
+            combine(IntPoly([1, 2]))
+
+    def test_comparison_with_a_non_polynomial_is_left_to_the_other_side(self):
+        p = IntPoly([1, 2])
+        assert p.__eq__((1, 2)) is NotImplemented and p.__mul__("t") is NotImplemented
+        assert p != (1, 2) and IntPoly([1]) != 1
+
+    def test_a_product_with_zero_is_zero(self):
+        p = IntPoly([1, 2])
+        assert p * IntPoly() == IntPoly() * p == IntPoly([0]) * p == IntPoly()
+
+    def test_repr(self):
+        assert repr(IntPoly([1, 2, 0])) == "IntPoly([1, 2])"
+        assert repr(IntPoly()) == "IntPoly([])"
+
     def test_immutable(self):
         p = IntPoly([1, 2])
         with pytest.raises(AttributeError):

@@ -264,6 +264,13 @@ class TestConstantTermPorism:
         with pytest.raises(InvalidParameters):
             check_kl_constant_term_porism(2, 0, 0)
 
+    def test_fails_when_the_expansion_is_not_minus_one(self, monkeypatch):
+        # one more i = 0 tableau in every count moves the chain off -1, while
+        # every route still gives constant term 1
+        exact = identities.count_skyt
+        monkeypatch.setattr(identities, "count_skyt", lambda a, i, b: exact(a, i, b) + 1)
+        assert not check_kl_constant_term_porism(1, 5, 0)
+
     def test_sweep(self):
         assert sweep_kl_constant_term().passed
 

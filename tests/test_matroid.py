@@ -88,6 +88,23 @@ class TestConstruction:
         assert U12_MINUS.rank == 2
         assert len(U12_MINUS.bases) == 2
 
+    def test_equal_families_hash_equal(self, fresh_caches):
+        # after clear_caches() the same family is a new object, equal to the old
+        again = matroid_from_bases(3, [0b011, 0b101, 0b110])
+        assert again is not U12 and again == U12
+        assert hash(again) == hash(U12) and len({again, U12, U12_MINUS}) == 2
+
+    def test_comparison_with_a_non_matroid_is_left_to_the_other_side(self):
+        assert U12.__eq__(U12.key()) is NotImplemented
+        assert U12 != U12.key() and U12 != "U12"
+
+    def test_repr_shows_the_first_six_bases(self):
+        assert repr(U12) == "Matroid(n=3, rank=2, bases=[{1, 2}, {1, 3}, {2, 3}])"
+        assert repr(RANK0) == "Matroid(n=3, rank=0, bases=[set()])"
+        assert repr(uniform_matroid(3, 2)) == (
+            "Matroid(n=5, rank=2, bases=[{1, 2}, {1, 3}, {2, 3}, {1, 4}, {2, 4}, {3, 4}]...)"
+        )
+
     def test_attributes_cannot_be_assigned(self):
         with pytest.raises(AttributeError, match="immutable"):
             U12.rank = 3
@@ -643,16 +660,65 @@ class TestTableMemo:
         assert first.key() in matroid_module._TABLE_MEMO._matroids
         assert matroid_from_bases(16, first.bases) is first
 
+    def test_a_family_hit_puts_an_evicted_bases_entry_back(self, fresh_caches):
+        # U(8, 8; 1) fills two of the sixteen 16-element slots, one per key;
+        # fifteen other tables then evict its (n, bases) entry alone
+        p = RhoUniformParams(8, 8, 1)
+        first = build_rho_uniform(p)
+        for e in range(15):
+            matroid_from_bases(16, [1 << e])
+        held = matroid_module._TABLE_MEMO._matroids
+        assert first.key() not in held and (8, 8, 1, 0) in held
+        assert build_rho_uniform(p) is first
+        assert first.key() in held
+        assert matroid_from_bases(16, first.bases) is first
+
     def test_z_results_leave_with_their_matroids(self, monkeypatch, fresh_caches):
         # a 2**12-byte budget holds at most two 10-element family members, so
-        # most of the grid's matroids are evicted while their results are used
+        # most of the grid's matroids are evicted while their results are used;
+        # the memory the sweep leaves behind is then about the memo's tables, a
+        # few kB, where a module-level store of the 118 results alone holds
+        # about 24 kB, and one keyed by (n, bases) about 160 kB
         memo = matroid_module._TABLE_MEMO
         monkeypatch.setattr(memo, "budget", 1 << 12)
-        for p in family_grid(10, min_d=0):
-            assert kl_poly(build_rho_uniform(p)) == kl_poly_rho(p), p
-        results = matroid_module._KL_CACHE
-        unheld = [key for key in results if key not in memo._matroids]
-        assert results and not unheld, f"{len(unheld)} of {len(results)} results outlive their matroid"
+        grid = list(family_grid(10, min_d=0))
+        want = [kl_poly_rho(p) for p in grid]
+        for p in grid:  # builds the subset indicators of each ground-set size
+            build_rho_uniform(p)
+        clear_caches()
+        tracemalloc.start()
+        try:
+            for p, poly in zip(grid, want):
+                assert kl_poly(build_rho_uniform(p)) == poly, p
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 118 and memo.held <= memo.budget
+        assert held < 3 * memo.budget, f"{held} bytes held after the sweep"
+
+    def test_a_z_result_lives_exactly_as_long_as_its_matroid(self, monkeypatch, fresh_caches):
+        # a 2**7-byte budget holds two 6-element tables, so a third evicts the first
+        memo = matroid_module._TABLE_MEMO
+        monkeypatch.setattr(memo, "budget", 1 << 7)
+        solved = []
+        solve = matroid_module._z_solve
+
+        def spy(matroid, *width):
+            solved.append(matroid)
+            return solve(matroid, *width)
+
+        monkeypatch.setattr(matroid_module, "_z_solve", spy)
+        evicted = matroid_from_bases(6, d_subsets(6, 3))
+        held = matroid_from_bases(6, d_subsets(6, 4))
+        results = [kl_poly(evicted), kl_poly(held)]
+        matroid_from_bases(6, d_subsets(6, 2))
+        assert evicted.key() not in memo._matroids and held.key() in memo._matroids
+        assert kl_poly(evicted) is results[0] and kl_poly(held) is results[1]
+        assert len(solved) == 2 and solved[0] is evicted and solved[1] is held
+        clear_caches()
+        again = matroid_from_bases(6, d_subsets(6, 3))
+        assert again is not evicted and kl_poly(again) == results[0] == IntPoly([1, 9])
+        assert len(solved) == 3 and solved[2] is again
 
 
 class TestCharPoly:
@@ -755,13 +821,6 @@ def _refuse(*args, **kwargs):
     raise _Refused("an oracle route called outside itself")
 
 
-class _UnreadableMemo(dict):
-    def get(self, *args):
-        raise _Refused("the Z memo was read")
-
-    __getitem__ = __contains__ = get
-
-
 # small matroids of several kinds, for the independence checks
 ROUTE_SAMPLES = [
     uniform_matroid(2, 4),
@@ -806,6 +865,9 @@ class TestOracleRoutes:
     def test_z_route_builds_no_minor(self, monkeypatch, fresh_caches):
         want = [kl_poly_recurrence(m) for m in ROUTE_SAMPLES]
         clear_caches()
+        # built afresh, so that each holds no Z result yet
+        samples = [matroid_from_bases(m.n, m.bases) for m in ROUTE_SAMPLES]
+        assert not any(a is b for a, b in zip(samples, ROUTE_SAMPLES))
         for name in ("localization", "contraction", "char_poly", "kl_poly_recurrence"):
             monkeypatch.setattr(matroid_module, name, _refuse)
         monkeypatch.setattr(matroid_module.Matroid, "lattice", _refuse)
@@ -813,7 +875,7 @@ class TestOracleRoutes:
             for name in ("count_skyt", "count_overline_skyt", "count_syt"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, _refuse)
-        assert [kl_poly(m) for m in ROUTE_SAMPLES] == want
+        assert [kl_poly(m) for m in samples] == want
 
     def test_cube_matches_upset_solver_on_every_small_basis_system(self):
         matroids = list(_every_loopless_matroid(5))
@@ -940,7 +1002,9 @@ class TestOracleRoutes:
         want = [kl_poly(m) for m in ROUTE_SAMPLES]
         monkeypatch.setattr(matroid_module, "kl_poly", _refuse)
         monkeypatch.setattr(matroid_module, "_z_solve", _refuse)
-        monkeypatch.setattr(matroid_module, "_KL_CACHE", _UnreadableMemo())
+        # any read of a matroid's Z slot now raises; construction leaves the
+        # slot unset, so building the recurrence's minors reads none
+        monkeypatch.setattr(matroid_module.Matroid, "_kl", property(_refuse))
         assert [kl_poly_recurrence(m) for m in ROUTE_SAMPLES] == want
 
     def test_grouped_sum_equals_the_per_flat_sum(self):

@@ -101,8 +101,10 @@ class TestDefiningEquation:
         )
         assert not kl_defining_equation_holds(matroid)
         monkeypatch.setattr(matroid_module, "_z_solve", original)
+        # the wrong result stays on the matroid; one built afresh is solved again
         clear_caches()
-        assert kl_defining_equation_holds(matroid)
+        rebuilt = uniform_matroid(1, 3)
+        assert rebuilt is not matroid and kl_defining_equation_holds(rebuilt)
 
     @pytest.mark.parametrize(
         "wrong",
