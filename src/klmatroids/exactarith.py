@@ -64,6 +64,10 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not by setting the slot
+        return IntPoly, (self.coeffs,)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -36,8 +36,9 @@ the oracle that the other and the formula layer are checked against:
   its P in a slot of its own, so the result lives exactly as long as it does.
 * :func:`kl_poly_recurrence` solves the defining recurrence.  It lists the
   localization and the contraction of every flat as exact labelled basis
-  families, builds and validates each distinct family once, and weights
-  each distinct pair's term by the number of flats that give it.
+  families, each in one pass of iterators with no sort, builds and
+  validates each distinct family once, and weights each distinct pair's
+  term by the number of flats that give it.
 
 Neither route reads the other's results, nor any closed form.
 """
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, OrderedDict
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, filterfalse, repeat
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import (
@@ -124,6 +125,10 @@ class Matroid:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__; the _kl slot starts empty
+        return Matroid, (self.n, self.bases, self._rank_table, self._flats)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matroid):
@@ -429,21 +434,28 @@ class FlatLattice(NamedTuple):
     ranks: tuple[int, ...]
 
 
+# the bits from 2**(MAX_GROUND - 1) down to 1: _BITS[MAX_GROUND - n:] lists
+# those of an n-element ground set from the highest down (n = 0 too, which a
+# slice from -n would not give)
+_BITS = tuple(1 << j for j in range(MAX_GROUND - 1, -1, -1))
+
+
 def _minor_bases(
     table: bytes, kept: tuple[int, ...], size: int, anchor: int, want: int
-) -> list[GroundSubset]:
+) -> tuple[GroundSubset, ...]:
     """The size-subsets S of the kept bits with r(S | anchor) == want, each
-    relabelled onto bits 1, 2, 4, ... in the kept bits' order.
+    relabelled so that the j-th lowest kept bit becomes bit j, ascending.
 
-    Both combination streams run in the same lexicographic order, so each
-    parent subset is paired with its relabelled image.
+    ``kept`` runs from the highest bit down, and so do the relabelled bits,
+    so both combination streams come out in descending numeric order: each
+    parent subset is paired with its image, and the hits reversed ascend.
+    The anchor holds none of the kept bits, so S | anchor is the sum of S
+    started at the anchor.  The rank test and the pairing run in C, one
+    pass over each stream, and only the hits' images are summed.
     """
-    own = [1 << j for j in range(len(kept))]
-    return [
-        sum(new)
-        for old, new in zip(combinations(kept, size), combinations(own, size))
-        if table[sum(old) | anchor] == want
-    ]
+    ranks = map(table.__getitem__, map(sum, combinations(kept, size), repeat(anchor)))
+    images = combinations(_BITS[MAX_GROUND - len(kept) :], size)
+    return tuple(map(sum, compress(images, map(want.__eq__, ranks))))[::-1]
 
 
 def _flat_mask(matroid: Matroid, flat: Collection[int] | GroundSubset) -> GroundSubset:
@@ -455,21 +467,35 @@ def _flat_mask(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Ground
 
 
 def _localization_family(matroid: Matroid, mask: GroundSubset) -> tuple[int, tuple[int, ...]]:
-    """(n, sorted bases) of the restriction to the flat ``mask``."""
-    table = matroid.rank_table()
+    """(n, sorted bases) of the restriction to the flat ``mask``.  Known
+    without a walk at an independent flat, the free matroid with the flat
+    its one basis, and at the ground set, M itself."""
+    table = matroid._rank_table
     r = table[mask]
-    kept = tuple(_iter_bits(mask))
-    return len(kept), tuple(sorted(_minor_bases(table, kept, r, 0, r)))
+    size = mask.bit_count()
+    if r == size:
+        return size, ((1 << size) - 1,)
+    if size == matroid.n:
+        return size, matroid.bases
+    kept = tuple(filter(mask.__and__, _BITS[MAX_GROUND - matroid.n :]))
+    return size, _minor_bases(table, kept, r, 0, r)
 
 
 def _contraction_family(matroid: Matroid, mask: GroundSubset) -> tuple[int, tuple[int, ...]]:
     """(n, sorted bases) of the contraction by the flat ``mask``: the
     (rank M - r(F))-subsets S of the complement with r(S | F) == rank M,
-    which is r(S | B) for any basis B of F."""
-    table = matroid.rank_table()
-    kept = tuple(_iter_bits(ground_mask(matroid.n) & ~mask))
-    k = matroid.rank - table[mask]
-    return len(kept), tuple(sorted(_minor_bases(table, kept, k, mask, matroid.rank)))
+    which is r(S | B) for any basis B of F.  Known without a walk at the
+    empty flat, M itself, and at a hyperplane: rank 1 with every element a
+    basis, as the flat is closed."""
+    if not mask:
+        return matroid.n, matroid.bases
+    table = matroid._rank_table
+    kept = tuple(filterfalse(mask.__and__, _BITS[MAX_GROUND - matroid.n :]))
+    top = matroid.rank
+    corank = top - table[mask]
+    if corank == 1:
+        return len(kept), _BITS[MAX_GROUND - len(kept) :][::-1]
+    return len(kept), _minor_bases(table, kept, corank, mask, top)
 
 
 def localization(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matroid:

@@ -400,9 +400,13 @@ def sweep_charpoly(total_max: int = 10, jobs: int = 1) -> IdentityReport:
 def _minors_point(p: RhoUniformParams) -> bool:
     matroid = build_rho_uniform(p)
     families = (("localization", _localization_family), ("contraction", _contraction_family))
+    predicted: dict = {}  # each predicted class's (n, bases), built once per point
     for flat in matroid.lattice().flats:
         for kind, family in families:
-            if family(matroid, flat) != classify_minor(p, flat, kind).build().key():
+            minor = classify_minor(p, flat, kind)
+            if minor not in predicted:
+                predicted[minor] = minor.build().key()
+            if family(matroid, flat) != predicted[minor]:
                 return False
     return True
 

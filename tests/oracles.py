@@ -7,7 +7,9 @@ intersections, a subset-by-subset rank DP and closure test instead of
 bit-packed indicators, flats as the closures of all subsets instead of the
 packed flat indicator, pairwise set exchange instead of rank tables, Mobius
 values instead of Whitney's subset sum, minors relabelled element by element
-instead of by paired bit combinations, a permutation search for matroid
+instead of by paired bit combinations (and the paired combinations, lowest
+bit first and then sorted, as the reference for the library's listing, which
+runs from the highest bit down and needs no sort), a permutation search for matroid
 isomorphism, and an up-set walk over the lattice of flats instead of the
 subset cube for the Z-polynomial solve, the defining recurrence summed one
 flat at a time instead of once per distinct pair of minor families, and sums
@@ -320,6 +322,27 @@ def element_contraction(matroid, flat: int) -> tuple[int, tuple[int, ...]]:
         if table[cm | anchor] == k + r
     ]
     return len(kept), tuple(sorted(_relabel(good, kept)))
+
+
+def reference_minor_families(matroid, flat: int):
+    """(localization, contraction) at a flat, each as (n, sorted bases),
+    listed by pairing the lexicographic combinations of the kept bits,
+    lowest first, with those of the relabelled bits and sorting the hits."""
+    table = matroid.rank_table()
+
+    def listed(kept: list[int], size: int, anchor: int, want: int):
+        own = [1 << j for j in range(len(kept))]
+        hits = [
+            sum(new)
+            for old, new in zip(combinations(kept, size), combinations(own, size))
+            if table[sum(old) | anchor] == want
+        ]
+        return len(kept), tuple(sorted(hits))
+
+    inside = [1 << e for e in range(matroid.n) if flat >> e & 1]
+    outside = [1 << e for e in range(matroid.n) if not flat >> e & 1]
+    r = table[flat]
+    return listed(inside, r, 0, r), listed(outside, matroid.rank - r, flat, matroid.rank)
 
 
 def per_flat_recurrence_rhs(matroid) -> IntPoly:

@@ -670,14 +670,16 @@ class TestTable:
 
     def test_a_reader_that_closes_early_ends_it_cleanly(self):
         # the 70 triangle is megabytes, so the writer meets the closed pipe
-        # long before its last row
+        # long before its last row; the child's stdout is buffered, as it is
+        # in a shell pipeline, whatever PYTHONUNBUFFERED says here
         argv = ["table", "--m-max", "70", "--d-max", "70", "--rho", "1", "--format", "csv"]
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         proc = subprocess.Popen(
             [sys.executable, "-W", "error", "-m", "klmatroids.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": SRC},
+            env={**env, "PYTHONPATH": SRC},
         )
         try:
             head = [proc.stdout.readline() for _ in range(3)]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -90,6 +92,15 @@ class TestIntPoly:
         with pytest.raises(AttributeError):
             p.degree = 5
         assert p.coeffs == (1, 2)
+
+    @pytest.mark.parametrize("coeffs", [[], [1], [1, -29, 91, 2**80]])
+    def test_pickle_and_copy_round_trips(self, coeffs):
+        p = IntPoly(coeffs)
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert type(q) is IntPoly and q == p and hash(q) == hash(p)
+            assert q.coeffs == p.coeffs
+            with pytest.raises(AttributeError, match="immutable"):
+                q.coeffs = (3,)
 
     def test_equal_polynomials_hash_equal(self):
         # klm klpoly --method all decides agreement from a set of route values

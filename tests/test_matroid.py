@@ -1,5 +1,7 @@
 import ast
+import copy
 import os
+import pickle
 import random
 import resource
 import subprocess
@@ -30,6 +32,7 @@ from klmatroids.exactarith import IntPoly, poly_reverse
 from klmatroids.matroid import (
     char_poly,
     FlatLattice,
+    Matroid,
     clear_caches,
     contraction,
     d_subsets,
@@ -62,6 +65,7 @@ from oracles import (
     mobius_char_coeffs,
     mobius_values,
     per_flat_recurrence_rhs,
+    reference_minor_families,
     sparse_paving,
     sparse_paving_matroid,
     upset_z_poly,
@@ -104,6 +108,26 @@ class TestConstruction:
         assert repr(uniform_matroid(3, 2)) == (
             "Matroid(n=5, rank=2, bases=[{1, 2}, {1, 3}, {2, 3}, {1, 4}, {2, 4}, {3, 4}]...)"
         )
+
+    @pytest.mark.parametrize("which", ["U12", "RANK0", "U(2,3;1)", "n0"])
+    def test_pickle_and_copy_round_trips(self, which):
+        m = {
+            "U12": U12,
+            "RANK0": RANK0,
+            "U(2,3;1)": build_rho_uniform(RhoUniformParams(2, 3, 1)),
+            "n0": matroid_from_bases(0, [0]),
+        }[which]
+        want = kl_poly(m)  # fills the parent's _kl slot
+        for c in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert type(c) is Matroid and c == m and hash(c) == hash(m)
+            assert (c.n, c.bases, c.rank, c.rank_table(), c._flats) == (
+                m.n, m.bases, m.rank, m.rank_table(), m._flats
+            )
+            # the Z-route result is not carried over: the copy solves afresh
+            assert getattr(c, "_kl", None) is None
+            assert kl_poly(c) == want
+            with pytest.raises(AttributeError, match="immutable"):
+                c.rank = 3
 
     def test_attributes_cannot_be_assigned(self):
         with pytest.raises(AttributeError, match="immutable"):
@@ -539,22 +563,91 @@ class TestMinors:
             contraction(U12_MINUS, mask_from({1}, 3))
 
     def test_match_element_by_element_construction(self):
-        small = list(_every_loopless_matroid(5))
-        grid = [build_rho_uniform(p) for p in family_grid(8)]
-        # circuit-hyperplanes are dependent flats, where the library's contraction
-        # reads r(S | F) and the oracle's r(S | a basis of F)
-        rng = random.Random(20261023)
-        paving = [
-            sparse_paving_matroid(n, d, sparse_paving(rng, n, d, k))
-            for n in range(6, 10)
-            for d in range(2, n - 1)
-            for k in (1, 2, 3)
-        ]
-        assert len(small) == 222 and len(grid) == 62 and len(paving) == 54
-        for m in small + grid + paving:
+        for m in _walked_matroids():
             for f in m.lattice().flats:
                 assert localization(m, f).key() == element_localization(m, f), (m, f)
                 assert contraction(m, f).key() == element_contraction(m, f), (m, f)
+
+
+def _walked_matroids() -> list:
+    """The 222 loopless basis systems on at most 5 elements, the 62 family
+    points with n <= 8 and 54 seeded sparse paving matroids at n = 6..9."""
+    small = list(_every_loopless_matroid(5))
+    grid = [build_rho_uniform(p) for p in family_grid(8)]
+    # circuit-hyperplanes are dependent flats, where the library's contraction
+    # reads r(S | F) and the oracle's r(S | a basis of F)
+    rng = random.Random(20261023)
+    paving = [
+        sparse_paving_matroid(n, d, sparse_paving(rng, n, d, k))
+        for n in range(6, 10)
+        for d in range(2, n - 1)
+        for k in (1, 2, 3)
+    ]
+    assert len(small) == 222 and len(grid) == 62 and len(paving) == 54
+    return small + grid + paving
+
+
+def _assert_listing_matches_reference(m) -> None:
+    for f in m.lattice().flats:
+        got = (
+            matroid_module._localization_family(m, f),
+            matroid_module._contraction_family(m, f),
+        )
+        assert got == reference_minor_families(m, f), (m, f)
+
+
+class TestMinorListing:
+    """The two minor families listed from the highest bit down, with no sort,
+    against the paired combinations listed lowest first and sorted."""
+
+    def test_every_flat_of_the_walked_matroids(self):
+        for m in _walked_matroids():
+            _assert_listing_matches_reference(m)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [complete_graph(4), complete_graph(5), wheel_graph(3), wheel_graph(4), wheel_graph(5)],
+        ids=["K4", "K5", "W3", "W4", "W5"],
+    )
+    def test_graphic_matroids_with_dependent_flats(self, graph):
+        # a triangle is a dependent flat, so the free-localization shortcut
+        # is skipped there and the rank test lists its bases
+        m = graphic_matroid(*graph)
+        table = m.rank_table()
+        assert any(table[f] < f.bit_count() for f in m.lattice().flats)
+        _assert_listing_matches_reference(m)
+
+    @pytest.mark.parametrize(
+        "n,bases", [(0, [0]), (1, [0]), (3, [0])], ids=["n0", "rank0-loop", "rank0-three-loops"]
+    )
+    def test_empty_ground_set_and_rank_zero(self, n, bases):
+        m = matroid_from_bases(n, bases)
+        _assert_listing_matches_reference(m)
+        # the ground set is the one flat; it contracts to the rank-0 matroid on nothing
+        full = ground_mask(n)
+        assert matroid_module._contraction_family(m, full) == (0, (0,))
+        assert matroid_module._localization_family(m, full) == (n, (0,))
+
+    def test_families_known_from_the_flat_list_nothing(self, monkeypatch):
+        # U(2, 3; 1): the flats are the empty set, 5 points, the 7 pairs off
+        # the removed block {1, 2, 3}, the block and E.  Only the block's
+        # localization (a dependent flat short of E), the contractions by the
+        # 5 points (corank 2) and by E (the empty stream) are walked; every
+        # other family is known from its flat, and all equal the reference
+        m = build_rho_uniform(RhoUniformParams(2, 3, 1))
+        original = matroid_module._minor_bases
+        walked = []
+
+        def recorded(table, kept, size, anchor, want):
+            walked.append(("contraction", anchor) if anchor else ("localization", sum(kept)))
+            return original(table, kept, size, anchor, want)
+
+        monkeypatch.setattr(matroid_module, "_minor_bases", recorded)
+        _assert_listing_matches_reference(m)
+        points = [1 << e for e in range(5)]
+        assert len(m.lattice().flats) == 15
+        want = [("contraction", p) for p in [*points, 0b11111]] + [("localization", 0b111)]
+        assert sorted(walked) == want
 
 
 class _CountedTables:

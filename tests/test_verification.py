@@ -136,6 +136,23 @@ class TestMinorsSweep:
         report = verification.sweep_minors(6, jobs=1)
         assert report.failures == (RhoUniformParams(3, 3, 2),)
 
+    def test_a_wrong_class_at_one_flat_fails(self, monkeypatch):
+        # at one flat of one point, the contraction at {1, 4} of U(3, 3; 1) is
+        # predicted as the one at {4}, a class the point has already built
+        point, flat, seen = RhoUniformParams(3, 3, 1), 0b1001, 0b1000
+        original = verification.classify_minor
+
+        def wrong_once(p, f, kind):
+            if (p, f, kind) == (point, flat, "contraction"):
+                return original(p, seen, kind)
+            return original(p, f, kind)
+
+        assert original(point, flat, "contraction") != original(point, seen, "contraction")
+        assert verification.sweep_minors(6, jobs=1).passed
+        monkeypatch.setattr(verification, "classify_minor", wrong_once)
+        report = verification.sweep_minors(6, jobs=1)
+        assert report.failures == (point,)
+
 
 class TestProcessFanOut:
     def test_theorem1_matches_serial(self):
