@@ -60,10 +60,10 @@ from .tableaux import (
 
 VERIFY_MAX_N = 14
 """The largest ``klm verify --max-n``, for every suite.  With 2 workers on a
-2-core VM with CPython 3.11, ``--suite all`` takes 3.7-4.1 s at 12 and
-11.3-12.1 s at 14.  At 14 the two sweeps that walk every flat lead:
-``theorem1`` (the defining recurrence) 4.6 s and ``minors`` (both minor
-families of every flat) 3.9-4.1 s, then ``symmetry`` 2.2-2.8 s (its grid is
+2-core VM with CPython 3.11, ``--suite all`` takes 3.3-4.1 s at 12 and
+10.3-12.1 s at 14.  At 14 the two sweeps that walk every flat lead:
+``theorem1`` (the defining recurrence) 4.0-4.6 s and ``minors`` (both minor
+families of every flat) 3.6-4.1 s, then ``symmetry`` 1.9-2.8 s (its grid is
 fixed), ``theorem2`` 0.3 s and every other suite under 0.3 s; at 12 they
 take 0.6-0.7, 0.6, 2.4-2.6 and 0.1 s.  The cap keeps the whole battery
 under half a minute."""
@@ -349,9 +349,14 @@ def main(argv=None) -> int:
     except KlmatroidsError as exc:
         return _fail_usage(str(exc))
     except BrokenPipeError:
-        # A reader (head, less) closed the pipe: exit 0, with no traceback.  The
-        # write that raised leaves nothing buffered, so the flush at exit has
-        # nothing to send and prints nothing (CPython 3.10 and 3.11).
+        # A reader (head, less) closed the pipe: exit 0, with no traceback.  A
+        # write the reader cut short can leave its tail in stdout's buffer; the
+        # flush at exit would meet the closed pipe again and print "Exception
+        # ignored" with exit 120.  Closing stdout makes that flush a no-op.
+        try:
+            sys.stdout.close()
+        except Exception:
+            pass
         return EXIT_OK
     finally:
         if limit is not None:

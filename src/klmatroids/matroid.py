@@ -468,15 +468,13 @@ def _flat_mask(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Ground
 
 def _localization_family(matroid: Matroid, mask: GroundSubset) -> tuple[int, tuple[int, ...]]:
     """(n, sorted bases) of the restriction to the flat ``mask``.  Known
-    without a walk at an independent flat, the free matroid with the flat
-    its one basis, and at the ground set, M itself."""
+    without a walk at an independent flat: the free matroid, with the flat
+    its one basis."""
     table = matroid._rank_table
     r = table[mask]
     size = mask.bit_count()
     if r == size:
         return size, ((1 << size) - 1,)
-    if size == matroid.n:
-        return size, matroid.bases
     kept = tuple(filter(mask.__and__, _BITS[MAX_GROUND - matroid.n :]))
     return size, _minor_bases(table, kept, r, 0, r)
 
@@ -484,18 +482,11 @@ def _localization_family(matroid: Matroid, mask: GroundSubset) -> tuple[int, tup
 def _contraction_family(matroid: Matroid, mask: GroundSubset) -> tuple[int, tuple[int, ...]]:
     """(n, sorted bases) of the contraction by the flat ``mask``: the
     (rank M - r(F))-subsets S of the complement with r(S | F) == rank M,
-    which is r(S | B) for any basis B of F.  Known without a walk at the
-    empty flat, M itself, and at a hyperplane: rank 1 with every element a
-    basis, as the flat is closed."""
-    if not mask:
-        return matroid.n, matroid.bases
+    which is r(S | B) for any basis B of F."""
     table = matroid._rank_table
     kept = tuple(filterfalse(mask.__and__, _BITS[MAX_GROUND - matroid.n :]))
     top = matroid.rank
-    corank = top - table[mask]
-    if corank == 1:
-        return len(kept), _BITS[MAX_GROUND - len(kept) :][::-1]
-    return len(kept), _minor_bases(table, kept, corank, mask, top)
+    return len(kept), _minor_bases(table, kept, top - table[mask], mask, top)
 
 
 def localization(matroid: Matroid, flat: Collection[int] | GroundSubset) -> Matroid:

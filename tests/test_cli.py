@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -692,6 +693,39 @@ class TestTable:
             proc.stderr.close()
         assert head == ["m,d,rho,i,coefficient\n", "1,2,1,0,1\n", "1,3,1,0,1\n"]
         assert code == 0 and err == ""
+
+    def test_a_write_cut_short_leaves_no_flush_to_fail_at_exit(self, monkeypatch):
+        # A reader that closes mid-write can take part of a chunk: the tail
+        # stays in the BufferedWriter, the next write's flush raises EPIPE,
+        # and the interpreter's exit flush of an open stdout would raise again
+        class ClosingPipe(io.RawIOBase):
+            def __init__(self):
+                self.taken = 0
+                self.cut = False
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                if self.cut:
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+                if self.taken + len(b) < 20_000:
+                    self.taken += len(b)
+                    return len(b)
+                # the reader closes mid-write: the last 10 bytes never go
+                self.cut = True
+                self.taken += len(b) - 10
+                return len(b) - 10
+
+        raw = ClosingPipe()
+        out = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=4096), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", out)
+        argv = ["table", "--m-max", "40", "--d-max", "40", "--rho", "1", "--format", "csv"]
+        assert main(argv) == 0
+        assert raw.cut
+        # what the interpreter does at exit: flush stdout unless it is closed
+        if not out.closed:
+            out.flush()
 
     def test_csv_contract(self, capsys):
         code, out, _ = run_cli(

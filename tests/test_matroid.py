@@ -628,27 +628,6 @@ class TestMinorListing:
         assert matroid_module._contraction_family(m, full) == (0, (0,))
         assert matroid_module._localization_family(m, full) == (n, (0,))
 
-    def test_families_known_from_the_flat_list_nothing(self, monkeypatch):
-        # U(2, 3; 1): the flats are the empty set, 5 points, the 7 pairs off
-        # the removed block {1, 2, 3}, the block and E.  Only the block's
-        # localization (a dependent flat short of E), the contractions by the
-        # 5 points (corank 2) and by E (the empty stream) are walked; every
-        # other family is known from its flat, and all equal the reference
-        m = build_rho_uniform(RhoUniformParams(2, 3, 1))
-        original = matroid_module._minor_bases
-        walked = []
-
-        def recorded(table, kept, size, anchor, want):
-            walked.append(("contraction", anchor) if anchor else ("localization", sum(kept)))
-            return original(table, kept, size, anchor, want)
-
-        monkeypatch.setattr(matroid_module, "_minor_bases", recorded)
-        _assert_listing_matches_reference(m)
-        points = [1 << e for e in range(5)]
-        assert len(m.lattice().flats) == 15
-        want = [("contraction", p) for p in [*points, 0b11111]] + [("localization", 0b111)]
-        assert sorted(walked) == want
-
 
 class _CountedTables:
     """Wraps _dp_rank_table, counting the tables actually built."""
