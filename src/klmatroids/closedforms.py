@@ -294,29 +294,33 @@ def classify_minor(
         raise ValueError(f"kind must be localization or contraction, got {kind!r}")
     if not isinstance(flat, int):
         flat = mask_from(flat, p.n)
-    full = ground_mask(p.n)
-    if not 0 <= flat <= full:
+    if not 0 <= flat <= ground_mask(p.n):
         raise NotAFlat(f"bitmask {flat} outside the ground set of {p.label()}")
-    blocks = removed_block_masks(p.d, p.rho)
+    local, contracted = _minor_classes(p, removed_block_masks(p.d, p.rho), flat)
+    return local if kind == "localization" else contracted
+
+
+def _minor_classes(
+    p: RhoUniformParams, blocks: list[GroundSubset], flat: GroundSubset
+) -> tuple[MinorClass, MinorClass]:
+    """(localization, contraction) classes at a flat inside the ground set,
+    as :func:`classify_minor` predicts them, behind one NotAFlat guard."""
     if not _is_flat(p, blocks, flat):
         raise NotAFlat(f"{set(elements_of(flat))} is not a flat of {p.label()}")
-    size = flat.bit_count()
-    if kind == "localization":
-        if flat == full:
-            return MinorClass(p.m, p.d, p.rho)
-        if flat in blocks:
-            return MinorClass(1, p.d - 1)
-        return MinorClass(0, size)
-    if flat == 0:
-        return MinorClass(p.m, p.d, p.rho)
+    full = ground_mask(p.n)
+    whole = MinorClass(p.m, p.d, p.rho)
     if flat == full:
-        return MinorClass(0, 0)
+        return whole, MinorClass(0, 0)
     if flat in blocks:
-        return MinorClass(p.m - 1, 1)
+        return MinorClass(1, p.d - 1), MinorClass(p.m - 1, 1)
+    size = flat.bit_count()
+    local = MinorClass(0, size)
+    if flat == 0:
+        return local, whole
     for ell, block in enumerate(blocks):
         if flat & block == flat:
-            return MinorClass(p.m, p.d - size, 1, ell * p.d)
-    return MinorClass(p.m, p.d - size)
+            return local, MinorClass(p.m, p.d - size, 1, ell * p.d)
+    return local, MinorClass(p.m, p.d - size)
 
 
 def expected_flats(p: RhoUniformParams) -> set[GroundSubset]:

@@ -11,12 +11,17 @@ that table satisfies the local rank axiom, which construction checks on the
 same indicators; the pairwise exchange search runs only to name a witness
 for a family that fails.  The same indicators give the flats, the sets
 that every element outside raises in rank, and the matroid keeps their
-indicator beside its table of one byte per subset.  Each distinct family is
-validated once: one bounded LRU memo keeps the matroids that pass by exact
-(n, sorted masks), and family members by (m, d, rho, offset) too, so a
-family met again, a minor above all, returns the same matroid.  The lattice
-of flats, minors and the characteristic polynomial (Whitney's sum over all
-subsets) are read from the table and the flat indicator, not Mobius values.
+indicator beside its table of one byte per subset.  Each distinct family
+is validated once: one bounded LRU memo keeps the matroids that pass by
+exact (n, sorted masks), and family members by (m, d, rho, offset) too, so
+a family met again, a minor above all, returns the same matroid.  The
+lattice of flats, minors and the characteristic polynomial (Whitney's sum
+over all subsets, as counts of the bytes 2 r(S) + |S| mod 2) are read from
+the table and the flat indicator, not Mobius values.  Per ground-set size,
+tables built on first use hold the subset indicators, every subset as an
+int (masks are listed by ``compress`` over it, making no new int), the
+highest bit of every gap that the cube solve looks up, and the parity of
+every subset, which the characteristic polynomial counts against.
 Ground sets stop at MAX_GROUND elements; ``ground_size_refusal`` is the cap's
 one message, which the builders raise and the oracle route refuses by.
 
@@ -170,7 +175,7 @@ class Matroid:
 
     def lattice(self) -> "FlatLattice":
         """The flats by (cardinality, mask): a stable sort keeps the mask order."""
-        marked = compress(range(1 << self.n), _spread(self._flats, self.n))
+        marked = compress(_subset_tables(self.n)[0], _spread(self._flats, self.n))
         flats = tuple(sorted(marked, key=int.bit_count))
         return FlatLattice(self.n, flats, tuple(map(self._rank_table.__getitem__, flats)))
 
@@ -179,9 +184,16 @@ class Matroid:
 # the subsets S that lack element e + 1 and bit S of size[k] the k-subsets
 _INDICATORS: dict[int, tuple[list[int], list[int]]] = {}
 
-# one byte per subset, 0 or 1, to and from the ASCII digits of a binary string
+# per ground-set size n: (subsets, highest, parity), where subsets[S] is the
+# int S itself, highest[x] for x < 2**(n - 1) the highest power of two <= x
+# (0 for x = 0) and byte S of parity |S| mod 2
+_SUBSET_TABLES: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+
+# one byte per subset, 0 or 1, to and from the ASCII digits of a binary
+# string, and to its opposite
 _BYTES_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _indicators(n: int) -> tuple[list[int], list[int]]:
@@ -206,6 +218,34 @@ def _indicators(n: int) -> tuple[list[int], list[int]]:
         for e in range(n):
             size = [low | high << (1 << e) for low, high in zip(size + [0], [0] + size)]
         known = _INDICATORS[n] = (without, size)
+    return known
+
+
+def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The per-subset tables of a ground set of size n, built on first use:
+    every subset as an int, the highest bit of every int below 2**(n - 1),
+    which bounds every gap u - s that the cube solve looks up, and the
+    parity of every subset as one byte each of an int.
+
+    Listing masks by ``compress`` over the shared subsets makes no new int.
+    Both other tables are built by doubling: the ints in [2**e, 2**(e + 1))
+    have highest bit 2**e, and the subsets that hold element e + 1 have the
+    opposite parity to those that do not.  Callers check the ground-set cap
+    first, so the dict holds at most MAX_GROUND + 1 entries.
+    """
+    known = _SUBSET_TABLES.get(n)
+    if known is None:
+        highest = [0]
+        for e in range(n - 1):
+            highest += [1 << e] * (1 << e)
+        parity = b"\0"
+        for _ in range(n):
+            parity += parity.translate(_FLIP)
+        known = _SUBSET_TABLES[n] = (
+            tuple(range(1 << n)),
+            tuple(highest),
+            int.from_bytes(parity, "little"),
+        )
     return known
 
 
@@ -524,17 +564,20 @@ def _check_loopless(matroid: Matroid) -> None:
 
 def char_poly(matroid: Matroid) -> IntPoly:
     """Characteristic polynomial by Whitney's sum of (-1)^|S| t^(rank M - rank S)
-    over all subsets S of the ground set: one pass over the rank table.
+    over all subsets S of the ground set, read off byte counts.
+
+    Byte S of one big-int sum, twice the rank table plus the parity table,
+    is 2 r(S) + (|S| mod 2), below 34 so no byte carries.  The coefficient of
+    t^(rank M - r) is then the count of byte 2r less the count of byte 2r + 1.
 
     Only defined for loopless matroids; a loop would silently zero out the
     standard identities, so it is treated as misuse and raises HasLoops.
     """
     _check_loopless(matroid)
-    d = matroid.rank
-    coeffs = [0] * (d + 1)
-    for s, r in enumerate(matroid.rank_table()):
-        coeffs[d - r] += -1 if s.bit_count() & 1 else 1
-    return IntPoly(coeffs)
+    n, d = matroid.n, matroid.rank
+    packed = (int.from_bytes(matroid._rank_table, "little") << 1) + _subset_tables(n)[2]
+    keys = packed.to_bytes(1 << n, "little")
+    return IntPoly([keys.count(2 * r) - keys.count(2 * r + 1) for r in range(d, -1, -1)])
 
 
 def kl_poly(matroid: Matroid) -> IntPoly:
@@ -570,22 +613,22 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     over the non-spanning masks, those below full rank: a spanning mask has
     only the top flat above it, which is left out.  The masks are visited in
     descending numeric order, so every superset of a mask comes before it.
-    The block of a mask s is [s, s + span), span its lowest bit (the whole
-    cube for the empty set): the supersets of s that add only elements below
-    its lowest one.  The non-spanning masks form a down-set, so those in the
-    block are one run of the ascending list of them, from s up to the first
-    mask at or past s + span; only they are read or written, as a spanning
-    mask holds no sum.  Two packed ints are kept per mask, each with one
-    signed width-bit slot per degree:
+    The block of a nonempty mask s is [s, s + span), span its lowest bit: the
+    supersets of s that add only elements below its lowest one.  The
+    non-spanning masks form a down-set, so those in the block are one run of
+    the ascending list of them, from s up to the first mask at or past
+    s + span; only they are read or written, as a spanning mask holds no sum.
+    Two packed ints are kept per mask, each with one signed width-bit slot
+    per degree:
 
     * inner[u] sums t^(rank G) P_{M/G}(t) over the flats G containing u in
       the widest block merged so far that holds u.  Visiting s first merges
       its block, one ascending pass over the run after s: each u, with h the
-      highest bit of u - s, lies in the block [s + h, s + 2h) of s + h,
-      already merged when s + h was visited, and is added into inner[u - h]
-      in the lower half [s, s + h).  In ascending order every half h is
-      merged before half 2h reads it.  Then, at a flat, the visit adds the
-      value of s itself to inner[s].
+      highest bit of u - s (read from the per-n table of highest bits), lies
+      in the block [s + h, s + 2h) of s + h, already merged when s + h was
+      visited, and is added into inner[u - h] in the lower half [s, s + h).
+      In ascending order every half h is merged before half 2h reads it.
+      Then, at a flat, the visit adds the value of s itself to inner[s].
     * outer[u] sums over the flats strictly above u in the blocks pushed into
       u so far.  Visiting s last pushes its block into its lower sibling
       [s - span, s), one pass over the same run from s on, adding inner[u]
@@ -596,6 +639,9 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     holds x.  So outer[u] = R_u when u is visited.  Each flat reaches each
     sum along one path, so no sum is divided by a count of paths, as in a
     transform by layers, which meets a flat through each element it adds.
+    The empty set, the bottom flat, comes last: nothing reads a sum after
+    it, so its coefficients are read off outer[0] and its block is never
+    merged.
 
     The constant term is 1 at every flat and is never read: R_F[rank M] = 1,
     since only the top flat reaches degree rank M, and R_F[rank F] = 0, since
@@ -603,9 +649,10 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     corank at most 2 reads no slot, and every other coefficient is the
     difference of two slots, in which their biases cancel.  A slot sums one
     coefficient from each of fewer than 2^n flats, so |c| 2^n < 2^(width - 1)
-    for every packed c keeps every slot exact.  The constant 1 is packed too,
-    so a width too narrow for it restarts at once at twice the width, before
-    any mask is visited; past the bound at a later coefficient the solve
+    for every packed c keeps every slot exact; each coefficient is checked
+    as it is read, before it is packed.  The constant 1 is packed too, so a
+    width too narrow for it restarts at once at twice the width, before any
+    mask is visited; past the bound at a later coefficient the solve
     restarts the same way.
     """
     top = matroid.rank
@@ -620,48 +667,50 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     limit = (half - 1) >> n  # the largest |c| with |c| 2^n < half
     table = matroid.rank_table()
     flags = _spread(matroid._flats, n)
+    subsets, highest, _ = _subset_tables(n)
     # the non-spanning masks, a down-set, in ascending order
-    masks = [*compress(range(1 << n), table.translate(b"\1" * top + b"\0" * (256 - top)))]
+    masks = [*compress(subsets, table.translate(b"\1" * top + b"\0" * (256 - top)))]
     inner = [0] * (1 << n)
     outer = [0] * (1 << n)
     slot = (1 << width) - 1
     # half in each slot keeps a sum of values in (-half, half) from borrowing
     bias = sum(half << width * d for d in range(top))
-    for pos in range(len(masks) - 1, -1, -1):
+    # masks[0] is the empty set, read off after the loop
+    for pos in range(len(masks) - 1, 0, -1):
         s = masks[pos]
-        span = s & -s or 1 << n
+        span = s & -s
         # the non-spanning masks of the block [s, s + span) are masks[pos:end]
         end = bisect_left(masks, s + span, pos + 1)
         # merge the block: u goes into u - h, h the highest bit of u - s, so
         # afterwards inner holds the sums over the block of s, all but the
         # value of s itself
         for u in masks[pos + 1 : end]:
-            inner[u - (1 << (u - s).bit_length() >> 1)] += inner[u]
+            inner[u - highest[u - s]] += inner[u]
         if flags[s]:
             r = table[s]
-            # P_{M/F}[j] from the highest j down to 1; the constant 1 goes last
-            coeffs = []
+            # P_{M/F}[j] packed from the highest j down to 1, then the constant 1
+            value = 0
             if top - r > 2:
                 rest = outer[s] + bias
-                coeffs = [
-                    (rest >> width * (top - j) & slot) - (rest >> width * (r + j) & slot)
-                    for j in range((top - r - 1) // 2, 0, -1)
-                ]
-                if max(map(abs, coeffs)) > limit:
-                    return _z_solve(matroid, 2 * width)
+                for j in range((top - r - 1) // 2, 0, -1):
+                    c = (rest >> width * (top - j) & slot) - (rest >> width * (r + j) & slot)
+                    if c > limit or c < -limit:
+                        return _z_solve(matroid, 2 * width)
+                    value = (value << width) + c
             outer[s] = 0  # never read again; dropping it keeps fewer sums alive at once
-            value = 0
-            for c in coeffs:
-                value = (value << width) + c
             inner[s] += ((value << width) + 1) << width * r
-        # push the block of s into its lower sibling [s - span, s); the empty
-        # set, visited last, has none
-        if not s:
-            break
+        # push the block of s into its lower sibling [s - span, s)
         for u in masks[pos:end]:
             outer[u - span] += inner[u]
-    # the last mask visited is the empty set, the bottom flat
-    return IntPoly([1, *reversed(coeffs)])
+    # the bottom flat: P_M[j] for j from 1 up, kept as a list
+    rest = outer[0] + bias
+    coeffs = [
+        (rest >> width * (top - j) & slot) - (rest >> width * j & slot)
+        for j in range(1, (top + 1) // 2)
+    ]
+    if max(map(abs, coeffs), default=0) > limit:
+        return _z_solve(matroid, 2 * width)
+    return IntPoly([1, *coeffs])
 
 
 def kl_poly_recurrence(matroid: Matroid) -> IntPoly:

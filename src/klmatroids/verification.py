@@ -39,9 +39,9 @@ from typing import Callable, Iterable, NoReturn, Sequence
 from .closedforms import (
     ROUTES,
     RhoUniformParams,
+    _minor_classes,
     build_rho_uniform,
     char_poly_rho,
-    classify_minor,
     coeff_rho,
     coefficient_range,
     expected_flats,
@@ -59,6 +59,7 @@ from .matroid import (
     kl_poly_recurrence,
     kl_recurrence_rhs,
     matroid_from_bases,
+    removed_block_masks,
 )
 from .tableaux import count_skyt, enumerate_skyt, involution_rotate
 
@@ -399,11 +400,11 @@ def sweep_charpoly(total_max: int = 10, jobs: int = 1) -> IdentityReport:
 
 def _minors_point(p: RhoUniformParams) -> bool:
     matroid = build_rho_uniform(p)
-    families = (("localization", _localization_family), ("contraction", _contraction_family))
+    blocks = removed_block_masks(p.d, p.rho)
+    families = (_localization_family, _contraction_family)
     predicted: dict = {}  # each predicted class's (n, bases), built once per point
     for flat in matroid.lattice().flats:
-        for kind, family in families:
-            minor = classify_minor(p, flat, kind)
+        for minor, family in zip(_minor_classes(p, blocks, flat), families):
             if minor not in predicted:
                 predicted[minor] = minor.build().key()
             if family(matroid, flat) != predicted[minor]:

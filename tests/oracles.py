@@ -6,14 +6,16 @@ by cell instead of grouped hook products, subset search instead of basis
 intersections, a subset-by-subset rank DP and closure test instead of
 bit-packed indicators, flats as the closures of all subsets instead of the
 packed flat indicator, pairwise set exchange instead of rank tables, Mobius
-values instead of Whitney's subset sum, minors relabelled element by element
-instead of by paired bit combinations (and the paired combinations, lowest
-bit first and then sorted, as the reference for the library's listing, which
-runs from the highest bit down and needs no sort), a permutation search for matroid
-isomorphism, and an up-set walk over the lattice of flats instead of the
-subset cube for the Z-polynomial solve, the defining recurrence summed one
-flat at a time instead of once per distinct pair of minor families, and sums
-that build every term afresh instead of stepping from the one before.
+values instead of Whitney's subset sum (and that sum one subset at a time
+instead of by counting the bytes of one big-int sum), minors relabelled
+element by element instead of by paired bit combinations (and the paired
+combinations, lowest bit first and then sorted, as the reference for the
+library's listing, which runs from the highest bit down and needs no sort),
+a permutation search for matroid isomorphism, and an up-set walk over the
+lattice of flats instead of the subset cube for the Z-polynomial solve, the
+defining recurrence summed one flat at a time instead of once per distinct
+pair of minor families, and sums that build every term afresh instead of
+stepping from the one before.
 Beyond the sparse paving matroids, ``graphic_matroid`` lists the spanning
 trees of a graph by union-find, for matroids of another kind.
 Expected values in the tests are frozen from these oracles.
@@ -276,6 +278,16 @@ def mobius_char_coeffs(lattice, rank: int) -> list[int]:
     coeffs = [0] * (rank + 1)
     for r, mu in zip(lattice.ranks, mobius_values(lattice.flats)):
         coeffs[rank - r] += mu
+    return coeffs
+
+
+def whitney_char_coeffs(matroid) -> list[int]:
+    """Characteristic polynomial by Whitney's sum of (-1)^|S| t^(rank - r(S)),
+    one subset at a time over the rank table, low degree first."""
+    d = matroid.rank
+    coeffs = [0] * (d + 1)
+    for s, r in enumerate(matroid.rank_table()):
+        coeffs[d - r] += -1 if s.bit_count() & 1 else 1
     return coeffs
 
 

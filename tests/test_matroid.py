@@ -70,6 +70,7 @@ from oracles import (
     sparse_paving_matroid,
     upset_z_poly,
     wheel_graph,
+    whitney_char_coeffs,
 )
 
 U12 = matroid_from_bases(3, [{1, 2}, {1, 3}, {2, 3}])
@@ -394,6 +395,22 @@ class TestValidatorEquivalence:
         assert [w.bit_count() for w in without] == [1 << 15] * 16
         assert [ind.bit_count() for ind in size] == [comb(16, k) for k in range(17)]
         assert set(matroid_module._INDICATORS) <= set(range(matroid_module.MAX_GROUND + 1))
+
+    def test_subset_tables_match_their_definitions(self):
+        for n in range(matroid_module.MAX_GROUND + 1):
+            subsets, highest, parity = matroid_module._subset_tables(n)
+            assert subsets == tuple(range(1 << n)), n
+            assert highest == tuple(1 << x.bit_length() >> 1 for x in range(max(1, 1 << n >> 1))), n
+            parities = bytes(x.bit_count() & 1 for x in range(1 << n))
+            assert parity.to_bytes(1 << n, "little") == parities, n
+            assert matroid_module._subset_tables(n)[0] is subsets
+        assert set(matroid_module._SUBSET_TABLES) == set(range(matroid_module.MAX_GROUND + 1))
+
+    def test_the_lattice_lists_the_shared_subset_ints(self):
+        # compress over the per-n subsets hands out those ints, not new ones
+        m = build_rho_uniform(RhoUniformParams(5, 6, 1))
+        subsets = matroid_module._subset_tables(m.n)[0]
+        assert all(f is subsets[f] for f in m.lattice().flats)
 
 
 class TestRankClosure:
@@ -809,6 +826,20 @@ class TestCharPoly:
     def test_vanishes_at_one(self, m, d):
         assert char_poly(uniform_matroid(m, d))(1) == 0
 
+    def test_byte_counts_match_the_subset_by_subset_sum(self):
+        exhaustive = list(_every_loopless_matroid(5))
+        grid = [build_rho_uniform(p) for p in family_grid(10)]
+        graphs = [complete_graph(4), complete_graph(5), *map(wheel_graph, range(3, 7))]
+        graphic = [graphic_matroid(*graph) for graph in graphs]
+        assert len(exhaustive) == 222 and len(grid) == 108
+        for m in exhaustive + grid + graphic:
+            assert char_poly(m) == IntPoly(whitney_char_coeffs(m)), m
+        # a loop still refuses, though every subset's byte could be counted
+        looped = matroid_from_bases(5, [{1, 2}, {1, 3}, {2, 3}, {2, 4}, {3, 4}])
+        assert looped.rank_of({5}) == 0
+        with pytest.raises(HasLoops):
+            char_poly(looped)
+
     def test_whitney_sum_matches_mobius_sum(self):
         grid = [build_rho_uniform(p) for p in family_grid(10)]
         exhaustive = list(_every_loopless_matroid(5))
@@ -1058,6 +1089,23 @@ class TestOracleRoutes:
         m = matroid_from_bases(12, bases)
         widths = _record_widths(monkeypatch, 14)
         assert kl_poly(m) == IntPoly([1, 2]) and widths == [14, 28]
+
+    def test_an_upper_flat_past_the_limit_restarts_before_the_bottom(self, monkeypatch, fresh_caches):
+        # from 14-bit slots the limit at n = 12 is 1, and in U(4, 8) the
+        # contractions at flats of corank 3 already have a linear coefficient
+        # above it; the guard at each coefficient restarts the solve there, so
+        # the first attempt visits only some of the nonempty non-spanning
+        # masks (one bisect each), never the bottom flat past a wrapped slot
+        m = uniform_matroid(4, 8)
+        widths = _record_widths(monkeypatch, 14)
+        visits = []  # the width of the attempt that made each visit
+        bisect = matroid_module.bisect_left
+        monkeypatch.setattr(
+            matroid_module, "bisect_left", lambda *args: visits.append(widths[-1]) or bisect(*args)
+        )
+        assert kl_poly(m) == kl_poly_rho(RhoUniformParams(4, 8)) and widths == [14, 28]
+        nonempty = sum(r < 8 for r in m.rank_table()) - 1
+        assert 0 < visits.count(14) < nonempty and visits.count(28) == nonempty
 
     def test_fourteen_bit_slots_stay_exact_at_twelve_elements(self, monkeypatch, fresh_caches):
         # from 14-bit slots the limit at n = 12 is 1, so each larger

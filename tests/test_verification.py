@@ -8,7 +8,7 @@ import pytest
 
 from klmatroids import matroid as matroid_module
 from klmatroids import tableaux, verification
-from klmatroids.closedforms import RhoUniformParams, build_rho_uniform
+from klmatroids.closedforms import RhoUniformParams, build_rho_uniform, classify_minor
 from klmatroids.errors import ExchangeAxiomViolation
 from klmatroids.exactarith import IntPoly
 from klmatroids.identities import IdentityReport
@@ -129,9 +129,11 @@ class TestMinorsSweep:
     def test_a_misplaced_prediction_fails(self, monkeypatch):
         # without its offset, the contraction inside the second block of
         # U(3, 3; 2) is isomorphic to the computed one, but labelled otherwise
-        original = verification.classify_minor
+        original = verification._minor_classes
         monkeypatch.setattr(
-            verification, "classify_minor", lambda *args: original(*args)._replace(offset=0)
+            verification,
+            "_minor_classes",
+            lambda *args: tuple(minor._replace(offset=0) for minor in original(*args)),
         )
         report = verification.sweep_minors(6, jobs=1)
         assert report.failures == (RhoUniformParams(3, 3, 2),)
@@ -140,16 +142,18 @@ class TestMinorsSweep:
         # at one flat of one point, the contraction at {1, 4} of U(3, 3; 1) is
         # predicted as the one at {4}, a class the point has already built
         point, flat, seen = RhoUniformParams(3, 3, 1), 0b1001, 0b1000
-        original = verification.classify_minor
+        original = verification._minor_classes
 
-        def wrong_once(p, f, kind):
-            if (p, f, kind) == (point, flat, "contraction"):
-                return original(p, seen, kind)
-            return original(p, f, kind)
+        def wrong_once(p, blocks, f):
+            local, contracted = original(p, blocks, f)
+            if (p, f) == (point, flat):
+                return local, original(p, blocks, seen)[1]
+            return local, contracted
 
-        assert original(point, flat, "contraction") != original(point, seen, "contraction")
+        kind = "contraction"
+        assert classify_minor(point, flat, kind) != classify_minor(point, seen, kind)
         assert verification.sweep_minors(6, jobs=1).passed
-        monkeypatch.setattr(verification, "classify_minor", wrong_once)
+        monkeypatch.setattr(verification, "_minor_classes", wrong_once)
         report = verification.sweep_minors(6, jobs=1)
         assert report.failures == (point,)
 
