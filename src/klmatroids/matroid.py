@@ -17,11 +17,11 @@ exact (n, sorted masks), and family members by (m, d, rho, offset) too, so
 a family met again, a minor above all, returns the same matroid.  The
 lattice of flats, minors and the characteristic polynomial (Whitney's sum
 over all subsets, as counts of the bytes 2 r(S) + |S| mod 2) are read from
-the table and the flat indicator, not Mobius values.  Per ground-set size,
-tables built on first use hold the subset indicators, every subset as an
-int (masks are listed by ``compress`` over it, making no new int), the
-highest bit of every gap that the cube solve looks up, and the parity of
-every subset, which the characteristic polynomial counts against.
+the table and the flat indicator, not Mobius values.  One table per
+ground-set size, built on first use, holds the subset indicators, the
+single-element masks that minors are relabelled onto, every subset as an
+int, the highest bit of every gap that the cube solve looks up, and the
+parity of every subset, which the characteristic polynomial counts against.
 Ground sets stop at MAX_GROUND elements; ``ground_size_refusal`` is the cap's
 one message, which the builders raise and the oracle route refuses by.
 
@@ -53,6 +53,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from itertools import chain, combinations, compress, filterfalse, repeat
+from operator import index
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import (
@@ -73,6 +74,10 @@ MAX_GROUND = 16  # every matroid holds a 2**n rank table; keep it sane
 def mask_from(elements: Iterable[int], n: int) -> GroundSubset:
     mask = 0
     for e in elements:
+        try:
+            e = index(e)
+        except TypeError:
+            raise TypeError(f"element {e!r} is not an integer") from None
         if not 1 <= e <= n:
             raise ValueError(f"element {e} outside ground set 1..{n}")
         mask |= 1 << (e - 1)
@@ -175,37 +180,40 @@ class Matroid:
 
     def lattice(self) -> "FlatLattice":
         """The flats by (cardinality, mask): a stable sort keeps the mask order."""
-        marked = compress(_subset_tables(self.n)[0], _spread(self._flats, self.n))
+        marked = compress(_tables(self.n).subsets, _spread(self._flats, self.n))
         flats = tuple(sorted(marked, key=int.bit_count))
         return FlatLattice(self.n, flats, tuple(map(self._rank_table.__getitem__, flats)))
 
 
-# per ground-set size n: (without, size), where bit S of without[e] marks
-# the subsets S that lack element e + 1 and bit S of size[k] the k-subsets
-_INDICATORS: dict[int, tuple[list[int], list[int]]] = {}
+class _Tables(NamedTuple):
+    """The fixed tables of a ground set of size n; an indicator is an int
+    whose bit S marks the subset S."""
 
-# per ground-set size n: (subsets, highest, parity), where subsets[S] is the
-# int S itself, highest[x] for x < 2**(n - 1) the highest power of two <= x
-# (0 for x = 0) and byte S of parity |S| mod 2
-_SUBSET_TABLES: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+    without: list[int]  # bit S of without[e]: S lacks element e + 1
+    size: list[int]  # bit S of size[k]: S has k elements
+    bits: tuple[int, ...]  # the n single-element masks, highest first
+    subsets: tuple[int, ...]  # subsets[S] is S itself, so compress over it makes no new int
+    highest: tuple[int, ...]  # the highest power of two <= x (0 for 0), x < 2**(n - 1)
+    parity: int  # byte S is |S| mod 2
 
-# one byte per subset, 0 or 1, to and from the ASCII digits of a binary
-# string, and to its opposite
+
+# the tables by ground-set size; callers check the cap first, so it holds at
+# most MAX_GROUND + 1 entries
+_TABLES: dict[int, _Tables] = {}
+
+# one byte per subset, 0 or 1, to and from the ASCII digits of a binary string
 _BYTES_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _indicators(n: int) -> tuple[list[int], list[int]]:
-    """The subset indicators of a ground set of size n, built on first use.
-
-    An indicator is an int whose bit S marks the subset S.  Callers check
-    the ground-set cap first, so the dict holds at most MAX_GROUND + 1
-    entries.  Both lists are built by doubling: without[e] repeats 2**e ones
-    and 2**e zeros, and the k-subsets of a ground set one element larger are
-    its old k-subsets and its old (k - 1)-subsets plus the new element.
-    """
-    known = _INDICATORS.get(n)
+def _tables(n: int) -> _Tables:
+    """The tables of a ground set of size n, built on first use by doubling:
+    without[e] repeats 2**e ones and 2**e zeros, the k-subsets of a ground
+    set one element larger are its old k-subsets and its old (k - 1)-subsets
+    plus the new element, and the ints in [2**e, 2**(e + 1)) have highest bit
+    2**e.  ``highest`` bounds every gap u - s that the cube solve looks up,
+    and ``parity`` spreads the odd-size indicators into bytes."""
+    known = _TABLES.get(n)
     if known is None:
         without = []
         for e in range(n):
@@ -217,34 +225,16 @@ def _indicators(n: int) -> tuple[list[int], list[int]]:
         size = [1]  # on the empty ground set, the empty set alone
         for e in range(n):
             size = [low | high << (1 << e) for low, high in zip(size + [0], [0] + size)]
-        known = _INDICATORS[n] = (without, size)
-    return known
-
-
-def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The per-subset tables of a ground set of size n, built on first use:
-    every subset as an int, the highest bit of every int below 2**(n - 1),
-    which bounds every gap u - s that the cube solve looks up, and the
-    parity of every subset as one byte each of an int.
-
-    Listing masks by ``compress`` over the shared subsets makes no new int.
-    Both other tables are built by doubling: the ints in [2**e, 2**(e + 1))
-    have highest bit 2**e, and the subsets that hold element e + 1 have the
-    opposite parity to those that do not.  Callers check the ground-set cap
-    first, so the dict holds at most MAX_GROUND + 1 entries.
-    """
-    known = _SUBSET_TABLES.get(n)
-    if known is None:
         highest = [0]
         for e in range(n - 1):
             highest += [1 << e] * (1 << e)
-        parity = b"\0"
-        for _ in range(n):
-            parity += parity.translate(_FLIP)
-        known = _SUBSET_TABLES[n] = (
+        known = _TABLES[n] = _Tables(
+            without,
+            size,
+            tuple(1 << e for e in reversed(range(n))),
             tuple(range(1 << n)),
             tuple(highest),
-            int.from_bytes(parity, "little"),
+            int.from_bytes(_spread(sum(size[1::2]), n), "little"),
         )
     return known
 
@@ -266,18 +256,18 @@ def _dp_rank_table(n: int, masks: Collection[GroundSubset]) -> tuple[bytes, list
     S.  The levels are spread into one byte per subset and added, so the
     table is read off the bytes of one sum.
     """
-    without, size = _indicators(n)
+    tables = _tables(n)
     marks = bytearray(1 << n)
     for b in masks:
         marks[b] = 1
     independent = int(marks[::-1].translate(_BYTES_TO_DIGITS), 2)
-    for e, lacking in enumerate(without):
+    for e, lacking in enumerate(tables.without):
         independent |= (independent & ~lacking) >> (1 << e)
     top = max((b.bit_count() for b in masks), default=0)
     levels = []
     for k in range(1, top + 1):
-        level = independent & size[k]
-        for e, lacking in enumerate(without):
+        level = independent & tables.size[k]
+        for e, lacking in enumerate(tables.without):
             level |= (level & lacking) << (1 << e)
         levels.append(level)
     # bit S of a level becomes byte S of its lane; rank <= 16 keeps each byte exact
@@ -302,9 +292,8 @@ def _validated_flats(n: int, levels: list[int]) -> int | None:
     A set is a flat exactly when no element outside it keeps its rank, that
     is, when it is marked in no same[x].
     """
-    without, _ = _indicators(n)
     same = []
-    for x, lacking in enumerate(without):
+    for x, lacking in enumerate(_tables(n).without):
         rises = 0
         for level in levels:
             rises |= (level >> (1 << x)) & ~level
@@ -474,19 +463,14 @@ class FlatLattice(NamedTuple):
     ranks: tuple[int, ...]
 
 
-# the bits from 2**(MAX_GROUND - 1) down to 1: _BITS[MAX_GROUND - n:] lists
-# those of an n-element ground set from the highest down (n = 0 too, which a
-# slice from -n would not give)
-_BITS = tuple(1 << j for j in range(MAX_GROUND - 1, -1, -1))
-
-
 def _minor_bases(
     table: bytes, kept: tuple[int, ...], size: int, anchor: int, want: int
 ) -> tuple[GroundSubset, ...]:
     """The size-subsets S of the kept bits with r(S | anchor) == want, each
     relabelled so that the j-th lowest kept bit becomes bit j, ascending.
 
-    ``kept`` runs from the highest bit down, and so do the relabelled bits,
+    ``kept``, filtered from the parent's ``_tables(n).bits``, runs from the
+    highest bit down, and so do the relabelled bits, ``_tables(len(kept)).bits``,
     so both combination streams come out in descending numeric order: each
     parent subset is paired with its image, and the hits reversed ascend.
     The anchor holds none of the kept bits, so S | anchor is the sum of S
@@ -494,7 +478,7 @@ def _minor_bases(
     pass over each stream, and only the hits' images are summed.
     """
     ranks = map(table.__getitem__, map(sum, combinations(kept, size), repeat(anchor)))
-    images = combinations(_BITS[MAX_GROUND - len(kept) :], size)
+    images = combinations(_tables(len(kept)).bits, size)
     return tuple(map(sum, compress(images, map(want.__eq__, ranks))))[::-1]
 
 
@@ -515,7 +499,7 @@ def _localization_family(matroid: Matroid, mask: GroundSubset) -> tuple[int, tup
     size = mask.bit_count()
     if r == size:
         return size, ((1 << size) - 1,)
-    kept = tuple(filter(mask.__and__, _BITS[MAX_GROUND - matroid.n :]))
+    kept = tuple(filter(mask.__and__, _tables(matroid.n).bits))
     return size, _minor_bases(table, kept, r, 0, r)
 
 
@@ -524,7 +508,7 @@ def _contraction_family(matroid: Matroid, mask: GroundSubset) -> tuple[int, tupl
     (rank M - r(F))-subsets S of the complement with r(S | F) == rank M,
     which is r(S | B) for any basis B of F."""
     table = matroid._rank_table
-    kept = tuple(filterfalse(mask.__and__, _BITS[MAX_GROUND - matroid.n :]))
+    kept = tuple(filterfalse(mask.__and__, _tables(matroid.n).bits))
     top = matroid.rank
     return len(kept), _minor_bases(table, kept, top - table[mask], mask, top)
 
@@ -575,7 +559,7 @@ def char_poly(matroid: Matroid) -> IntPoly:
     """
     _check_loopless(matroid)
     n, d = matroid.n, matroid.rank
-    packed = (int.from_bytes(matroid._rank_table, "little") << 1) + _subset_tables(n)[2]
+    packed = (int.from_bytes(matroid._rank_table, "little") << 1) + _tables(n).parity
     keys = packed.to_bytes(1 << n, "little")
     return IntPoly([keys.count(2 * r) - keys.count(2 * r + 1) for r in range(d, -1, -1)])
 
@@ -624,10 +608,10 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     * inner[u] sums t^(rank G) P_{M/G}(t) over the flats G containing u in
       the widest block merged so far that holds u.  Visiting s first merges
       its block, one ascending pass over the run after s: each u, with h the
-      highest bit of u - s (read from the per-n table of highest bits), lies
-      in the block [s + h, s + 2h) of s + h, already merged when s + h was
-      visited, and is added into inner[u - h] in the lower half [s, s + h).
-      In ascending order every half h is merged before half 2h reads it.
+      highest bit of u - s (read from ``_TABLES``), lies in the block
+      [s + h, s + 2h) of s + h, already merged when s + h was visited, and
+      is added into inner[u - h] in the lower half [s, s + h).  In
+      ascending order every half h is merged before half 2h reads it.
       Then, at a flat, the visit adds the value of s itself to inner[s].
     * outer[u] sums over the flats strictly above u in the blocks pushed into
       u so far.  Visiting s last pushes its block into its lower sibling
@@ -667,9 +651,10 @@ def _z_solve(matroid: Matroid, width: int | None = None) -> IntPoly:
     limit = (half - 1) >> n  # the largest |c| with |c| 2^n < half
     table = matroid.rank_table()
     flags = _spread(matroid._flats, n)
-    subsets, highest, _ = _subset_tables(n)
+    tables = _tables(n)
+    highest = tables.highest
     # the non-spanning masks, a down-set, in ascending order
-    masks = [*compress(subsets, table.translate(b"\1" * top + b"\0" * (256 - top)))]
+    masks = [*compress(tables.subsets, table.translate(b"\1" * top + b"\0" * (256 - top)))]
     inner = [0] * (1 << n)
     outer = [0] * (1 << n)
     slot = (1 << width) - 1

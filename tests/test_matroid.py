@@ -145,6 +145,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             matroid_from_bases(3, [{1, 4}])
 
+    def test_a_non_integer_element_is_named(self):
+        with pytest.raises(TypeError, match=r"^element 1\.5 is not an integer$"):
+            mask_from([1.5], 3)
+        with pytest.raises(TypeError, match=r"^element 1\.0 is not an integer$"):
+            uniform_matroid(2, 2).rank_of([1.0])
+        with pytest.raises(TypeError, match=r"^element 1\.0 is not an integer$"):
+            matroid_from_bases(3, [[1.0, 2.0]])
+
     def test_exchange_violation_with_witness(self):
         with pytest.raises(ExchangeAxiomViolation) as info:
             matroid_from_bases(4, [{1, 2}, {3, 4}])
@@ -383,33 +391,33 @@ class TestValidatorEquivalence:
         assert _check_packed_against_reference(16, [frozenset(range(3, 11))])
         assert _check_packed_against_reference(16, _d_subsets(16, 8)[1:])
 
-    def test_indicators_mark_the_subsets_they_name(self):
-        for n in range(7):
-            without, size = matroid_module._indicators(n)
-            for s in range(1 << n):
-                assert [w >> s & 1 for w in without] == [1 - (s >> e & 1) for e in range(n)]
-                assert [ind >> s & 1 for ind in size] == [
-                    int(s.bit_count() == k) for k in range(n + 1)
-                ]
-        without, size = matroid_module._indicators(16)
-        assert [w.bit_count() for w in without] == [1 << 15] * 16
-        assert [ind.bit_count() for ind in size] == [comb(16, k) for k in range(17)]
-        assert set(matroid_module._INDICATORS) <= set(range(matroid_module.MAX_GROUND + 1))
-
-    def test_subset_tables_match_their_definitions(self):
+    def test_tables_match_their_definitions(self):
         for n in range(matroid_module.MAX_GROUND + 1):
-            subsets, highest, parity = matroid_module._subset_tables(n)
-            assert subsets == tuple(range(1 << n)), n
-            assert highest == tuple(1 << x.bit_length() >> 1 for x in range(max(1, 1 << n >> 1))), n
+            tables = matroid_module._tables(n)
+            if n < 7:
+                for s in range(1 << n):
+                    assert [w >> s & 1 for w in tables.without] == [
+                        1 - (s >> e & 1) for e in range(n)
+                    ]
+                    assert [ind >> s & 1 for ind in tables.size] == [
+                        int(s.bit_count() == k) for k in range(n + 1)
+                    ]
+            assert [w.bit_count() for w in tables.without] == [1 << n >> 1] * n, n
+            assert [ind.bit_count() for ind in tables.size] == [comb(n, k) for k in range(n + 1)]
+            assert tables.bits == tuple(1 << e for e in reversed(range(n))), n
+            assert tables.subsets == tuple(range(1 << n)), n
+            assert tables.highest == tuple(
+                1 << x.bit_length() >> 1 for x in range(max(1, 1 << n >> 1))
+            ), n
             parities = bytes(x.bit_count() & 1 for x in range(1 << n))
-            assert parity.to_bytes(1 << n, "little") == parities, n
-            assert matroid_module._subset_tables(n)[0] is subsets
-        assert set(matroid_module._SUBSET_TABLES) == set(range(matroid_module.MAX_GROUND + 1))
+            assert tables.parity.to_bytes(1 << n, "little") == parities, n
+            assert matroid_module._tables(n) is tables
+        assert set(matroid_module._TABLES) == set(range(matroid_module.MAX_GROUND + 1))
 
     def test_the_lattice_lists_the_shared_subset_ints(self):
         # compress over the per-n subsets hands out those ints, not new ones
         m = build_rho_uniform(RhoUniformParams(5, 6, 1))
-        subsets = matroid_module._subset_tables(m.n)[0]
+        subsets = matroid_module._tables(m.n).subsets
         assert all(f is subsets[f] for f in m.lattice().flats)
 
 
